@@ -2,7 +2,6 @@
 
 from .gaussian import (
     CovMatrix,
-    SymplecticEigenvalues,
     beamsplitter,
     epr_source,
     heterodyne_condition,

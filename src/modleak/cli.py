@@ -134,7 +134,8 @@ def sweep_rows(
     for value in sweep.values():
         p = cfg.params_at(float(value))
         p = _maybe_optimize(p, optimize_vm, direction)
-        report = sec.key_rate(p)
+        p0 = dataclasses.replace(p, k=0.0)
+        report, twin = sec.key_rate(p), sec.key_rate(p0)
         row = {
             "sweep_var": float(value),
             "V_M": p.v_m,
@@ -146,15 +147,14 @@ def sweep_rows(
             "R_RR": report.r_rr,
             "R_DR_clamped": report.r_dr_clamped,
             "R_RR_clamped": report.r_rr_clamped,
-            "dR_DR": sec.leakage_penalty(p, "dr"),
-            "dR_RR": sec.leakage_penalty(p, "rr"),
+            "dR_DR": twin.r_dr - report.r_dr,
+            "dR_RR": twin.r_rr - report.r_rr,
             "eta_max_DR_dB": None,
             "eta_max_RR_dB": None,
             "d_eta_DR_dB": None,
             "d_eta_RR_dB": None,
         }
         if with_eta_max:
-            p0 = dataclasses.replace(p, k=0.0)
             for tag, d in (("DR", "dr"), ("RR", "rr")):
                 margin = sec.max_additional_loss(p, d)
                 margin0 = sec.max_additional_loss(p0, d)
@@ -197,18 +197,12 @@ def table1_matrix(p: sec.ProtocolParams) -> dict:
     """Viability matrix and the R-vs-noise grids behind the verdicts."""
     matrix: dict = {}
     grids: dict = {}
-    field_map = {"P1": "eps_p1", "P2": "eps_p2", "L": "eps_l", "D": "eps_d"}
     for point in sec.NOISE_POINTS:
-        matrix[point] = {}
-        grids[point] = {}
-        for direction in ("dr", "rr"):
-            matrix[point][direction] = sec.trusted_noise_viability(p, point, direction)
-            grids[point][direction] = {
-                str(eps): sec._rate(
-                    dataclasses.replace(p, **{field_map[point]: eps}), direction
-                )
-                for eps in sec.VIABILITY_GRID
-            }
+        scan = sec.noise_scan(p, point)
+        matrix[point] = {d: sec.viability_verdict(scan, d) for d in ("dr", "rr")}
+        grids[point] = {
+            d: {str(eps): report.rate(d) for eps, report in scan.items()} for d in ("dr", "rr")
+        }
     return {"matrix": matrix, "grids": grids}
 
 

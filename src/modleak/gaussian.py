@@ -9,7 +9,7 @@ by opaque string labels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import InvalidArgument, MissingMode, NumericalError, UnphysicalStat
 
 SYMMETRY_RTOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-PURITY_TOL = 1e-6
 
 # sigma_z acting on one (x, p) quadrature pair
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -35,7 +34,6 @@ class CovMatrix:
 
     modes: tuple[str, ...]
     data: np.ndarray
-    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -53,8 +51,8 @@ class CovMatrix:
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "data", mat)
-        if self.check and self.modes:
-            nu_min = symplectic_eigenvalues(self).values[-1]
+        if self.modes:
+            nu_min = symplectic_eigenvalues(self)[-1]
             if nu_min < 1.0 - PHYSICALITY_TOL:
                 raise UnphysicalState(
                     f"minimal symplectic eigenvalue {nu_min} violates uncertainty"
@@ -83,16 +81,6 @@ class CovMatrix:
         """Mean of the x and p variances of one mode."""
         b = self.mode_block(mode)
         return 0.5 * (b[0, 0] + b[1, 1])
-
-
-@dataclass(frozen=True)
-class SymplecticEigenvalues:
-    """One symplectic eigenvalue per mode, sorted descending, in SNU."""
-
-    values: tuple[float, ...]
-
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return all(abs(v - 1.0) <= tol for v in self.values)
 
 
 def vacuum(n: int, labels: tuple[str, ...] | None = None) -> CovMatrix:
@@ -243,8 +231,8 @@ def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:
     return CovMatrix(tuple(kept), cond)
 
 
-def symplectic_eigenvalues(state: CovMatrix) -> SymplecticEigenvalues:
-    """Symplectic spectrum: absolute eigenvalues of i Omega gamma, one per mode.
+def symplectic_eigenvalues(state: CovMatrix) -> np.ndarray:
+    """Symplectic spectrum: absolute eigenvalues of i Omega gamma, one per mode, descending.
 
     The matrix is symmetrized first; imaginary residues above 1e-8 indicate a
     non-symmetric input and raise.
@@ -258,8 +246,7 @@ def symplectic_eigenvalues(state: CovMatrix) -> SymplecticEigenvalues:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     if np.max(np.abs(ev.imag)) > 1e-8 * max(1.0, np.max(np.abs(ev.real))):
         raise NumericalError("symplectic spectrum has large imaginary residue")
-    vals = np.sort(np.abs(ev.real))[::-1]
-    return SymplecticEigenvalues(tuple(vals[::2]))
+    return np.sort(np.abs(ev.real))[::-1][::2]
 
 
 def entropy_g(nu: float) -> float:
@@ -275,4 +262,4 @@ def entropy_g(nu: float) -> float:
 
 def von_neumann_entropy(state: CovMatrix) -> float:
     """Total entropy in bits, summed over the symplectic spectrum."""
-    return float(sum(entropy_g(nu) for nu in symplectic_eigenvalues(state).values))
+    return float(sum(entropy_g(nu) for nu in symplectic_eigenvalues(state)))

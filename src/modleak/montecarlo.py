@@ -171,6 +171,7 @@ class ConsistencyReport:
     r_est_rr: float
     se_r_dr: float
     se_r_rr: float
+    skipped_se_terms: tuple[str, ...]  # fields left out of se_r_* (invalid bumped point)
     verdict: str  # "consistent" | "overestimates key"
     seed: int
 
@@ -189,10 +190,13 @@ def _estimated_params(p: sec.ProtocolParams, est: EstimateReport) -> sec.Protoco
     )
 
 
-def _rate_se(p_est: sec.ProtocolParams, est: EstimateReport, direction: str) -> float:
-    """Propagate estimator standard errors through the key rate numerically."""
-    r0 = sec._rate(p_est, direction)
-    total = 0.0
+def _rate_se(
+    p_est: sec.ProtocolParams, est: EstimateReport, est_report: sec.KeyRateReport
+) -> tuple[float, float, tuple[str, ...]]:
+    """Standard errors of (R_DR, R_RR) propagated numerically from the estimates'
+    errors, and the fields left out because their bumped point is invalid."""
+    total_dr = total_rr = 0.0
+    skipped = []
     for field, se in (
         ("v_m", est.se_v_m),
         ("k", est.se_k),
@@ -204,10 +208,13 @@ def _rate_se(p_est: sec.ProtocolParams, est: EstimateReport, direction: str) -> 
         if field == "eta_ch":
             bumped = min(bumped, 1.0 if p_est.eps_ch == 0.0 else 0.9999)
         try:
-            total += (sec._rate(replace(p_est, **{field: bumped}), direction) - r0) ** 2
+            report = sec.key_rate(replace(p_est, **{field: bumped}))
         except InvalidArgument:
-            pass
-    return float(np.sqrt(total))
+            skipped.append(field)
+            continue
+        total_dr += (report.r_dr - est_report.r_dr) ** 2
+        total_rr += (report.r_rr - est_report.r_rr) ** 2
+    return float(np.sqrt(total_dr)), float(np.sqrt(total_rr)), tuple(skipped)
 
 
 def end_to_end_consistency(
@@ -233,8 +240,7 @@ def end_to_end_consistency(
     p_est = _estimated_params(p, est)
     true_report = sec.key_rate(p)
     est_report = sec.key_rate(p_est)
-    se_dr = _rate_se(p_est, est, "dr")
-    se_rr = _rate_se(p_est, est, "rr")
+    se_dr, se_rr, skipped = _rate_se(p_est, est, est_report)
     over_dr = est_report.r_dr - true_report.r_dr > 5.0 * se_dr + 1e-6
     over_rr = est_report.r_rr - true_report.r_rr > 5.0 * se_rr + 1e-6
     return ConsistencyReport(
@@ -245,6 +251,7 @@ def end_to_end_consistency(
         r_est_rr=est_report.r_rr,
         se_r_dr=se_dr,
         se_r_rr=se_rr,
+        skipped_se_terms=skipped,
         verdict="overestimates key" if (over_dr or over_rr) else "consistent",
         seed=seed,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import gaussian as g
 from .errors import InvalidArgument
@@ -23,12 +22,18 @@ ETA_P = 0.999
 # Collective-attack security parameter entering the finite-size penalty.
 FINITE_SIZE_EPS = 1e-10
 
-NOISE_POINTS = ("P1", "P2", "L", "D")
+NOISE_FIELDS = {"P1": "eps_p1", "P2": "eps_p2", "L": "eps_l", "D": "eps_d"}
+NOISE_POINTS = tuple(NOISE_FIELDS)
 VIABILITY_GRID = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 VIABILITY_MARGIN = 1e-6
 
 VM_BRACKET = (0.01, 100.0)
 VM_GRID_POINTS = 40
+# scipy.optimize.golden's step constants and iteration cap, so that optima
+# inside the grid stay where that search put them
+GOLDEN_R = 0.61803399
+GOLDEN_C = 1.0 - GOLDEN_R
+GOLDEN_MAXITER = 5000
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
 # root accuracy well inside the 0.01 dB reporting tolerance, so that small
@@ -95,14 +100,20 @@ class KeyRateReport:
     r_dr_clamped: float
     r_rr_clamped: float
     finite_size_penalty: float
-    mode_count: int
+
+    def rate(self, direction: str) -> float:
+        """Key fraction for reconciliation direction 'dr' or 'rr'."""
+        if direction == "dr":
+            return self.r_dr
+        if direction == "rr":
+            return self.r_rr
+        raise InvalidArgument(f"direction must be 'dr' or 'rr', got {direction!r}")
 
 
 @dataclass(frozen=True)
 class OptimalVm:
     v_m: float
     rate: float
-    positive: bool
 
 
 @dataclass(frozen=True)
@@ -130,9 +141,10 @@ def _couple_trusted_noise(
     Appends modes `{tag}a`/`{tag}b` (amplifier idler pair) and
     `{tag}c`/`{tag}d` (tap pair); all four stay with the trusted parties.
     """
-    # keep the ancilla variances physical (>= 1) for arbitrarily small eps
-    eta = max(ETA_P, 1.0 - 0.5 * eps)
-    v = eps / (2.0 * (1.0 - eta))
+    # below eps = 2 (1 - ETA_P) the ancillas are vacua (v = 1 exactly, never
+    # rounded below it) and the coupling moves toward eta = 1 instead
+    v = max(1.0, eps / (2.0 * (1.0 - ETA_P)))
+    eta = 1.0 - eps / (2.0 * v)
     labels = _noise_mode_labels(tag)
     state = g.tensor(state, g.epr_source(v, (labels[0], labels[1])))
     state = g.two_mode_squeezer(state, target, labels[0], 1.0 / eta)
@@ -241,52 +253,69 @@ def key_rate(p: ProtocolParams) -> KeyRateReport:
         r_dr_clamped=max(r_dr, 0.0),
         r_rr_clamped=max(r_rr, 0.0),
         finite_size_penalty=delta,
-        mode_count=scheme.state.n_modes,
     )
 
 
-def _rate(p: ProtocolParams, direction: str) -> float:
-    report = key_rate(p)
-    if direction == "dr":
-        return report.r_dr
-    if direction == "rr":
-        return report.r_rr
-    raise InvalidArgument(f"direction must be 'dr' or 'rr', got {direction!r}")
+def _golden_section_max(f, x0: float, x1: float, x2: float, x3: float, tol: float = 1e-3):
+    """Maximiser of a unimodal f on (x0, x3) by golden section, from comparisons alone.
+
+    x0 < x1 < x2 < x3 are the bracket and the first two probes.  The steps and
+    the stopping rule, x3 - x0 <= tol (|x1| + |x2|), are those of
+    scipy.optimize.golden.  Returns the better probe and f there; ties break
+    toward x0.
+    """
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_MAXITER):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = GOLDEN_R * x1 + GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = GOLDEN_R * x2 + GOLDEN_C * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 > f2 else (x2, f2)
 
 
 def optimize_vm(p: ProtocolParams, direction: str) -> OptimalVm:
     """Maximize the key fraction over the modulation variance.
 
     Log-spaced bracketing grid over [0.01, 100] SNU followed by a
-    golden-section refinement on log(V_M); ties break toward smaller V_M.
+    golden-section refinement on log(V_M) between the best grid point's
+    neighbours, or between an end point and its neighbour; ties break toward
+    smaller V_M.
     """
-    grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
-    rates = np.array([_rate(replace(p, v_m=v), direction) for v in grid])
-    best = int(np.argmax(rates))
 
-    def neg_rate(u: float) -> float:
-        return -_rate(replace(p, v_m=float(np.exp(u))), direction)
+    def rate_at(v_m: float) -> float:
+        return key_rate(replace(p, v_m=v_m)).rate(direction)
+
+    grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
+    rates = np.array([rate_at(v) for v in grid])
+    best = int(np.argmax(rates))
 
     lo = np.log(grid[max(best - 1, 0)])
     hi = np.log(grid[min(best + 1, len(grid) - 1)])
+    mid = np.log(grid[best])
     if best in (0, len(grid) - 1):
-        u_opt = np.log(grid[best])
+        x1, x2 = GOLDEN_R * lo + GOLDEN_C * hi, GOLDEN_C * lo + GOLDEN_R * hi
+    elif hi - mid > mid - lo:
+        x1, x2 = mid, mid + GOLDEN_C * (hi - mid)
     else:
-        u_opt = optimize.golden(
-            neg_rate, brack=(lo, np.log(grid[best]), hi), tol=1e-3
-        )
-    v_opt = float(np.exp(u_opt))
-    r_opt = _rate(replace(p, v_m=v_opt), direction)
+        x1, x2 = mid - GOLDEN_C * (mid - lo), mid
+    u_opt, r_opt = _golden_section_max(lambda u: rate_at(float(np.exp(u))), lo, x1, x2, hi)
     if r_opt < rates[best]:
-        v_opt, r_opt = float(grid[best]), float(rates[best])
-    return OptimalVm(v_m=v_opt, rate=r_opt, positive=r_opt > 0.0)
+        return OptimalVm(v_m=float(grid[best]), rate=float(rates[best]))
+    return OptimalVm(v_m=float(np.exp(u_opt)), rate=r_opt)
 
 
 def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:
     """Maximal tolerable additional channel attenuation (dB) before R hits 0."""
+    from scipy import optimize
 
     def rate_at(a_db: float) -> float:
-        return _rate(replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0)), direction)
+        return key_rate(replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))).rate(direction)
 
     if rate_at(0.0) <= 0.0:
         return LossMargin(db=0.0, flag="no-positive-key")
@@ -298,7 +327,25 @@ def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:
 
 def leakage_penalty(p: ProtocolParams, direction: str) -> float:
     """Rate advantage Eve gains from ignored leakage: R(k=0) - R(k)."""
-    return _rate(replace(p, k=0.0), direction) - _rate(p, direction)
+    return key_rate(replace(p, k=0.0)).rate(direction) - key_rate(p).rate(direction)
+
+
+def noise_scan(p: ProtocolParams, noise_point: str) -> dict[float, KeyRateReport]:
+    """Reports over VIABILITY_GRID of the noise at one infusion point, all else as in `p`."""
+    if noise_point not in NOISE_FIELDS:
+        raise InvalidArgument(f"noise point must be one of {NOISE_POINTS}")
+    return {eps: key_rate(replace(p, **{NOISE_FIELDS[noise_point]: eps})) for eps in VIABILITY_GRID}
+
+
+def viability_verdict(scan: dict[float, KeyRateReport], direction: str) -> str:
+    """Helpful, harmful or neutral: a `noise_scan` against its zero-noise baseline."""
+    baseline = scan[0.0].rate(direction)
+    rates = [report.rate(direction) for eps, report in scan.items() if eps > 0.0]
+    if any(r > baseline + VIABILITY_MARGIN for r in rates):
+        return "helpful"
+    if all(r < baseline - VIABILITY_MARGIN for r in rates):
+        return "harmful"
+    return "neutral"
 
 
 def trusted_noise_viability(p: ProtocolParams, noise_point: str, direction: str) -> str:
@@ -308,16 +355,4 @@ def trusted_noise_viability(p: ProtocolParams, noise_point: str, direction: str)
     held at its value in `p`; the verdict compares against the zero-noise
     baseline for that infusion point.
     """
-    field_map = {"P1": "eps_p1", "P2": "eps_p2", "L": "eps_l", "D": "eps_d"}
-    if noise_point not in field_map:
-        raise InvalidArgument(f"noise point must be one of {NOISE_POINTS}")
-    name = field_map[noise_point]
-    baseline = _rate(replace(p, **{name: 0.0}), direction)
-    rates = [
-        _rate(replace(p, **{name: eps}), direction) for eps in VIABILITY_GRID if eps > 0.0
-    ]
-    if any(r > baseline + VIABILITY_MARGIN for r in rates):
-        return "helpful"
-    if all(r < baseline - VIABILITY_MARGIN for r in rates):
-        return "harmful"
-    return "neutral"
+    return viability_verdict(noise_scan(p, noise_point), direction)

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import modleak
 from modleak import cli
 from modleak import security as sec
 
@@ -169,6 +173,18 @@ class TestTable1:
                 assert len(grid) == len(sec.VIABILITY_GRID)
 
 
+    def test_one_scan_per_noise_point(self, key_rate_calls):
+        p = sec.ProtocolParams(
+            v_m=5.0, k=0.3, eta_ch=0.15, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
+        )
+        result = cli.table1_matrix(p)
+        assert len(key_rate_calls) == len(sec.NOISE_POINTS) * len(sec.VIABILITY_GRID)
+        for point in sec.NOISE_POINTS:
+            for direction in ("dr", "rr"):
+                verdict = sec.trusted_noise_viability(p, point, direction)
+                assert result["matrix"][point][direction] == verdict
+
+
 class TestMc:
     def mc_doc(self, k=0.3, n=50_000, seed=11):
         return {
@@ -219,3 +235,25 @@ class TestSweepRowsHelper:
             rep = sec.key_rate(p)
             assert row["R_DR"] == pytest.approx(rep.r_dr)
             assert row["dR_RR"] == pytest.approx(sec.leakage_penalty(p, "rr"))
+
+    def test_each_row_evaluates_point_and_twin_once(self, key_rate_calls):
+        from modleak.config import parse_config
+
+        cfg = parse_config(
+            {"protocol": dict(BASE_PROTOCOL, eps_Ch={"start": 0.0, "stop": 0.1, "points": 3})}
+        )
+        cli.sweep_rows(cfg)
+        assert len(key_rate_calls) == 2 * 3
+        assert len(set(key_rate_calls)) == 2 * 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(modleak.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import modleak.cli; "
+        "print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -103,6 +103,7 @@ class TestEndToEndConsistency:
         assert rep.verdict == "consistent"
         assert abs(rep.r_est_rr - rep.r_true_rr) < 0.02
         assert abs(rep.r_est_rr - rep.r_true_rr) < 5.0 * rep.se_r_rr + 1e-6
+        assert rep.skipped_se_terms == ()
 
     def test_rate_gap_shrinks_with_more_samples(self):
         gaps = []
@@ -124,3 +125,19 @@ class TestEndToEndConsistency:
         r1 = mc.end_to_end_consistency(POINT, 100_000, seed=21)
         r2 = mc.end_to_end_consistency(POINT, 100_000, seed=21)
         assert r1 == r2
+
+    def test_evaluates_each_point_once(self, key_rate_calls):
+        mc.end_to_end_consistency(POINT, 5_000, seed=3)
+        # the true point, the estimated point and its four bumped copies
+        assert len(key_rate_calls) == 6
+
+    def test_rate_se_names_skipped_terms(self):
+        p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=1.0, eps_ch=0.0)
+        est = mc.EstimateReport(
+            v_m_hat=5.0, k_hat=0.3, eta_hat=1.0, eps_hat=0.0,
+            se_v_m=0.01, se_k=0.01, se_eta=0.01, se_eps=0.01, n=10_000,
+        )
+        se_dr, se_rr, skipped = mc._rate_se(p, est, sec.key_rate(p))
+        # eps_ch > 0 at eta_ch = 1 has no purification
+        assert skipped == ("eps_ch",)
+        assert se_dr > 0.0 and se_rr > 0.0

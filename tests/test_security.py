@@ -167,6 +167,13 @@ class TestKeyRate:
         assert delta > 0.0
         assert rep_fs.r_rr == pytest.approx(rep.r_rr - delta)
 
+    def test_rate_picks_direction(self):
+        rep = sec.key_rate(sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02))
+        assert rep.rate("dr") == rep.r_dr
+        assert rep.rate("rr") == rep.r_rr
+        with pytest.raises(InvalidArgument):
+            rep.rate("both")
+
     def test_clamped_rates(self):
         p = sec.ProtocolParams(v_m=5.0, k=1.0, eta_ch=0.3, eps_ch=0.1, beta=0.5)
         rep = sec.key_rate(p)
@@ -190,17 +197,26 @@ class TestOptimizeVm:
         p = sec.ProtocolParams(v_m=1.0, k=0.2, eta_ch=0.5, eps_ch=0.02, beta=0.96)
         opt = sec.optimize_vm(p, "rr")
         assert 0.011 < opt.v_m < 99.0
-        assert opt.positive
+        assert opt.rate > 0.0
 
     def test_dominates_fixed_choice(self):
         p = sec.ProtocolParams(v_m=2.0, k=0.1, eta_ch=0.5, eps_ch=0.02, beta=0.96)
         opt = sec.optimize_vm(p, "rr")
         assert opt.rate >= sec.key_rate(p).r_rr - 1e-12
 
+    def test_refines_between_last_grid_points(self):
+        p = sec.ProtocolParams(v_m=5.0, k=0.1867, eta_ch=0.9, eps_ch=0.02)
+        opt = sec.optimize_vm(p, "rr")
+        grid = np.logspace(np.log10(0.01), np.log10(100.0), 40)
+        scan = np.exp(np.linspace(np.log(grid[-2]), np.log(grid[-1]), 41))
+        best = max(sec.key_rate(dataclasses.replace(p, v_m=float(v))).r_rr for v in scan)
+        assert opt.v_m < 100.0
+        assert opt.rate >= best
+
     def test_flags_no_positive_key(self):
         p = sec.ProtocolParams(v_m=1.0, k=1.0, eta_ch=0.5, eps_ch=0.1, beta=0.96)
         opt = sec.optimize_vm(p, "dr")
-        assert not opt.positive
+        assert opt.rate <= 0.0
 
 
 class TestMaxAdditionalLoss:
@@ -264,8 +280,8 @@ class TestTrustedNoiseViability:
 
     def test_no_leakage_makes_leakage_noise_neutral(self):
         p = dataclasses.replace(TABLE_POINT, k=0.0)
-        base = sec._rate(p, "rr")
-        noisy = sec._rate(dataclasses.replace(p, eps_l=0.5), "rr")
+        base = sec.key_rate(p).rate("rr")
+        noisy = sec.key_rate(dataclasses.replace(p, eps_l=0.5)).rate("rr")
         assert noisy == pytest.approx(base, abs=1e-9)
         assert sec.trusted_noise_viability(p, "L", "rr") == "neutral"
 
@@ -284,3 +300,11 @@ class TestCouplingStability:
         for rep in rates[1:]:
             assert rep.r_dr == pytest.approx(rates[0].r_dr, abs=1e-4)
             assert rep.r_rr == pytest.approx(rates[0].r_rr, abs=1e-4)
+
+    @pytest.mark.parametrize("field", ["eps_l", "eps_p1", "eps_p2"])
+    def test_small_noise_does_not_round_below_vacuum(self, field):
+        # below eps = 2 (1 - ETA_P) the ancilla variance used to round to 1 - 1e-14
+        for eps in np.linspace(1e-6, 0.0025, 25):
+            p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, **{field: float(eps)})
+            rep = sec.key_rate(p)
+            assert np.isfinite(rep.r_dr) and np.isfinite(rep.r_rr)
