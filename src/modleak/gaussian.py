@@ -8,8 +8,9 @@ by opaque string labels.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .errors import InvalidArgument, MissingMode, NumericalError, UnphysicalStat
 SYMMETRY_RTOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 
-# sigma_z acting on one (x, p) quadrature pair
-SIGMA_Z = np.diag([1.0, -1.0])
-
 _fresh_mode_counter = itertools.count()
 
 
@@ -28,12 +26,44 @@ def _fresh_labels(n: int) -> tuple[str, ...]:
     return tuple(f"m{next(_fresh_mode_counter)}" for _ in range(n))
 
 
+@functools.cache
+def _symplectic_form(n: int) -> np.ndarray:
+    """Read-only Omega for n modes: the direct sum of n copies of [[0, 1], [-1, 0]]."""
+    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.setflags(write=False)
+    return omega
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a covariance matrix, descending.
+
+    With gamma = L L^T (Cholesky), i Omega gamma is similar to the Hermitian
+    i L^T Omega L, whose eigenvalues are +-nu_k (Williamson).  A matrix that
+    is not positive definite cannot be a covariance matrix.
+    """
+    n = mat.shape[0] // 2
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise UnphysicalState("covariance matrix is not positive definite") from None
+    try:
+        ev = np.linalg.eigvalsh(1j * (chol.T @ _symplectic_form(n) @ chol))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    return ev[n:][::-1]
+
+
 @dataclass(frozen=True)
 class CovMatrix:
-    """Gaussian state: ordered mode labels plus a 2N x 2N covariance matrix."""
+    """Gaussian state: ordered mode labels plus a 2N x 2N covariance matrix.
+
+    The symplectic spectrum is computed once, by the physicality check at
+    construction, and kept read-only in `spectrum`.
+    """
 
     modes: tuple[str, ...]
     data: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -51,12 +81,13 @@ class CovMatrix:
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "data", mat)
-        if self.modes:
-            nu_min = symplectic_eigenvalues(self)[-1]
-            if nu_min < 1.0 - PHYSICALITY_TOL:
-                raise UnphysicalState(
-                    f"minimal symplectic eigenvalue {nu_min} violates uncertainty"
-                )
+        nus = _spectrum(mat) if self.modes else np.empty(0)
+        nus.setflags(write=False)
+        object.__setattr__(self, "spectrum", nus)
+        if self.modes and nus[-1] < 1.0 - PHYSICALITY_TOL:
+            raise UnphysicalState(
+                f"minimal symplectic eigenvalue {nus[-1]} violates uncertainty"
+            )
 
     @property
     def n_modes(self) -> int:
@@ -103,8 +134,8 @@ def epr_source(V: float, labels: tuple[str, str] | None = None) -> CovMatrix:
     if labels is None:
         labels = _fresh_labels(2)
     c = np.sqrt(V * V - 1.0)
-    mat = np.block(
-        [[V * np.eye(2), c * SIGMA_Z], [c * SIGMA_Z, V * np.eye(2)]]
+    mat = np.array(
+        [[V, 0.0, c, 0.0], [0.0, V, 0.0, -c], [c, 0.0, V, 0.0], [0.0, -c, 0.0, V]]
     )
     return CovMatrix(labels, mat)
 
@@ -122,15 +153,19 @@ def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
 
 
 def _embed_two_mode(state: CovMatrix, mode_a: str, mode_b: str, s4: np.ndarray) -> CovMatrix:
-    """Apply a two-mode symplectic (given as 4x4 on (a, b)) to the full state."""
+    """Apply a two-mode symplectic (given as 4x4 on (a, b)) to the full state.
+
+    Only the rows and columns of a and b change: gamma -> S gamma S^T with S
+    the identity outside them.
+    """
     ia, ib = state.index(mode_a), state.index(mode_b)
     if ia == ib:
         raise InvalidArgument("two-mode operation needs two distinct modes")
-    n = 2 * state.n_modes
-    S = np.eye(n)
     idx = [2 * ia, 2 * ia + 1, 2 * ib, 2 * ib + 1]
-    S[np.ix_(idx, idx)] = s4
-    return CovMatrix(state.modes, S @ state.data @ S.T)
+    mat = state.data.copy()
+    mat[idx, :] = s4 @ mat[idx, :]
+    mat[:, idx] = mat[:, idx] @ s4.T
+    return CovMatrix(state.modes, mat)
 
 
 def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T: float) -> CovMatrix:
@@ -141,8 +176,8 @@ def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T: float) -> CovMat
     if not 0.0 <= T <= 1.0:
         raise InvalidArgument(f"transmittance must lie in [0, 1], got {T}")
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    s4 = np.block(
-        [[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]]
+    s4 = np.array(
+        [[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, 0.0, t, 0.0], [0.0, -r, 0.0, t]]
     )
     return _embed_two_mode(state, mode_a, mode_b, s4)
 
@@ -159,7 +194,9 @@ def two_mode_squeezer(
     if gain < 1.0:
         raise InvalidArgument(f"amplifier gain must be >= 1, got {gain}")
     c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
-    s4 = np.block([[c * np.eye(2), s * SIGMA_Z], [s * SIGMA_Z, c * np.eye(2)]])
+    s4 = np.array(
+        [[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]]
+    )
     return _embed_two_mode(state, mode_a, mode_b, s4)
 
 
@@ -232,21 +269,12 @@ def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:
 
 
 def symplectic_eigenvalues(state: CovMatrix) -> np.ndarray:
-    """Symplectic spectrum: absolute eigenvalues of i Omega gamma, one per mode, descending.
+    """Symplectic spectrum, one value per mode, descending (read-only).
 
-    The matrix is symmetrized first; imaginary residues above 1e-8 indicate a
-    non-symmetric input and raise.
+    It is the spectrum computed when the state was built: the absolute
+    eigenvalues of i Omega gamma, each counted once.
     """
-    n = state.n_modes
-    gamma = 0.5 * (state.data + state.data.T)
-    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    try:
-        ev = np.linalg.eigvals(1j * omega @ gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    if np.max(np.abs(ev.imag)) > 1e-8 * max(1.0, np.max(np.abs(ev.real))):
-        raise NumericalError("symplectic spectrum has large imaginary residue")
-    return np.sort(np.abs(ev.real))[::-1][::2]
+    return state.spectrum
 
 
 def entropy_g(nu: float) -> float:
@@ -262,4 +290,4 @@ def entropy_g(nu: float) -> float:
 
 def von_neumann_entropy(state: CovMatrix) -> float:
     """Total entropy in bits, summed over the symplectic spectrum."""
-    return float(sum(entropy_g(nu) for nu in symplectic_eigenvalues(state)))
+    return float(sum(entropy_g(nu) for nu in state.spectrum))

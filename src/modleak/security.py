@@ -314,12 +314,19 @@ def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:
     """Maximal tolerable additional channel attenuation (dB) before R hits 0."""
     from scipy import optimize
 
+    # the bracket ends, evaluated once here and handed back to brentq
+    ends: dict[float, float] = {}
+
     def rate_at(a_db: float) -> float:
+        if a_db in ends:
+            return ends[a_db]
         return key_rate(replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))).rate(direction)
 
-    if rate_at(0.0) <= 0.0:
+    ends[0.0] = rate_at(0.0)
+    if ends[0.0] <= 0.0:
         return LossMargin(db=0.0, flag="no-positive-key")
-    if rate_at(MAX_ADDITIONAL_LOSS_DB) > 0.0:
+    ends[MAX_ADDITIONAL_LOSS_DB] = rate_at(MAX_ADDITIONAL_LOSS_DB)
+    if ends[MAX_ADDITIONAL_LOSS_DB] > 0.0:
         return LossMargin(db=MAX_ADDITIONAL_LOSS_DB, flag="saturated")
     root = optimize.brentq(rate_at, 0.0, MAX_ADDITIONAL_LOSS_DB, xtol=LOSS_ROOT_XTOL_DB)
     return LossMargin(db=float(root), flag="ok")

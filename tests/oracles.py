@@ -21,6 +21,13 @@ def eq4_matrix(v_m, k, eta_ch, eps_ch):
     )
 
 
+def symplectic_spectrum(gamma):
+    """Symplectic eigenvalues, descending: |eig(i Omega gamma)|, one per +- pair."""
+    n = gamma.shape[0] // 2
+    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return np.sort(np.abs(np.linalg.eigvals(1j * omega @ gamma).real))[::-1][::2]
+
+
 def _g(nu):
     if nu <= 1.0 + 1e-12:
         return 0.0

@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from modleak import gaussian as g
+from modleak import security as sec
 from modleak.errors import InvalidArgument, MissingMode, UnphysicalState
+
+from oracles import symplectic_spectrum
+
+OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def random_state(rng, n: int, pure: bool) -> np.ndarray:
+    """S diag(nu, nu, ...) S^T with S = exp(Omega H) for a random symmetric H."""
+    h = rng.normal(size=(2 * n, 2 * n))
+    h = (h + h.T) * (0.4 / np.sqrt(n))
+    s = expm(np.kron(np.eye(n), OMEGA_1) @ h)
+    nus = np.ones(n) if pure else rng.uniform(1.0, 6.0, n)
+    return s @ np.diag(np.repeat(nus, 2)) @ s.T
 
 
 class TestConstructors:
@@ -48,6 +63,10 @@ class TestConstructors:
     def test_unphysical_matrix_rejected(self):
         with pytest.raises(UnphysicalState):
             g.CovMatrix(("a",), 0.5 * np.eye(2))
+
+    def test_non_positive_definite_matrix_rejected(self):
+        with pytest.raises(UnphysicalState):
+            g.CovMatrix(("a",), np.diag([2.0, -1.0]))
 
 
 class TestBeamsplitter:
@@ -214,6 +233,85 @@ class TestSpectraAndEntropy:
     def test_entropy_rejects_unphysical_eigenvalue(self):
         with pytest.raises(UnphysicalState):
             g.entropy_g(0.9)
+
+    def test_spectrum_is_kept_from_construction(self):
+        state = g.epr_source(3.0, ("a", "b"))
+        assert g.symplectic_eigenvalues(state) is state.spectrum
+        assert not state.spectrum.flags.writeable
+
+    def test_matches_oracle_on_random_states(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 20):
+            for pure in (False, True):
+                labels = tuple(f"m{i}" for i in range(n))
+                state = g.CovMatrix(labels, random_state(rng, n, pure))
+                np.testing.assert_allclose(
+                    g.symplectic_eigenvalues(state), symplectic_spectrum(state.data), rtol=1e-9
+                )
+
+    def test_matches_oracle_on_full_noise_schemes(self):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            p = sec.ProtocolParams(
+                v_m=rng.uniform(0.1, 50.0),
+                k=rng.uniform(0.05, 1.0),
+                eta_ch=rng.uniform(0.1, 0.99),
+                eps_ch=rng.uniform(0.0, 0.2),
+                eta_d=rng.uniform(0.5, 0.99),
+                eps_d=rng.uniform(0.0, 0.2),
+                eps_p1=rng.uniform(0.01, 1.0),
+                eps_p2=rng.uniform(0.01, 1.0),
+                eps_l=rng.uniform(0.01, 1.0),
+            )
+            scheme = sec.build_scheme(p)
+            trusted = g.partial_trace(scheme.state, scheme.trusted)
+            states = [
+                scheme.state,
+                trusted,
+                g.heterodyne_condition(trusted, scheme.alice_mode),
+                g.heterodyne_condition(trusted, scheme.bob_mode),
+            ]
+            assert scheme.state.n_modes == 19
+            for state in states:
+                np.testing.assert_allclose(
+                    g.symplectic_eigenvalues(state), symplectic_spectrum(state.data), rtol=1e-9
+                )
+
+
+def dense_two_mode(gamma: np.ndarray, idx: list[int], s4: np.ndarray) -> np.ndarray:
+    """S gamma S^T with S the identity outside the quadratures `idx`."""
+    dense = np.eye(len(gamma))
+    dense[np.ix_(idx, idx)] = s4
+    return dense @ gamma @ dense.T
+
+
+class TestTwoModeUpdate:
+    """The row-and-column update of two-mode ops against the dense product."""
+
+    def state(self):
+        return g.CovMatrix(("a", "b", "c", "d"), random_state(np.random.default_rng(15), 4, False))
+
+    def test_beamsplitter(self):
+        state, T = self.state(), 0.3
+        t, r = np.sqrt(T), np.sqrt(1.0 - T)
+        s4 = np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
+        np.testing.assert_allclose(
+            g.beamsplitter(state, "d", "b", T).data,
+            dense_two_mode(state.data, [6, 7, 2, 3], s4),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_two_mode_squeezer(self):
+        state, gain = self.state(), 1.7
+        c, s, sz = np.sqrt(gain), np.sqrt(gain - 1.0), np.diag([1.0, -1.0])
+        s4 = np.block([[c * np.eye(2), s * sz], [s * sz, c * np.eye(2)]])
+        np.testing.assert_allclose(
+            g.two_mode_squeezer(state, "d", "b", gain).data,
+            dense_two_mode(state.data, [6, 7, 2, 3], s4),
+            rtol=0.0,
+            atol=1e-12,
+        )
 
 
 class TestRandomizedInvariants:

@@ -242,6 +242,12 @@ class TestMaxAdditionalLoss:
         ]
         assert all(a >= b - 1e-6 for a, b in zip(margins, margins[1:]))
 
+    def test_evaluates_each_point_once(self, key_rate_calls):
+        p = sec.ProtocolParams(v_m=5.0, k=0.2, eta_ch=0.9, eps_ch=0.02, beta=0.96)
+        assert sec.max_additional_loss(p, "rr").flag == "ok"
+        assert len(key_rate_calls) > 2
+        assert len(set(key_rate_calls)) == len(key_rate_calls)
+
     def test_ignorance_margin_nonnegative(self):
         for k in (0.1, 0.3, 0.6):
             p = sec.ProtocolParams(v_m=5.0, k=k, eta_ch=0.9, eps_ch=0.02, beta=0.96)
