@@ -27,6 +27,7 @@ from .security import (
     build_scheme,
     holevo_bounds,
     key_rate,
+    key_rates,
     leakage_penalty,
     max_additional_loss,
     mutual_information,

@@ -13,9 +13,9 @@ import sys
 
 import click
 
-from . import montecarlo
+from . import __version__, montecarlo
 from . import security as sec
-from .config import RunConfig, load_config
+from .config import RunConfig, config_doc, load_config
 from .errors import ModleakError
 
 SWEEP_COLUMNS = [
@@ -63,6 +63,8 @@ def _metadata(cfg: RunConfig) -> dict:
         "loss_convention": "attenuation dB >= 0, eta_Ch = 10^(-loss/10)",
         "rho_convention": cfg.modulator.get("rho_convention", "amplitude10"),
         "rng_algorithm": montecarlo.RNG_ALGORITHM,
+        "modleak_version": __version__,
+        "config": config_doc(cfg),
     }
 
 
@@ -75,13 +77,16 @@ def _emit_json(payload: dict, out: str | None):
         click.echo(text)
 
 
-def _maybe_optimize(p: sec.ProtocolParams, optimize_vm: bool, direction: str):
-    if not optimize_vm:
-        return p
-    if direction == "both":
+def _check_optimize(optimize_vm: bool, direction: str):
+    if optimize_vm and direction == "both":
         _fail("--optimize-vm requires --direction dr or rr")
-    opt = sec.optimize_vm(p, direction)
-    return dataclasses.replace(p, v_m=opt.v_m)
+
+
+def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool):
+    """Search for the point to report: p, or p at its optimal V_M."""
+    if optimize_vm:
+        p = dataclasses.replace(p, v_m=(yield from sec.search_vm(p, direction)).v_m)
+    return p
 
 
 @click.group()
@@ -99,10 +104,15 @@ def keyrate(config_path, direction, optimize_vm, out):
     cfg = _load(config_path)
     if cfg.sweep_axis is not None:
         _fail("keyrate takes a fixed config; use the sweep command for sweep axes")
+    _check_optimize(optimize_vm, direction)
+
+    def search(p):
+        p = yield from _search_optimum(p, direction, optimize_vm)
+        [report] = yield [p]
+        return p, report
+
     try:
-        p = cfg.params_at()
-        p = _maybe_optimize(p, optimize_vm, direction)
-        report = sec.key_rate(p)
+        p, report = sec.drive(search(cfg.params_at()))
     except ModleakError as exc:
         _fail(str(exc))
     payload = {
@@ -119,25 +129,45 @@ def keyrate(config_path, direction, optimize_vm, out):
     sys.exit(0 if positive else EXIT_NO_SECURITY)
 
 
+def _search_row(p: sec.ProtocolParams, direction: str, optimize_vm: bool, with_eta_max: bool):
+    """Search for one sweep row: its point, the k = 0 twin and, on request,
+    the loss margins of both in both directions."""
+    p = yield from _search_optimum(p, direction, optimize_vm)
+    p0 = dataclasses.replace(p, k=0.0)
+    report, twin = yield [p, p0]
+    margins = None
+    if with_eta_max:
+        margins = yield from sec.lockstep(
+            sec.search_loss_margin(q, d) for d in ("dr", "rr") for q in (p, p0)
+        )
+    return p, report, twin, margins
+
+
 def sweep_rows(
     cfg: RunConfig,
     direction: str = "both",
     optimize_vm: bool = False,
     with_eta_max: bool = False,
 ) -> list[dict]:
-    """Evaluate every sweep point; shared by the CLI and the test suite."""
+    """Evaluate every sweep point; shared by the CLI and the test suite.
+
+    All rows are searched in lockstep, so each round of every row's V_M
+    search and loss-margin searches is one `key_rates` call.
+    """
     axis = cfg.sweep_axis
     if axis is None:
         raise ModleakError("sweep requires exactly one sweep axis in the config")
+    _check_optimize(optimize_vm, direction)
     _, sweep = axis
+    values = [float(value) for value in sweep.values()]
+    searches = [
+        _search_row(cfg.params_at(value), direction, optimize_vm, with_eta_max)
+        for value in values
+    ]
     rows = []
-    for value in sweep.values():
-        p = cfg.params_at(float(value))
-        p = _maybe_optimize(p, optimize_vm, direction)
-        p0 = dataclasses.replace(p, k=0.0)
-        report, twin = sec.key_rate(p), sec.key_rate(p0)
+    for value, (p, report, twin, margins) in zip(values, sec.drive(sec.lockstep(searches))):
         row = {
-            "sweep_var": float(value),
+            "sweep_var": value,
             "V_M": p.v_m,
             "k": p.k,
             "I_AB": report.i_ab,
@@ -155,9 +185,7 @@ def sweep_rows(
             "d_eta_RR_dB": None,
         }
         if with_eta_max:
-            for tag, d in (("DR", "dr"), ("RR", "rr")):
-                margin = sec.max_additional_loss(p, d)
-                margin0 = sec.max_additional_loss(p0, d)
+            for tag, (margin, margin0) in zip(("DR", "RR"), (margins[:2], margins[2:])):
                 row[f"eta_max_{tag}_dB"] = margin.db
                 row[f"d_eta_{tag}_dB"] = margin0.db - margin.db
         rows.append(row)
@@ -197,8 +225,7 @@ def table1_matrix(p: sec.ProtocolParams) -> dict:
     """Viability matrix and the R-vs-noise grids behind the verdicts."""
     matrix: dict = {}
     grids: dict = {}
-    for point in sec.NOISE_POINTS:
-        scan = sec.noise_scan(p, point)
+    for point, scan in sec.noise_scans(p).items():
         matrix[point] = {d: sec.viability_verdict(scan, d) for d in ("dr", "rr")}
         grids[point] = {
             d: {str(eps): report.rate(d) for eps, report in scan.items()} for d in ("dr", "rr")

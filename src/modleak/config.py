@@ -101,6 +101,8 @@ class RunConfig:
             attr = PROTOCOL_KEYS[key]
             if key == "eta_Ch" and self._eta_ch_is_db():
                 value = 10.0 ** (-value / 10.0)
+            if attr == "block_size" and not np.isfinite(value):
+                raise InvalidArgument(f"block_size must be finite, got {value}")
             kwargs[attr] = int(value) if attr == "block_size" else float(value)
         return ProtocolParams(**kwargs)
 
@@ -189,8 +191,8 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def dump_config(cfg: RunConfig) -> str:
-    """Serialize back to YAML; parsing the output reproduces the config."""
+def config_doc(cfg: RunConfig) -> dict:
+    """The resolved config as plain data; parsing it reproduces the config."""
 
     def plain(value):
         if isinstance(value, Sweep):
@@ -207,4 +209,9 @@ def dump_config(cfg: RunConfig) -> str:
         doc["outputs"] = dict(cfg.outputs)
     if cfg.mc:
         doc["mc"] = dict(cfg.mc)
-    return yaml.safe_dump(doc, sort_keys=False)
+    return doc
+
+
+def dump_config(cfg: RunConfig) -> str:
+    """Serialize back to YAML; parsing the output reproduces the config."""
+    return yaml.safe_dump(config_doc(cfg), sort_keys=False)

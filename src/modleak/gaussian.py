@@ -4,6 +4,12 @@ All states are zero-mean and expressed in shot-noise units (SNU), i.e. the
 vacuum quadrature variance is 1.  A state of N modes is a 2N x 2N real
 symmetric matrix ordered as (x_1, p_1, ..., x_N, p_N), with modes addressed
 by opaque string labels.
+
+A state may stand for a batch of states with the same labels: its matrix
+then has a leading batch shape, (..., 2N, 2N), and the scalar parameters of
+an operation (variances, transmittances, gains) may be arrays that broadcast
+against it.  A single state is the batch of shape (); every operation has
+this one code path.
 """
 
 from __future__ import annotations
@@ -26,6 +32,16 @@ def _fresh_labels(n: int) -> tuple[str, ...]:
     return tuple(f"m{next(_fresh_mode_counter)}" for _ in range(n))
 
 
+def _transpose(mat: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a batch."""
+    return mat.swapaxes(-1, -2)
+
+
+def _sub(mat: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
+    """The (rows, cols) block of every matrix in a batch."""
+    return mat[..., np.array(rows)[:, None], cols]
+
+
 @functools.cache
 def _symplectic_form(n: int) -> np.ndarray:
     """Read-only Omega for n modes: the direct sum of n copies of [[0, 1], [-1, 0]]."""
@@ -35,30 +51,31 @@ def _symplectic_form(n: int) -> np.ndarray:
 
 
 def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix, descending.
+    """Symplectic eigenvalues of each covariance matrix in a batch, descending.
 
     With gamma = L L^T (Cholesky), i Omega gamma is similar to the Hermitian
     i L^T Omega L, whose eigenvalues are +-nu_k (Williamson).  A matrix that
     is not positive definite cannot be a covariance matrix.
     """
-    n = mat.shape[0] // 2
+    n = mat.shape[-1] // 2
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise UnphysicalState("covariance matrix is not positive definite") from None
     try:
-        ev = np.linalg.eigvalsh(1j * (chol.T @ _symplectic_form(n) @ chol))
+        ev = np.linalg.eigvalsh(1j * (_transpose(chol) @ _symplectic_form(n) @ chol))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return ev[n:][::-1]
+    return ev[..., n:][..., ::-1]
 
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Gaussian state: ordered mode labels plus a 2N x 2N covariance matrix.
+    """Gaussian state, or batch of states: ordered mode labels plus (..., 2N, 2N) matrices.
 
-    The symplectic spectrum is computed once, by the physicality check at
-    construction, and kept read-only in `spectrum`.
+    Every matrix of the batch is checked for symmetry and physicality at
+    construction.  The check computes the symplectic spectrum, (..., N), and
+    keeps it read-only in `spectrum`.
     """
 
     modes: tuple[str, ...]
@@ -67,31 +84,37 @@ class CovMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
+        if not self.modes:
+            raise InvalidArgument("a state needs at least one mode")
         if len(set(self.modes)) != len(self.modes):
             raise InvalidArgument(f"duplicate mode labels: {self.modes}")
         mat = np.asarray(self.data, dtype=float)
         n = 2 * len(self.modes)
-        if mat.shape != (n, n):
+        if mat.shape[-2:] != (n, n):
             raise InvalidArgument(
                 f"matrix shape {mat.shape} does not match {len(self.modes)} modes"
             )
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * scale:
+        scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+        if (np.abs(mat - _transpose(mat)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale).any():
             raise InvalidArgument("covariance matrix is not symmetric")
-        mat = 0.5 * (mat + mat.T)
+        mat = 0.5 * (mat + _transpose(mat))
         mat.setflags(write=False)
         object.__setattr__(self, "data", mat)
-        nus = _spectrum(mat) if self.modes else np.empty(0)
+        nus = _spectrum(mat)
         nus.setflags(write=False)
         object.__setattr__(self, "spectrum", nus)
-        if self.modes and nus[-1] < 1.0 - PHYSICALITY_TOL:
+        if (nus[..., -1] < 1.0 - PHYSICALITY_TOL).any():
             raise UnphysicalState(
-                f"minimal symplectic eigenvalue {nus[-1]} violates uncertainty"
+                f"minimal symplectic eigenvalue {np.min(nus[..., -1])} violates uncertainty"
             )
 
     @property
     def n_modes(self) -> int:
         return len(self.modes)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.data.shape[:-2]
 
     def index(self, mode: str) -> int:
         try:
@@ -106,12 +129,23 @@ class CovMatrix:
     def mode_block(self, mode: str) -> np.ndarray:
         """2x2 diagonal block of a single mode."""
         s = self.mode_slice(mode)
-        return self.data[s, s]
+        return self.data[..., s, s]
 
-    def variance(self, mode: str) -> float:
+    def variance(self, mode: str) -> float | np.ndarray:
         """Mean of the x and p variances of one mode."""
         b = self.mode_block(mode)
-        return 0.5 * (b[0, 0] + b[1, 1])
+        return 0.5 * (b[..., 0, 0] + b[..., 1, 1])
+
+
+def _two_mode_matrix(diag, x_ab, p_ab, x_ba, p_ba) -> np.ndarray:
+    """4x4 matrices on (x_a, p_a, x_b, p_b) with `diag` on the diagonal and the
+    given entries at (x_a, x_b), (p_a, p_b), (x_b, x_a) and (p_b, p_a)."""
+    diag = np.asarray(diag)
+    mat = np.zeros(diag.shape + (4, 4))
+    for i in range(4):
+        mat[..., i, i] = diag
+    mat[..., 0, 2], mat[..., 1, 3], mat[..., 2, 0], mat[..., 3, 1] = x_ab, p_ab, x_ba, p_ba
+    return mat
 
 
 def vacuum(n: int, labels: tuple[str, ...] | None = None) -> CovMatrix:
@@ -123,21 +157,19 @@ def vacuum(n: int, labels: tuple[str, ...] | None = None) -> CovMatrix:
     return CovMatrix(labels, np.eye(2 * n))
 
 
-def epr_source(V: float, labels: tuple[str, str] | None = None) -> CovMatrix:
+def epr_source(V, labels: tuple[str, str] | None = None) -> CovMatrix:
     """Two-mode squeezed vacuum with quadrature variance V per mode.
 
     Cross correlations are sqrt(V^2 - 1) * sigma_z; the state is pure for
     any V >= 1 and reduces to two decoupled vacua at V = 1.
     """
-    if V < 1.0:
+    V = np.asarray(V, dtype=float)
+    if not (V >= 1.0).all():
         raise InvalidArgument(f"EPR variance must be >= 1 SNU, got {V}")
     if labels is None:
         labels = _fresh_labels(2)
     c = np.sqrt(V * V - 1.0)
-    mat = np.array(
-        [[V, 0.0, c, 0.0], [0.0, V, 0.0, -c], [c, 0.0, V, 0.0], [0.0, -c, 0.0, V]]
-    )
-    return CovMatrix(labels, mat)
+    return CovMatrix(labels, _two_mode_matrix(V, c, -c, c, -c))
 
 
 def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
@@ -146,9 +178,10 @@ def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
     if overlap:
         raise InvalidArgument(f"mode labels collide: {overlap}")
     na, nb = 2 * a.n_modes, 2 * b.n_modes
-    mat = np.zeros((na + nb, na + nb))
-    mat[:na, :na] = a.data
-    mat[na:, na:] = b.data
+    shape = np.broadcast_shapes(a.batch_shape, b.batch_shape)
+    mat = np.zeros(shape + (na + nb, na + nb))
+    mat[..., :na, :na] = a.data
+    mat[..., na:, na:] = b.data
     return CovMatrix(a.modes + b.modes, mat)
 
 
@@ -162,49 +195,45 @@ def _embed_two_mode(state: CovMatrix, mode_a: str, mode_b: str, s4: np.ndarray) 
     if ia == ib:
         raise InvalidArgument("two-mode operation needs two distinct modes")
     idx = [2 * ia, 2 * ia + 1, 2 * ib, 2 * ib + 1]
-    mat = state.data.copy()
-    mat[idx, :] = s4 @ mat[idx, :]
-    mat[:, idx] = mat[:, idx] @ s4.T
+    shape = np.broadcast_shapes(state.batch_shape, s4.shape[:-2])
+    mat = np.empty(shape + state.data.shape[-2:])
+    mat[...] = state.data
+    mat[..., idx, :] = s4 @ mat[..., idx, :]
+    mat[..., :, idx] = mat[..., :, idx] @ _transpose(s4)
     return CovMatrix(state.modes, mat)
 
 
-def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T: float) -> CovMatrix:
+def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T) -> CovMatrix:
     """Mix two modes on a beamsplitter with transmittance T.
 
     Convention: a -> sqrt(T) a + sqrt(1-T) b, b -> -sqrt(1-T) a + sqrt(T) b.
     """
-    if not 0.0 <= T <= 1.0:
+    T = np.asarray(T, dtype=float)
+    if not ((0.0 <= T) & (T <= 1.0)).all():
         raise InvalidArgument(f"transmittance must lie in [0, 1], got {T}")
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    s4 = np.array(
-        [[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, 0.0, t, 0.0], [0.0, -r, 0.0, t]]
-    )
-    return _embed_two_mode(state, mode_a, mode_b, s4)
+    return _embed_two_mode(state, mode_a, mode_b, _two_mode_matrix(t, r, r, -r, -r))
 
 
-def two_mode_squeezer(
-    state: CovMatrix, mode_a: str, mode_b: str, gain: float
-) -> CovMatrix:
+def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain) -> CovMatrix:
     """Phase-insensitive amplification of mode a against idler mode b.
 
     Convention: x_a -> sqrt(G) x_a + sqrt(G-1) x_b with the conjugate sign on
     the p quadratures, i.e. the two-mode squeezing symplectic
     [[sqrt(G) 1, sqrt(G-1) sigma_z], [sqrt(G-1) sigma_z, sqrt(G) 1]].
     """
-    if gain < 1.0:
+    gain = np.asarray(gain, dtype=float)
+    if not (gain >= 1.0).all():
         raise InvalidArgument(f"amplifier gain must be >= 1, got {gain}")
     c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
-    s4 = np.array(
-        [[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]]
-    )
-    return _embed_two_mode(state, mode_a, mode_b, s4)
+    return _embed_two_mode(state, mode_a, mode_b, _two_mode_matrix(c, s, -s, s, -s))
 
 
 def loss_excess_channel(
     state: CovMatrix,
     mode: str,
-    eta_ch: float,
-    eps_ch: float,
+    eta_ch,
+    eps_ch,
     labels: tuple[str, str] | None = None,
 ) -> CovMatrix:
     """Untrusted lossy channel with excess noise referred to the output.
@@ -212,19 +241,24 @@ def loss_excess_channel(
     Purification style: the mode is mixed at transmittance eta_ch with one
     arm of an EPR pair of variance 1 + eps_ch / (1 - eta_ch); both EPR modes
     are appended (kept by Eve), so a globally pure input stays pure.  The
-    signal variance maps to eta_ch * V + (1 - eta_ch) + eps_ch.
+    signal variance maps to eta_ch * V + (1 - eta_ch) + eps_ch.  eta_ch = 1
+    appends no modes, so a batch has it everywhere or nowhere.
     """
-    if not 0.0 < eta_ch <= 1.0:
+    eta_ch, eps_ch = np.asarray(eta_ch, dtype=float), np.asarray(eps_ch, dtype=float)
+    if not ((0.0 < eta_ch) & (eta_ch <= 1.0)).all():
         raise InvalidArgument(f"channel transmittance must lie in (0, 1], got {eta_ch}")
-    if eps_ch < 0.0:
+    if not (eps_ch >= 0.0).all():
         raise InvalidArgument(f"excess noise must be >= 0, got {eps_ch}")
     state.index(mode)
-    if eta_ch == 1.0:
-        if eps_ch > 0.0:
-            raise InvalidArgument(
-                "eta_ch = 1 with eps_ch > 0 has no EPR purification; use eta_ch <= 0.999"
-            )
+    lossless = eta_ch == 1.0
+    if (lossless & (eps_ch > 0.0)).any():
+        raise InvalidArgument(
+            "eta_ch = 1 with eps_ch > 0 has no EPR purification; use eta_ch <= 0.999"
+        )
+    if lossless.all():
         return state
+    if lossless.any():
+        raise InvalidArgument("a batch cannot mix eta_ch = 1 with eta_ch < 1")
     if labels is None:
         labels = _fresh_labels(2)
     v_e = 1.0 + eps_ch / (1.0 - eta_ch)
@@ -233,14 +267,19 @@ def loss_excess_channel(
     return beamsplitter(joined, mode, labels[0], eta_ch)
 
 
+def _quadratures(state: CovMatrix, modes) -> list[int]:
+    idx = []
+    for m in modes:
+        i = state.index(m)
+        idx.extend([2 * i, 2 * i + 1])
+    return idx
+
+
 def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMatrix:
     """Reduce to the requested modes, in the requested order."""
     keep = tuple(keep)
-    idx = []
-    for m in keep:
-        i = state.index(m)
-        idx.extend([2 * i, 2 * i + 1])
-    return CovMatrix(keep, state.data[np.ix_(idx, idx)])
+    idx = _quadratures(state, keep)
+    return CovMatrix(keep, _sub(state.data, idx, idx))
 
 
 def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:
@@ -249,22 +288,18 @@ def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:
     Gaussian heterodyne conditioning is outcome independent: the kept
     covariance becomes the Schur complement gamma_K - C (gamma_M + 1)^-1 C^T.
     """
-    im = state.index(measured_mode)
     kept = [m for m in state.modes if m != measured_mode]
+    mm = _quadratures(state, [measured_mode])
     if not kept:
         raise InvalidArgument("cannot condition away the only mode")
-    km = []
-    for m in kept:
-        i = state.index(m)
-        km.extend([2 * i, 2 * i + 1])
-    mm = [2 * im, 2 * im + 1]
-    gk = state.data[np.ix_(km, km)]
-    gm = state.data[np.ix_(mm, mm)] + np.eye(2)
-    c = state.data[np.ix_(km, mm)]
-    det = gm[0, 0] * gm[1, 1] - gm[0, 1] * gm[1, 0]
-    if abs(det) < 1e-14:
+    km = _quadratures(state, kept)
+    gk = _sub(state.data, km, km)
+    gm = _sub(state.data, mm, mm) + np.eye(2)
+    c = _sub(state.data, km, mm)
+    det = gm[..., 0, 0] * gm[..., 1, 1] - gm[..., 0, 1] * gm[..., 1, 0]
+    if (np.abs(det) < 1e-14).any():
         raise NumericalError("singular measured block in heterodyne conditioning")
-    cond = gk - c @ np.linalg.inv(gm) @ c.T
+    cond = gk - c @ np.linalg.inv(gm) @ _transpose(c)
     return CovMatrix(tuple(kept), cond)
 
 
@@ -277,17 +312,23 @@ def symplectic_eigenvalues(state: CovMatrix) -> np.ndarray:
     return state.spectrum
 
 
-def entropy_g(nu: float) -> float:
-    """Von Neumann entropy (bits) of a single thermal mode with eigenvalue nu."""
-    if nu < 1.0 - 1e-6:
-        raise UnphysicalState(f"symplectic eigenvalue {nu} below 1")
-    if nu <= 1.0 + 1e-9:
-        return 0.0
+def entropy_g(nu):
+    """Von Neumann entropy (bits) of thermal modes with symplectic eigenvalues nu, elementwise."""
+    nu = np.asarray(nu, dtype=float)
+    if (nu < 1.0 - 1e-6).any():
+        raise UnphysicalState(f"symplectic eigenvalue {np.min(nu)} below 1")
+    pure = nu <= 1.0 + 1e-9
+    # pure modes contribute 0; a stand-in eigenvalue keeps their log2 finite
+    nu = np.where(pure, 3.0, nu)
     a = 0.5 * (nu + 1.0)
     b = 0.5 * (nu - 1.0)
-    return a * np.log2(a) - b * np.log2(b)
+    return np.where(pure, 0.0, a * np.log2(a) - b * np.log2(b))[()]
 
 
-def von_neumann_entropy(state: CovMatrix) -> float:
-    """Total entropy in bits, summed over the symplectic spectrum."""
-    return float(sum(entropy_g(nu) for nu in state.spectrum))
+def von_neumann_entropy(state: CovMatrix) -> float | np.ndarray:
+    """Total entropy in bits of each state of the batch, summed over its spectrum.
+
+    The terms are added one mode at a time in spectrum order (the last
+    partial sum of a cumulative sum), as a plain sum over the spectrum would.
+    """
+    return np.cumsum(entropy_g(state.spectrum), axis=-1)[..., -1][()]

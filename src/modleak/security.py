@@ -4,16 +4,23 @@ Builds the entanglement-based purification scheme (EPR source, leakage
 beamsplitter, trusted-noise couplings, untrusted channel, detection
 coupling), evaluates mutual information and Holevo bounds from covariance
 matrices, and derives secret key fractions and leakage penalties.
+
+`key_rates` is the one evaluator: it takes many operating points and runs
+one batched pass per scheme structure.  The V_M and loss-margin searches are
+generators that yield the points they need; `lockstep` runs many of them
+side by side and `drive` sends each round's new points to `key_rates`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import gaussian as g
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NumericalError
 
 # Strongly unbalanced coupling standing in for the eta -> 1 limit of the
 # trusted-noise infusion beamsplitters.  Results must be stable to +-5e-4.
@@ -34,11 +41,15 @@ VM_GRID_POINTS = 40
 GOLDEN_R = 0.61803399
 GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
+GOLDEN_TOL = 1e-3
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
 # root accuracy well inside the 0.01 dB reporting tolerance, so that small
 # loss-margin differences between nearby leakage values keep their sign
 LOSS_ROOT_XTOL_DB = 1e-4
+# scipy.optimize.brentq's default relative tolerance and iteration cap
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,9 @@ class ProtocolParams:
     block_size: int = 0
 
     def __post_init__(self):
+        for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_m <= 0.0:
             raise InvalidArgument(f"modulation variance must be > 0, got {self.v_m}")
         if self.k < 0.0:
@@ -73,6 +87,8 @@ class ProtocolParams:
             raise InvalidArgument(f"beta must lie in [0, 1], got {self.beta}")
         if self.block_size < 0:
             raise InvalidArgument("block size must be >= 0 (0 = asymptotic)")
+        if self.eta_ch == 1.0 and self.eps_ch > 0.0:
+            raise InvalidArgument("eps_ch > 0 requires eta_ch < 1 (purifier undefined)")
         if self.eta_d == 1.0 and self.eps_d > 0.0:
             raise InvalidArgument("eps_d > 0 requires eta_d < 1 (purifier undefined)")
 
@@ -126,9 +142,7 @@ def _noise_mode_labels(tag: str) -> list[str]:
     return [f"{tag}{suffix}" for suffix in ("a", "b", "c", "d")]
 
 
-def _couple_trusted_noise(
-    state: g.CovMatrix, target: str, eps: float, tag: str
-) -> g.CovMatrix:
+def _couple_trusted_noise(state: g.CovMatrix, target: str, eps, tag: str) -> g.CovMatrix:
     """Infuse trusted noise eps into `target` with no net attenuation.
 
     A phase-insensitive amplifier of gain 1/eta followed by an unbalanced
@@ -143,7 +157,7 @@ def _couple_trusted_noise(
     """
     # below eps = 2 (1 - ETA_P) the ancillas are vacua (v = 1 exactly, never
     # rounded below it) and the coupling moves toward eta = 1 instead
-    v = max(1.0, eps / (2.0 * (1.0 - ETA_P)))
+    v = np.maximum(1.0, eps / (2.0 * (1.0 - ETA_P)))
     eta = 1.0 - eps / (2.0 * v)
     labels = _noise_mode_labels(tag)
     state = g.tensor(state, g.epr_source(v, (labels[0], labels[1])))
@@ -152,12 +166,27 @@ def _couple_trusted_noise(
     return g.beamsplitter(state, target, labels[2], eta)
 
 
+def _structure(p: ProtocolParams) -> tuple[bool, ...]:
+    """Which optional modes the scheme of p has: P1, L, L noise, P2, channel, detector."""
+    return (
+        p.eps_p1 > 0.0,
+        p.k > 0.0 or p.eps_l > 0.0,
+        p.eps_l > 0.0,
+        p.eps_p2 > 0.0,
+        p.eta_ch < 1.0,
+        p.eta_d < 1.0,
+    )
+
+
 def build_scheme(p: ProtocolParams) -> Scheme:
     """Construct the global pure purification state of the protocol.
 
     Mode roles: A Alice, B signal, L leakage output (Eve), E1/E2 channel
     purification (Eve), D1/D2 detection purification (trusted), *a..*d
     trusted-noise coupling arms (trusted).
+
+    `p` may also hold, in every field, an array of one length: a batch of
+    points with one scheme structure (see `key_rates`), giving a batched state.
     """
     k2 = p.k * p.k
     v_s = 1.0 + (1.0 + k2) * p.v_m
@@ -165,29 +194,27 @@ def build_scheme(p: ProtocolParams) -> Scheme:
     trusted = ["A", "B"]
     untrusted: list[str] = []
 
-    if p.eps_p1 > 0.0:
+    if np.any(p.eps_p1 > 0.0):
         state = _couple_trusted_noise(state, "B", p.eps_p1, "P1")
         trusted += _noise_mode_labels("P1")
 
-    if p.k > 0.0 or p.eps_l > 0.0:
+    if np.any(p.k > 0.0) or np.any(p.eps_l > 0.0):
         state = g.tensor(state, g.vacuum(1, ("L",)))
-        if p.eps_l > 0.0:
+        if np.any(p.eps_l > 0.0):
             state = _couple_trusted_noise(state, "L", p.eps_l, "L")
             trusted += _noise_mode_labels("L")
         state = g.beamsplitter(state, "B", "L", 1.0 / (1.0 + k2))
         untrusted.append("L")
 
-    if p.eps_p2 > 0.0:
+    if np.any(p.eps_p2 > 0.0):
         state = _couple_trusted_noise(state, "B", p.eps_p2, "P2")
         trusted += _noise_mode_labels("P2")
 
-    if p.eta_ch < 1.0:
+    if np.any(p.eta_ch < 1.0):
         state = g.loss_excess_channel(state, "B", p.eta_ch, p.eps_ch, ("E1", "E2"))
         untrusted += ["E1", "E2"]
-    elif p.eps_ch > 0.0:
-        raise InvalidArgument("eps_ch > 0 requires eta_ch < 1 (purifier undefined)")
 
-    if p.eta_d < 1.0:
+    if np.any(p.eta_d < 1.0):
         v_d = 1.0 + p.eps_d / (1.0 - p.eta_d)
         state = g.tensor(state, g.epr_source(v_d, ("D1", "D2")))
         state = g.beamsplitter(state, "B", "D1", p.eta_d)
@@ -203,80 +230,189 @@ def finite_size_penalty(block_size: int) -> float:
     return float(7.0 * np.sqrt(np.log2(2.0 / FINITE_SIZE_EPS) / block_size))
 
 
-def mutual_information(p: ProtocolParams, scheme: Scheme | None = None) -> float:
-    """Heterodyne-heterodyne mutual information (bits/symbol) from the scheme."""
-    if scheme is None:
-        scheme = build_scheme(p)
+def _mutual_information(scheme: Scheme) -> np.ndarray:
+    """Heterodyne-heterodyne I_AB (bits/symbol) of each state of the scheme's batch."""
     gamma_ab = g.partial_trace(scheme.state, [scheme.alice_mode, scheme.bob_mode])
     bob = gamma_ab.mode_block(scheme.bob_mode)
     cond = g.heterodyne_condition(gamma_ab, scheme.alice_mode)
     bob_cond = cond.mode_block(scheme.bob_mode)
-    i_x = 0.5 * np.log2((bob[0, 0] + 1.0) / (bob_cond[0, 0] + 1.0))
-    i_p = 0.5 * np.log2((bob[1, 1] + 1.0) / (bob_cond[1, 1] + 1.0))
-    return float(i_x + i_p)
+    i_x = 0.5 * np.log2((bob[..., 0, 0] + 1.0) / (bob_cond[..., 0, 0] + 1.0))
+    i_p = 0.5 * np.log2((bob[..., 1, 1] + 1.0) / (bob_cond[..., 1, 1] + 1.0))
+    return i_x + i_p
 
 
-def holevo_bounds(p: ProtocolParams, scheme: Scheme | None = None) -> tuple[float, float]:
-    """Holevo bounds (chi_DR, chi_RR) in bits/symbol.
+def _holevo_bounds(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
+    """Holevo bounds (chi_DR, chi_RR) of each state of the scheme's batch.
 
     Eve's entropy equals the trusted-mode entropy because the global state is
     pure, so both bounds follow from the trusted covariance matrix alone.
     """
-    if scheme is None:
-        scheme = build_scheme(p)
     gamma_t = g.partial_trace(scheme.state, scheme.trusted)
     s_t = g.von_neumann_entropy(gamma_t)
-    s_cond_a = g.von_neumann_entropy(g.heterodyne_condition(gamma_t, scheme.alice_mode))
-    s_cond_b = g.von_neumann_entropy(g.heterodyne_condition(gamma_t, scheme.bob_mode))
-    chi_dr = s_t - s_cond_a
-    chi_rr = s_t - s_cond_b
+    chi_dr = s_t - g.von_neumann_entropy(g.heterodyne_condition(gamma_t, scheme.alice_mode))
+    chi_rr = s_t - g.von_neumann_entropy(g.heterodyne_condition(gamma_t, scheme.bob_mode))
     # tiny negative residues from the eigensolver are numerical zero
-    if chi_dr < -1e-9 or chi_rr < -1e-9:
-        raise g.NumericalError(f"negative Holevo bound: {chi_dr}, {chi_rr}")
-    return max(chi_dr, 0.0), max(chi_rr, 0.0)
+    if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
+        raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
+    return chi_dr, chi_rr
+
+
+def _stack(points: list[ProtocolParams]) -> SimpleNamespace:
+    """The points' fields as arrays, one entry per point: a batch for `build_scheme`."""
+    return SimpleNamespace(
+        **{f.name: np.array([getattr(q, f.name) for q in points]) for f in fields(ProtocolParams)}
+    )
+
+
+def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
+    """Reports for distinct points of one scheme structure, from one batched scheme."""
+    scheme = build_scheme(_stack(points))
+    i_abs = _mutual_information(scheme).tolist()
+    chis_dr, chis_rr = (chi.tolist() for chi in _holevo_bounds(scheme))
+    reports = []
+    for q, i_ab, chi_dr, chi_rr in zip(points, i_abs, chis_dr, chis_rr):
+        chi_dr, chi_rr = max(chi_dr, 0.0), max(chi_rr, 0.0)
+        delta = finite_size_penalty(q.block_size)
+        r_dr = q.beta * i_ab - chi_dr - delta
+        r_rr = q.beta * i_ab - chi_rr - delta
+        reports.append(
+            KeyRateReport(
+                i_ab=i_ab,
+                chi_dr=chi_dr,
+                chi_rr=chi_rr,
+                r_dr=r_dr,
+                r_rr=r_rr,
+                r_dr_clamped=max(r_dr, 0.0),
+                r_rr_clamped=max(r_rr, 0.0),
+                finite_size_penalty=delta,
+            )
+        )
+    return reports
+
+
+def key_rates(points) -> list[KeyRateReport]:
+    """Secret key fractions for both reconciliation directions at many points, in order.
+
+    Each distinct point is evaluated once.  Points are grouped by scheme
+    structure (which optional modes exist) and each group is one batched pass
+    through `build_scheme`, I_AB and chi.  A point that fails alone fails
+    the call with the same error.
+    """
+    points = list(points)
+    groups: dict[tuple[bool, ...], list[ProtocolParams]] = {}
+    for q in dict.fromkeys(points):
+        groups.setdefault(_structure(q), []).append(q)
+    reports = {}
+    for group in groups.values():
+        reports.update(zip(group, _evaluate(group)))
+    return [reports[q] for q in points]
 
 
 def key_rate(p: ProtocolParams) -> KeyRateReport:
     """Secret key fractions for both reconciliation directions."""
-    scheme = build_scheme(p)
-    i_ab = mutual_information(p, scheme)
-    chi_dr, chi_rr = holevo_bounds(p, scheme)
-    delta = finite_size_penalty(p.block_size)
-    r_dr = p.beta * i_ab - chi_dr - delta
-    r_rr = p.beta * i_ab - chi_rr - delta
-    return KeyRateReport(
-        i_ab=i_ab,
-        chi_dr=chi_dr,
-        chi_rr=chi_rr,
-        r_dr=r_dr,
-        r_rr=r_rr,
-        r_dr_clamped=max(r_dr, 0.0),
-        r_rr_clamped=max(r_rr, 0.0),
-        finite_size_penalty=delta,
-    )
+    return key_rates([p])[0]
 
 
-def _golden_section_max(f, x0: float, x1: float, x2: float, x3: float, tol: float = 1e-3):
-    """Maximiser of a unimodal f on (x0, x3) by golden section, from comparisons alone.
+def mutual_information(p: ProtocolParams) -> float:
+    """Heterodyne-heterodyne mutual information (bits/symbol) from the scheme."""
+    return key_rate(p).i_ab
 
-    x0 < x1 < x2 < x3 are the bracket and the first two probes.  The steps and
-    the stopping rule, x3 - x0 <= tol (|x1| + |x2|), are those of
-    scipy.optimize.golden.  Returns the better probe and f there; ties break
-    toward x0.
+
+def holevo_bounds(p: ProtocolParams) -> tuple[float, float]:
+    """Holevo bounds (chi_DR, chi_RR) in bits/symbol."""
+    report = key_rate(p)
+    return report.chi_dr, report.chi_rr
+
+
+def drive(search):
+    """Run a search to its end and return its result.
+
+    A search is a generator that yields lists of points and is sent their
+    reports, in the same order.  Each round's points that this call has not
+    seen yet go to `key_rates` in one call; reports are kept until the
+    search ends, so no point is evaluated twice within one call.
     """
-    f1, f2 = f(x1), f(x2)
+    known: dict[ProtocolParams, KeyRateReport] = {}
+    try:
+        request = next(search)
+        while True:
+            new = [q for q in request if q not in known]
+            known.update(zip(new, key_rates(new)))
+            request = search.send([known[q] for q in request])
+    except StopIteration as stop:
+        return stop.value
+
+
+def lockstep(searches):
+    """One search that runs `searches` side by side; its result lists theirs in order.
+
+    Each round asks for the next points of every search that has not ended.
+    """
+    searches = list(searches)
+    results = [None] * len(searches)
+    asked: dict[int, list[ProtocolParams]] = {}
+
+    def advance(i, reports):
+        try:
+            asked[i] = searches[i].send(reports)
+        except StopIteration as stop:
+            asked.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while asked:
+        pending = list(asked.items())
+        reports = iter((yield [q for _, request in pending for q in request]))
+        for i, request in pending:
+            advance(i, [next(reports) for _ in request])
+    return results
+
+
+def search_vm(p: ProtocolParams, direction: str):
+    """Search behind `optimize_vm`: the 40-point grid in one round, then golden section.
+
+    The golden-section steps and stopping rule, x3 - x0 <= 1e-3 (|x1| + |x2|)
+    on u = log(V_M), are those of scipy.optimize.golden, so optima inside the
+    grid stay where that search put them.
+    """
+    grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
+    reports = yield [replace(p, v_m=v) for v in grid]
+    rates = np.array([report.rate(direction) for report in reports])
+    best = int(np.argmax(rates))
+
+    def at(u):
+        return replace(p, v_m=float(np.exp(u)))
+
+    x0 = np.log(grid[max(best - 1, 0)])
+    x3 = np.log(grid[min(best + 1, len(grid) - 1)])
+    mid = np.log(grid[best])
+    if best in (0, len(grid) - 1):
+        x1, x2 = GOLDEN_R * x0 + GOLDEN_C * x3, GOLDEN_C * x0 + GOLDEN_R * x3
+    elif x3 - mid > mid - x0:
+        x1, x2 = mid, mid + GOLDEN_C * (x3 - mid)
+    else:
+        x1, x2 = mid - GOLDEN_C * (mid - x0), mid
+    r1, r2 = yield [at(x1), at(x2)]
+    f1, f2 = r1.rate(direction), r2.rate(direction)
     for _ in range(GOLDEN_MAXITER):
-        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+        if abs(x3 - x0) <= GOLDEN_TOL * (abs(x1) + abs(x2)):
             break
         if f2 > f1:
             x0, x1, f1 = x1, x2, f2
             x2 = GOLDEN_R * x1 + GOLDEN_C * x3
-            f2 = f(x2)
+            [report] = yield [at(x2)]
+            f2 = report.rate(direction)
         else:
             x3, x2, f2 = x2, x1, f1
             x1 = GOLDEN_R * x2 + GOLDEN_C * x0
-            f1 = f(x1)
-    return (x1, f1) if f1 > f2 else (x2, f2)
+            [report] = yield [at(x1)]
+            f1 = report.rate(direction)
+    # ties break toward smaller V_M
+    u_opt, r_opt = (x1, f1) if f1 > f2 else (x2, f2)
+    if r_opt < rates[best]:
+        return OptimalVm(v_m=float(grid[best]), rate=float(rates[best]))
+    return OptimalVm(v_m=float(np.exp(u_opt)), rate=r_opt)
 
 
 def optimize_vm(p: ProtocolParams, direction: str) -> OptimalVm:
@@ -287,61 +423,113 @@ def optimize_vm(p: ProtocolParams, direction: str) -> OptimalVm:
     neighbours, or between an end point and its neighbour; ties break toward
     smaller V_M.
     """
+    return drive(search_vm(p, direction))
 
-    def rate_at(v_m: float) -> float:
-        return key_rate(replace(p, v_m=v_m)).rate(direction)
 
-    grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
-    rates = np.array([rate_at(v) for v in grid])
-    best = int(np.argmax(rates))
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
 
-    lo = np.log(grid[max(best - 1, 0)])
-    hi = np.log(grid[min(best + 1, len(grid) - 1)])
-    mid = np.log(grid[best])
-    if best in (0, len(grid) - 1):
-        x1, x2 = GOLDEN_R * lo + GOLDEN_C * hi, GOLDEN_C * lo + GOLDEN_R * hi
-    elif hi - mid > mid - lo:
-        x1, x2 = mid, mid + GOLDEN_C * (hi - mid)
-    else:
-        x1, x2 = mid - GOLDEN_C * (mid - lo), mid
-    u_opt, r_opt = _golden_section_max(lambda u: rate_at(float(np.exp(u))), lo, x1, x2, hi)
-    if r_opt < rates[best]:
-        return OptimalVm(v_m=float(grid[best]), rate=float(rates[best]))
-    return OptimalVm(v_m=float(np.exp(u_opt)), rate=r_opt)
+
+def _brentq(xa: float, xb: float, fa: float, fb: float, xtol: float):
+    """Root of f on [xa, xb] by Brent's method, step for step as scipy.optimize.brentq.
+
+    A generator over x: it yields each new x and is sent f(x); its return
+    value is the root.  fa = f(xa) and fb = f(xb) must not share a sign.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise InvalidArgument(f"f({xa}) and f({xb}) share a sign")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield xcur
+    raise NumericalError(f"root search did not converge in {BRENT_MAXITER} steps")
+
+
+def search_loss_margin(p: ProtocolParams, direction: str):
+    """Search behind `max_additional_loss`: both ends of [0, 60] dB, then Brent's method."""
+
+    def at(a_db: float) -> ProtocolParams:
+        return replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))
+
+    [report] = yield [at(0.0)]
+    f0 = report.rate(direction)
+    if f0 <= 0.0:
+        return LossMargin(db=0.0, flag="no-positive-key")
+    [report] = yield [at(MAX_ADDITIONAL_LOSS_DB)]
+    f1 = report.rate(direction)
+    if f1 > 0.0:
+        return LossMargin(db=MAX_ADDITIONAL_LOSS_DB, flag="saturated")
+    roots = _brentq(0.0, MAX_ADDITIONAL_LOSS_DB, f0, f1, LOSS_ROOT_XTOL_DB)
+    try:
+        a_db = next(roots)
+        while True:
+            [report] = yield [at(a_db)]
+            a_db = roots.send(report.rate(direction))
+    except StopIteration as stop:
+        return LossMargin(db=float(stop.value), flag="ok")
 
 
 def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:
     """Maximal tolerable additional channel attenuation (dB) before R hits 0."""
-    from scipy import optimize
-
-    # the bracket ends, evaluated once here and handed back to brentq
-    ends: dict[float, float] = {}
-
-    def rate_at(a_db: float) -> float:
-        if a_db in ends:
-            return ends[a_db]
-        return key_rate(replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))).rate(direction)
-
-    ends[0.0] = rate_at(0.0)
-    if ends[0.0] <= 0.0:
-        return LossMargin(db=0.0, flag="no-positive-key")
-    ends[MAX_ADDITIONAL_LOSS_DB] = rate_at(MAX_ADDITIONAL_LOSS_DB)
-    if ends[MAX_ADDITIONAL_LOSS_DB] > 0.0:
-        return LossMargin(db=MAX_ADDITIONAL_LOSS_DB, flag="saturated")
-    root = optimize.brentq(rate_at, 0.0, MAX_ADDITIONAL_LOSS_DB, xtol=LOSS_ROOT_XTOL_DB)
-    return LossMargin(db=float(root), flag="ok")
+    return drive(search_loss_margin(p, direction))
 
 
 def leakage_penalty(p: ProtocolParams, direction: str) -> float:
     """Rate advantage Eve gains from ignored leakage: R(k=0) - R(k)."""
-    return key_rate(replace(p, k=0.0)).rate(direction) - key_rate(p).rate(direction)
+    twin, report = key_rates([replace(p, k=0.0), p])
+    return twin.rate(direction) - report.rate(direction)
+
+
+def noise_scans(p: ProtocolParams, noise_points=NOISE_POINTS) -> dict[str, dict[float, KeyRateReport]]:
+    """`noise_scan` at each of `noise_points`, from one `key_rates` call."""
+    for point in noise_points:
+        if point not in NOISE_FIELDS:
+            raise InvalidArgument(f"noise point must be one of {NOISE_POINTS}")
+    scans = {
+        point: {eps: replace(p, **{NOISE_FIELDS[point]: eps}) for eps in VIABILITY_GRID}
+        for point in noise_points
+    }
+    reports = iter(key_rates(q for scan in scans.values() for q in scan.values()))
+    return {point: {eps: next(reports) for eps in scan} for point, scan in scans.items()}
 
 
 def noise_scan(p: ProtocolParams, noise_point: str) -> dict[float, KeyRateReport]:
     """Reports over VIABILITY_GRID of the noise at one infusion point, all else as in `p`."""
-    if noise_point not in NOISE_FIELDS:
-        raise InvalidArgument(f"noise point must be one of {NOISE_POINTS}")
-    return {eps: key_rate(replace(p, **{NOISE_FIELDS[noise_point]: eps})) for eps in VIABILITY_GRID}
+    return noise_scans(p, (noise_point,))[noise_point]
 
 
 def viability_verdict(scan: dict[float, KeyRateReport], direction: str) -> str:

@@ -4,14 +4,18 @@ from modleak import security as sec
 
 
 @pytest.fixture
-def key_rate_calls(monkeypatch):
-    """The ProtocolParams of every security.key_rate call made during the test."""
-    calls = []
-    real = sec.key_rate
+def evaluated_points(monkeypatch):
+    """Every ProtocolParams that security.key_rates evaluates during the test, in order.
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    key_rates evaluates each distinct point of a call once, in one batched
+    pass per scheme structure; this records the points of every such pass.
+    """
+    points = []
+    real = sec._evaluate
 
-    monkeypatch.setattr(sec, "key_rate", counted)
-    return calls
+    def recorded(group):
+        points.extend(group)
+        return real(group)
+
+    monkeypatch.setattr(sec, "_evaluate", recorded)
+    return points

@@ -69,6 +69,16 @@ class TestKeyrate:
         assert result.exit_code == 0
         assert json.loads(result.output)["report"]["r_rr"] > 0.0
 
+    @pytest.mark.parametrize("field", ["V_M", "k", "eps_Ch", "eps_P1", "block_size"])
+    def test_non_finite_value_exits_1(self, runner, tmp_path, field):
+        path = write_cfg(tmp_path, {"protocol": dict(BASE_PROTOCOL, **{field: float("nan")})})
+        assert ".nan" in Path(path).read_text()
+        result = runner.invoke(cli.main, ["keyrate", "--config", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "finite" in result.output
+
     def test_optimize_improves_rate(self, runner, tmp_path):
         doc = {"protocol": dict(BASE_PROTOCOL, V_M=0.5)}
         path = write_cfg(tmp_path, doc)
@@ -173,12 +183,15 @@ class TestTable1:
                 assert len(grid) == len(sec.VIABILITY_GRID)
 
 
-    def test_one_scan_per_noise_point(self, key_rate_calls):
+    def test_one_scan_per_noise_point(self, evaluated_points):
         p = sec.ProtocolParams(
             v_m=5.0, k=0.3, eta_ch=0.15, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
         )
         result = cli.table1_matrix(p)
-        assert len(key_rate_calls) == len(sec.NOISE_POINTS) * len(sec.VIABILITY_GRID)
+        # 4 scans of 6 points, of which four are p itself: the zero-noise points
+        # of P1, P2 and L, and D at p's own eps_D = 0.01
+        assert len(evaluated_points) == 21
+        assert len(set(evaluated_points)) == len(evaluated_points)
         for point in sec.NOISE_POINTS:
             for direction in ("dr", "rr"):
                 verdict = sec.trusted_noise_viability(p, point, direction)
@@ -222,6 +235,30 @@ class TestMc:
         assert result.exit_code == 1
 
 
+class TestMetadata:
+    DOCS = {
+        "keyrate": {"protocol": BASE_PROTOCOL},
+        "sweep": {"protocol": dict(BASE_PROTOCOL, k={"start": 0.0, "stop": 0.6, "points": 3})},
+        "table1": {"protocol": dict(BASE_PROTOCOL, eta_D=0.85, eps_D=0.01)},
+        "mc": {"protocol": BASE_PROTOCOL, "mc": {"n": 5_000, "seed": 3}},
+    }
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_version_and_resolved_config(self, runner, tmp_path, command):
+        from modleak.config import parse_config
+
+        doc = self.DOCS[command]
+        args = [command, "--config", write_cfg(tmp_path, doc)]
+        if command == "sweep":
+            args += ["--format", "json"]
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code in (0, cli.EXIT_NO_SECURITY), result.output
+        metadata = json.loads(result.output)["metadata"]
+        assert metadata["modleak_version"] == modleak.__version__
+        assert parse_config(metadata["config"]) == parse_config(doc)
+        assert metadata["rng_algorithm"] == "PCG64"
+
+
 class TestSweepRowsHelper:
     def test_matches_library_pointwise(self, tmp_path):
         from modleak.config import parse_config
@@ -236,18 +273,69 @@ class TestSweepRowsHelper:
             assert row["R_DR"] == pytest.approx(rep.r_dr)
             assert row["dR_RR"] == pytest.approx(sec.leakage_penalty(p, "rr"))
 
-    def test_each_row_evaluates_point_and_twin_once(self, key_rate_calls):
+    def test_each_row_evaluates_point_and_twin_once(self, evaluated_points):
         from modleak.config import parse_config
 
         cfg = parse_config(
             {"protocol": dict(BASE_PROTOCOL, eps_Ch={"start": 0.0, "stop": 0.1, "points": 3})}
         )
         cli.sweep_rows(cfg)
-        assert len(key_rate_calls) == 2 * 3
-        assert len(set(key_rate_calls)) == 2 * 3
+        assert len(evaluated_points) == 2 * 3
+        assert len(set(evaluated_points)) == 2 * 3
 
 
-def test_cli_import_leaves_scipy_unloaded():
+    def test_optimised_rows_evaluate_no_point_twice(self, evaluated_points):
+        from modleak.config import parse_config
+
+        cfg = parse_config(
+            {"protocol": dict(BASE_PROTOCOL, k={"start": 0.1, "stop": 0.3, "points": 2})}
+        )
+        rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        assert len(set(evaluated_points)) == len(evaluated_points)
+        for row in rows:
+            optimum = dataclasses.replace(cfg.params_at(row["sweep_var"]), v_m=row["V_M"])
+            assert evaluated_points.count(optimum) == 1
+
+    def test_lockstep_rows_equal_public_calls(self):
+        from modleak.config import parse_config
+
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -5.0, "stop": 4.0, "points": 4}},
+            }
+        )
+        rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        flags = set()
+        for row in rows:
+            p = cfg.params_at(row["sweep_var"])
+            p = dataclasses.replace(p, v_m=sec.optimize_vm(p, "rr").v_m)
+            p0 = dataclasses.replace(p, k=0.0)
+            report, twin = sec.key_rate(p), sec.key_rate(p0)
+            expected = {
+                "sweep_var": row["sweep_var"],
+                "V_M": p.v_m,
+                "k": p.k,
+                "I_AB": report.i_ab,
+                "chi_DR": report.chi_dr,
+                "chi_RR": report.chi_rr,
+                "R_DR": report.r_dr,
+                "R_RR": report.r_rr,
+                "R_DR_clamped": report.r_dr_clamped,
+                "R_RR_clamped": report.r_rr_clamped,
+                "dR_DR": twin.r_dr - report.r_dr,
+                "dR_RR": twin.r_rr - report.r_rr,
+            }
+            for tag, d in (("DR", "dr"), ("RR", "rr")):
+                margin, margin0 = sec.max_additional_loss(p, d), sec.max_additional_loss(p0, d)
+                expected[f"eta_max_{tag}_dB"] = margin.db
+                expected[f"d_eta_{tag}_dB"] = margin0.db - margin.db
+                flags.add(margin.flag)
+            assert row == expected
+        assert flags == {"ok", "no-positive-key"}
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     src = str(Path(modleak.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import modleak.cli; "
@@ -257,3 +345,16 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+    path = write_cfg(tmp_path, {"protocol": dict(BASE_PROTOCOL, k={"start": 0.1, "stop": 0.3, "points": 2})})
+    argv = ["sweep", "--config", path, "--direction", "rr", "--optimize-vm", "--with-eta-max"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from modleak import cli; "
+        f"cli.main({argv!r}, standalone_mode=False); print('scipy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    lines = result.stdout.strip().split("\n")
+    assert lines[0].startswith("sweep_var,") and len(lines) == 4
+    assert lines[-1] == "False"

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from modleak import gaussian as g
 from modleak import security as sec
-from modleak.errors import InvalidArgument, MissingMode, UnphysicalState
+from modleak.errors import InvalidArgument, MissingMode, NumericalError, UnphysicalState
 
 from oracles import symplectic_spectrum
 
@@ -312,6 +312,64 @@ class TestTwoModeUpdate:
             rtol=0.0,
             atol=1e-12,
         )
+
+
+class TestBatches:
+    """A batch of states against the same operations on each state alone."""
+
+    def test_operations_match_single_states(self):
+        rng = np.random.default_rng(16)
+        v1, v2 = rng.uniform(1.0, 30.0, (2, 7))
+        t, gain = rng.uniform(0.0, 1.0, 7), rng.uniform(1.0, 3.0, 7)
+        eta, eps = rng.uniform(0.05, 0.99, 7), rng.uniform(0.0, 0.4, 7)
+
+        def run(v1, v2, t, gain, eta, eps):
+            state = g.tensor(g.epr_source(v1, ("a", "b")), g.epr_source(v2, ("c", "d")))
+            state = g.beamsplitter(state, "b", "c", t)
+            state = g.two_mode_squeezer(state, "d", "a", gain)
+            state = g.loss_excess_channel(state, "b", eta, eps, ("e", "f"))
+            kept = g.partial_trace(state, ["a", "b", "d"])
+            cond = g.heterodyne_condition(kept, "b")
+            return state, kept, cond
+
+        batched = run(v1, v2, t, gain, eta, eps)
+        for i in range(7):
+            for single, batch in zip(run(v1[i], v2[i], t[i], gain[i], eta[i], eps[i]), batched):
+                assert single.batch_shape == ()
+                assert batch.batch_shape == (7,)
+                np.testing.assert_array_equal(single.data, batch.data[i])
+                np.testing.assert_array_equal(single.spectrum, batch.spectrum[i])
+                assert g.von_neumann_entropy(single) == g.von_neumann_entropy(batch)[i]
+
+    def test_single_state_broadcasts_against_a_batch(self):
+        out = g.tensor(g.vacuum(1, ("a",)), g.epr_source([1.0, 2.0, 3.0], ("b", "c")))
+        assert out.batch_shape == (3,)
+        np.testing.assert_array_equal(out.data[0], np.eye(6))
+
+    def test_checks_every_state(self):
+        good = np.eye(2)
+        with pytest.raises(UnphysicalState):
+            g.CovMatrix(("a",), np.stack([good, 0.5 * good, good]))
+        with pytest.raises(UnphysicalState):
+            g.CovMatrix(("a",), np.stack([good, np.diag([2.0, -1.0])]))
+        with pytest.raises(InvalidArgument):
+            g.CovMatrix(("a",), np.stack([good, good + np.array([[0.0, 1e-6], [0.0, 0.0]])]))
+        with pytest.raises(InvalidArgument):
+            g.beamsplitter(g.vacuum(2, ("a", "b")), "a", "b", [0.5, 1.5])
+
+    def test_failing_state_raises_its_own_error(self):
+        bad = np.eye(4)
+        bad[0, 0] = np.nan
+        with pytest.raises(NumericalError):
+            g.CovMatrix(("a", "b"), bad)
+        with pytest.raises(NumericalError):
+            g.CovMatrix(("a", "b"), np.stack([np.eye(4), bad, 2.0 * np.eye(4)]))
+
+    def test_lossless_channel_cannot_share_a_batch(self):
+        state = g.epr_source([2.0, 3.0], ("a", "b"))
+        assert g.loss_excess_channel(state, "b", [1.0, 1.0], 0.0) is state
+        with pytest.raises(InvalidArgument):
+            g.loss_excess_channel(state, "b", [1.0, 0.5], 0.0)
 
 
 class TestRandomizedInvariants:

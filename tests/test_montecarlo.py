@@ -126,10 +126,10 @@ class TestEndToEndConsistency:
         r2 = mc.end_to_end_consistency(POINT, 100_000, seed=21)
         assert r1 == r2
 
-    def test_evaluates_each_point_once(self, key_rate_calls):
+    def test_evaluates_each_point_once(self, evaluated_points):
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
         # the true point, the estimated point and its four bumped copies
-        assert len(key_rate_calls) == 6
+        assert len(evaluated_points) == 6
 
     def test_rate_se_names_skipped_terms(self):
         p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=1.0, eps_ch=0.0)
@@ -137,7 +137,8 @@ class TestEndToEndConsistency:
             v_m_hat=5.0, k_hat=0.3, eta_hat=1.0, eps_hat=0.0,
             se_v_m=0.01, se_k=0.01, se_eta=0.01, se_eps=0.01, n=10_000,
         )
-        se_dr, se_rr, skipped = mc._rate_se(p, est, sec.key_rate(p))
+        bumped, skipped = mc._bumped_points(p, est)
+        se_dr, se_rr = mc._rate_se(sec.key_rate(p), sec.key_rates(bumped.values()))
         # eps_ch > 0 at eta_ch = 1 has no purification
         assert skipped == ("eps_ch",)
         assert se_dr > 0.0 and se_rr > 0.0

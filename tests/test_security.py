@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from modleak import gaussian as g
 from modleak import security as sec
-from modleak.errors import InvalidArgument
+from modleak.errors import InvalidArgument, UnphysicalState
 
 from oracles import eq4_matrix, no_switching_rates
 
@@ -24,6 +25,20 @@ class TestProtocolParams:
             sec.ProtocolParams(v_m=1.0, beta=1.2)
         with pytest.raises(InvalidArgument):
             sec.ProtocolParams(v_m=1.0, eta_d=1.0, eps_d=0.1)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["v_m", "k", "eta_ch", "eps_ch", "eta_d", "eps_d", "eps_p1", "eps_p2", "eps_l", "beta"],
+    )
+    def test_rejects_non_finite_values(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            fields = {"v_m": 5.0, "eta_ch": 0.5, "eta_d": 0.9, field: value}
+            with pytest.raises(InvalidArgument):
+                sec.ProtocolParams(**fields)
+
+    def test_rejects_channel_noise_without_loss(self):
+        with pytest.raises(InvalidArgument):
+            sec.ProtocolParams(v_m=5.0, eta_ch=1.0, eps_ch=0.1)
 
 
 class TestBuildScheme:
@@ -181,6 +196,111 @@ class TestKeyRate:
         assert rep.r_dr < 0.0
 
 
+def random_points(rng, n: int) -> list[sec.ProtocolParams]:
+    """Points over the README domain; each optional mode is present about half the time."""
+    points = []
+    for _ in range(n):
+        fields = {
+            "v_m": float(np.exp(rng.uniform(np.log(0.01), np.log(100.0)))),
+            "beta": rng.uniform(0.8, 1.0),
+            "block_size": int(rng.choice([0, 10**7])),
+        }
+        for name, hi in (("k", 2.0), ("eps_p1", 1.0), ("eps_p2", 1.0), ("eps_l", 1.0)):
+            fields[name] = rng.uniform(0.0, hi) if rng.random() < 0.5 else 0.0
+        if rng.random() < 0.75:
+            fields["eta_ch"], fields["eps_ch"] = rng.uniform(1e-3, 0.999), rng.uniform(0.0, 0.5)
+        if rng.random() < 0.5:
+            fields["eta_d"], fields["eps_d"] = rng.uniform(0.1, 0.999), rng.uniform(0.0, 0.5)
+        points.append(sec.ProtocolParams(**fields))
+    return points
+
+
+class TestKeyRates:
+    def test_batch_matches_single_points(self):
+        points = random_points(np.random.default_rng(21), 200)
+        assert len({sec._structure(q) for q in points}) >= 32
+        batched = sec.key_rates(points + points[:10])
+        assert batched[200:] == batched[:10]
+        for q, report in zip(points, batched):
+            single = sec.key_rate(q)
+            for name, value in vars(single).items():
+                assert getattr(report, name) == pytest.approx(value, rel=0.0, abs=1e-12)
+
+    def test_batched_scheme_matches_single_schemes(self):
+        points = [q for q in random_points(np.random.default_rng(22), 400)
+                  if sec._structure(q) == (True, True, True, True, True, True)][:5]
+        batched = sec.build_scheme(sec._stack(points))
+        assert batched.state.batch_shape == (len(points),)
+        for i, q in enumerate(points):
+            single = sec.build_scheme(q)
+            assert single.state.modes == batched.state.modes
+            assert single.trusted == batched.trusted
+            np.testing.assert_array_equal(single.state.data, batched.state.data[i])
+
+    def test_empty_call(self):
+        assert sec.key_rates([]) == []
+
+    def test_unphysical_point_fails_its_batch_alike(self):
+        bad = sec.ProtocolParams(v_m=5.0, eta_ch=0.99999, eps_ch=0.1)
+        with pytest.raises(UnphysicalState):
+            sec.key_rate(bad)
+        same_structure = sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=0.1)
+        other = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.1, eps_l=0.2)
+        with pytest.raises(UnphysicalState):
+            sec.key_rates([same_structure, bad, other])
+
+
+class TestLockstep:
+    def test_searches_run_side_by_side(self, evaluated_points):
+        points = [sec.ProtocolParams(v_m=5.0, k=k, eta_ch=0.9, eps_ch=0.02) for k in (0.1, 0.4)]
+        searches = [sec.search_loss_margin(q, d) for q in points for d in ("dr", "rr")]
+        together = sec.drive(sec.lockstep(searches))
+        assert len(set(evaluated_points)) == len(evaluated_points)
+        assert together == [sec.max_additional_loss(q, d) for q in points for d in ("dr", "rr")]
+
+    def test_no_searches(self):
+        assert sec.drive(sec.lockstep([])) == []
+
+
+def brent(f, a: float, b: float, xtol: float) -> float:
+    """sec._brentq driven by a plain function."""
+    roots = sec._brentq(a, b, f(a), f(b), xtol)
+    try:
+        x = next(roots)
+        while True:
+            x = roots.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestBrent:
+    @pytest.mark.parametrize("xtol", [1e-4, 2e-12])
+    def test_matches_scipy_brentq_bitwise(self, xtol):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(23)
+        families = (
+            lambda c, s: lambda x: math.exp(-x / s) - math.exp(-c / s),
+            lambda c, s: lambda x: (c - x) * (1.0 + x * x / s),
+            lambda c, s: lambda x: math.tanh((c - x) / s) + 1e-3 * math.sin(x),
+            lambda c, s: lambda x: math.log1p(c) - math.log1p(x) - 1e-6 * s,
+            lambda c, s: lambda x: (x - c) ** 3 + s * (x - c),
+            lambda c, s: lambda x: math.cos(x / (2.0 * 60.0)) - math.cos(c / (2.0 * 60.0)),
+        )
+        roots = 0
+        for _ in range(150):
+            c, s = rng.uniform(0.5, 59.5), rng.uniform(0.1, 30.0)
+            for family in families:
+                f = family(c, s)
+                if f(0.0) * f(60.0) >= 0.0:
+                    continue
+                assert brent(f, 0.0, 60.0, xtol) == optimize.brentq(f, 0.0, 60.0, xtol=xtol)
+                roots += 1
+        assert roots > 800
+
+    def test_returns_an_end_with_a_zero(self):
+        assert brent(lambda x: 60.0 - x, 0.0, 60.0, 1e-4) == 60.0
+
+
 class TestOptimizeVm:
     def test_bracket_grid_is_unimodal_at_reference_family(self):
         p = sec.ProtocolParams(v_m=1.0, k=0.1, eta_ch=0.5, eps_ch=0.02, beta=0.96)
@@ -242,11 +362,11 @@ class TestMaxAdditionalLoss:
         ]
         assert all(a >= b - 1e-6 for a, b in zip(margins, margins[1:]))
 
-    def test_evaluates_each_point_once(self, key_rate_calls):
+    def test_evaluates_each_point_once(self, evaluated_points):
         p = sec.ProtocolParams(v_m=5.0, k=0.2, eta_ch=0.9, eps_ch=0.02, beta=0.96)
         assert sec.max_additional_loss(p, "rr").flag == "ok"
-        assert len(key_rate_calls) > 2
-        assert len(set(key_rate_calls)) == len(key_rate_calls)
+        assert len(evaluated_points) > 2
+        assert len(set(evaluated_points)) == len(evaluated_points)
 
     def test_ignorance_margin_nonnegative(self):
         for k in (0.1, 0.3, 0.6):
