@@ -95,7 +95,11 @@ class CovMatrix:
                 f"matrix shape {mat.shape} does not match {len(self.modes)} modes"
             )
         scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-        if (np.abs(mat - _transpose(mat)).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale).any():
+        # written so that a NaN or inf entry, which makes its matrix's scale
+        # non-finite, fails the comparison too
+        if not (np.abs(mat - _transpose(mat)).max(axis=(-2, -1)) <= SYMMETRY_RTOL * scale).all():
+            if not np.isfinite(scale).all():
+                raise NumericalError("covariance matrix has non-finite entries")
             raise InvalidArgument("covariance matrix is not symmetric")
         mat = 0.5 * (mat + _transpose(mat))
         mat.setflags(write=False)

@@ -4,22 +4,78 @@ Draws heterodyne outcomes from the analytic covariance matrices, re-derives
 the protocol parameters with moment estimators, and closes the loop by
 comparing the key rate at the estimated point against the true one.  Eve's
 record is the leakage-mode output, measured with perfect efficiency.
+The closure streams its draws into per-sub-batch sufficient statistics
+(`sample_moments`), so its memory does not grow with the sample count.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gaussian as g
 from . import security as sec
-from .errors import InvalidArgument, NumericalError
+from .errors import InvalidArgument, MissingMode, NumericalError
 
 RNG_ALGORITHM = "PCG64"
 
 N_SUBBATCHES = 10
 MIN_SAMPLES = 1_000
+BLOCK_ROWS = 1 << 16
+
+
+def _subbatch_sizes(n: int) -> list[int]:
+    """Sizes of the N_SUBBATCHES consecutive sub-batches of n samples, as
+    np.array_split gives them: the first n % N_SUBBATCHES hold one more."""
+    q, r = divmod(n, N_SUBBATCHES)
+    return [q + 1] * r + [q] * (N_SUBBATCHES - r)
+
+
+@dataclass(frozen=True)
+class OutcomeMoments:
+    """Sufficient statistics of heterodyne outcomes, one set per sub-batch.
+
+    Columns are the (x, p) outcomes of each mode in `modes`.  Sub-batch i
+    holds `counts[i]` outcomes with mean `means[i]` and centred Gram matrix
+    `grams[i]`, the sum of (r - mean)(r - mean)^T over its outcomes r.
+    """
+
+    modes: tuple[str, ...]
+    counts: tuple[int, ...]
+    means: np.ndarray
+    grams: np.ndarray
+
+    def __post_init__(self):
+        # a non-finite outcome makes its column's centred square sum non-finite
+        diag = np.diagonal(self.grams, axis1=-2, axis2=-1)
+        for i, label in enumerate(self.modes):
+            if not np.all(np.isfinite(diag[:, 2 * i : 2 * i + 2])):
+                raise InvalidArgument(f"mode {label}: non-finite samples")
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
+
+    def column(self, mode: str) -> int:
+        """Column of the mode's x outcome; its p outcome is the next one."""
+        try:
+            return 2 * self.modes.index(mode)
+        except ValueError:
+            raise MissingMode(mode) from None
+
+    def merged_gram(self) -> np.ndarray:
+        """Centred Gram matrix of the whole batch, merged from the sub-batches
+        with the pairwise update of Chan, Golub & LeVeque (1979)."""
+        count, mean, gram = 0, np.zeros_like(self.means[0]), np.zeros_like(self.grams[0])
+        for m, sub_mean, sub_gram in zip(self.counts, self.means, self.grams):
+            total = count + m
+            delta = sub_mean - mean
+            mean = mean + delta * (m / total)
+            gram = gram + sub_gram + np.outer(delta, delta) * (count * m / total)
+            count = total
+        return gram
 
 
 @dataclass(frozen=True)
@@ -38,6 +94,18 @@ class SampleBatch:
             if not np.all(np.isfinite(arr)):
                 raise InvalidArgument(f"mode {label}: non-finite samples")
 
+    def moments(self) -> OutcomeMoments:
+        """The batch's per-sub-batch sufficient statistics."""
+        modes = tuple(self.data)
+        sizes = _subbatch_sizes(self.n)
+        means, grams = [], []
+        for lo, hi in itertools.pairwise(np.cumsum([0, *sizes])):
+            rows = np.hstack([self.data[m][lo:hi] for m in modes])
+            mean = rows.sum(axis=0) / max(hi - lo, 1)
+            means.append(mean)
+            grams.append((rows - mean).T @ (rows - mean))
+        return OutcomeMoments(modes, tuple(sizes), np.array(means), np.array(grams))
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -55,6 +123,38 @@ class EstimateReport:
     clamped: bool = False
 
 
+def _outcome_stream(state: g.CovMatrix, measured_modes: list[str], n: int, seed: int):
+    """Measured mode labels, the Cholesky factor of their outcome covariance
+    (gamma + 1)/2, and the seeded generator that draws their outcomes.
+
+    The measured vacuum has unit variance in outcome units."""
+    if n < 1:
+        raise InvalidArgument("sample count must be >= 1")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    reduced = g.partial_trace(state, measured_modes)
+    outcome_cov = 0.5 * (reduced.data + np.eye(2 * reduced.n_modes))
+    try:
+        chol = np.linalg.cholesky(outcome_cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
+    return reduced.modes, chol, np.random.default_rng(seed)
+
+
+def _blocks(rng: np.random.Generator, sizes: list[int], width: int):
+    """Standard normals for consecutive sub-batches of the given sizes, as
+    (sub-batch index, block) pairs of at most BLOCK_ROWS rows.
+
+    Each block is drawn into one reused buffer and is valid only until the
+    next is drawn.  The generator fills row by row, so the blocks in order
+    are bitwise the rows of one standard_normal((sum(sizes), width)) call.
+    """
+    buf = np.empty((min(BLOCK_ROWS, max(sizes)), width))
+    for i, size in enumerate(sizes):
+        for start in range(0, size, BLOCK_ROWS):
+            yield i, rng.standard_normal(out=buf[: min(BLOCK_ROWS, size - start)])
+
+
 def sample(
     state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
 ) -> SampleBatch:
@@ -63,38 +163,57 @@ def sample(
     Outcome covariance is (gamma + 1)/2: the measured vacuum has unit
     variance in outcome units.  Deterministic for a fixed seed (PCG64).
     """
-    if n < 1:
-        raise InvalidArgument("sample count must be >= 1")
-    reduced = g.partial_trace(state, measured_modes)
-    outcome_cov = 0.5 * (reduced.data + np.eye(2 * reduced.n_modes))
-    try:
-        chol = np.linalg.cholesky(outcome_cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n, 2 * reduced.n_modes)) @ chol.T
-    data = {
-        m: draws[:, 2 * i : 2 * i + 2].copy() for i, m in enumerate(reduced.modes)
-    }
+    modes, chol, rng = _outcome_stream(state, measured_modes, n, seed)
+    draws = rng.standard_normal((n, chol.shape[0])) @ chol.T
+    data = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(modes)}
     return SampleBatch(data=data, n=n, seed=seed)
 
 
-def _moments(alice, bob, eve):
-    """Second moments in SNU (outcome covariances doubled back to gamma units)."""
-    v_a = 2.0 * 0.5 * (np.var(alice[:, 0]) + np.var(alice[:, 1])) - 1.0
-    v_b = 2.0 * 0.5 * (np.var(bob[:, 0]) + np.var(bob[:, 1])) - 1.0
-    c_ab = np.cov(alice[:, 0], bob[:, 0])[0, 1] - np.cov(alice[:, 1], bob[:, 1])[0, 1]
+def sample_moments(
+    state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
+) -> OutcomeMoments:
+    """The sufficient statistics of `sample(state, measured_modes, n, seed)`,
+    streamed: memory does not grow with n.
+
+    Draws the same stream block by block.  Per sub-batch it keeps the count
+    m, s = z.sum(0) and G = z.T @ z of the standard normals z, and maps them
+    into outcome units through the Cholesky factor C: mean C s/m and centred
+    Gram matrix C (G - s s^T/m) C^T.
+    """
+    modes, chol, rng = _outcome_stream(state, measured_modes, n, seed)
+    width = chol.shape[0]
+    counts = _subbatch_sizes(n)
+    sums = np.zeros((N_SUBBATCHES, width))
+    grams = np.zeros((N_SUBBATCHES, width, width))
+    ones = np.ones(BLOCK_ROWS)  # ones @ z is z.sum(0) as one BLAS pass
+    for i, z in _blocks(rng, counts, width):
+        sums[i] += ones[: len(z)] @ z
+        grams[i] += z.T @ z
+    z_mean = sums / np.maximum(counts, 1)[:, None]
+    centred = grams - sums[:, :, None] * z_mean[:, None, :]
+    return OutcomeMoments(modes, tuple(counts), z_mean @ chol.T, chol @ centred @ chol.T)
+
+
+def _moments(count: int, gram: np.ndarray, a: int, b: int, e: int | None):
+    """Second moments in SNU (outcome covariances doubled back to gamma units)
+    of `count` outcomes with centred Gram matrix `gram`.  Variances divide by
+    count (ddof = 0, as np.var), covariances by count - 1 (ddof = 1, as np.cov);
+    a, b and e are the x columns of Alice, Bob and Eve (None: no record)."""
+    v_a = 2.0 * 0.5 * (gram[a, a] / count + gram[a + 1, a + 1] / count) - 1.0
+    v_b = 2.0 * 0.5 * (gram[b, b] / count + gram[b + 1, b + 1] / count) - 1.0
+    c_ab = gram[a, b] / (count - 1) - gram[a + 1, b + 1] / (count - 1)
     c_al = 0.0
-    if eve is not None:
-        c_al = np.cov(alice[:, 0], eve[:, 0])[0, 1] - np.cov(alice[:, 1], eve[:, 1])[0, 1]
+    if e is not None:
+        c_al = gram[a, e] / (count - 1) - gram[a + 1, e + 1] / (count - 1)
     return v_a, v_b, abs(c_ab), abs(c_al)
 
 
 def _point_estimate(
-    alice, bob, eve, v_m_known: float | None, assume_no_leakage: bool
+    count: int, gram: np.ndarray, a: int, b: int, e: int | None,
+    v_m_known: float | None, assume_no_leakage: bool,
 ):
-    """One moment-based estimate (v_m, k, eta, eps) from raw sample arrays."""
-    v_a, v_b, c_ab, c_al = _moments(alice, bob, eve)
+    """One moment-based estimate (v_m, k, eta, eps) from a centred Gram matrix."""
+    v_a, v_b, c_ab, c_al = _moments(count, gram, a, b, e)
     s = max(v_a - 1.0, 1e-12)
     clamped = bool(v_a < 1.0)
 
@@ -105,7 +224,7 @@ def _point_estimate(
         k = 0.0
         eta = c_ab**2 / (v_m * (2.0 + v_m))
     else:
-        if eve is None:
+        if e is None:
             k = 0.0
         else:
             w = min(c_al**2 / (s * (2.0 + s)), 0.999)
@@ -119,31 +238,34 @@ def _point_estimate(
 
 
 def estimate_params(
-    batch: SampleBatch,
+    batch: SampleBatch | OutcomeMoments,
     v_m_known: float | None = None,
     assume_no_leakage: bool = False,
     alice: str = "A",
     bob: str = "B",
     eve: str = "L",
 ) -> EstimateReport:
-    """Re-estimate (V_M, k, eta_Ch, eps_Ch) from a heterodyne sample batch.
+    """Re-estimate (V_M, k, eta_Ch, eps_Ch) from heterodyne outcomes: a
+    sample batch, or the sub-batch statistics `sample_moments` streams.
 
-    Standard errors come from splitting the batch into 10 sub-batches.
+    Standard errors come from the spread of the 10 sub-batch estimates.
     The leakage estimate uses Eve's record when present; without it k = 0.
     """
-    if batch.n < MIN_SAMPLES:
-        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {batch.n}")
-    a, b = batch.data[alice], batch.data[bob]
-    e = batch.data.get(eve)
-
-    full = _point_estimate(a, b, e, v_m_known, assume_no_leakage)
-    splits = np.array_split(np.arange(batch.n), N_SUBBATCHES)
+    moments = batch.moments() if isinstance(batch, SampleBatch) else batch
+    if moments.n < MIN_SAMPLES:
+        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {moments.n}")
+    cols = (
+        moments.column(alice),
+        moments.column(bob),
+        moments.column(eve) if eve in moments.modes else None,
+    )
+    full = _point_estimate(
+        moments.n, moments.merged_gram(), *cols, v_m_known, assume_no_leakage
+    )
     sub = np.array(
         [
-            _point_estimate(
-                a[idx], b[idx], None if e is None else e[idx], v_m_known, assume_no_leakage
-            )[:4]
-            for idx in splits
+            _point_estimate(m, gram, *cols, v_m_known, assume_no_leakage)[:4]
+            for m, gram in zip(moments.counts, moments.grams)
         ]
     )
     se = np.std(sub, axis=0, ddof=1) / np.sqrt(N_SUBBATCHES)
@@ -157,7 +279,7 @@ def estimate_params(
         se_k=float(se[1]),
         se_eta=float(se[2]),
         se_eps=float(se[3]),
-        n=batch.n,
+        n=moments.n,
         clamped=full[4],
     )
 
@@ -237,9 +359,8 @@ def end_to_end_consistency(
     """
     scheme = sec.build_scheme(p)
     measured = ["A", "B"] + (["L"] if "L" in scheme.state.modes else [])
-    batch = sample(scheme.state, measured, n, seed)
     est = estimate_params(
-        batch,
+        sample_moments(scheme.state, measured, n, seed),
         v_m_known=p.v_m if assume_no_leakage else None,
         assume_no_leakage=assume_no_leakage,
     )

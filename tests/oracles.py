@@ -71,3 +71,48 @@ def iq_output_lines(mu1, mu2, delta1, delta2, n=1 << 12):
     )
     spec = np.fft.fft(field) / n
     return spec[1], spec[-1], spec[0]
+
+
+def mc_moments(alice, bob, eve):
+    """Monte-Carlo second moments in SNU from raw (n, 2) heterodyne records:
+    variances with ddof = 0 (np.var), covariances with ddof = 1 (np.cov)."""
+    v_a = 2.0 * 0.5 * (np.var(alice[:, 0]) + np.var(alice[:, 1])) - 1.0
+    v_b = 2.0 * 0.5 * (np.var(bob[:, 0]) + np.var(bob[:, 1])) - 1.0
+    c_ab = np.cov(alice[:, 0], bob[:, 0])[0, 1] - np.cov(alice[:, 1], bob[:, 1])[0, 1]
+    c_al = 0.0
+    if eve is not None:
+        c_al = np.cov(alice[:, 0], eve[:, 0])[0, 1] - np.cov(alice[:, 1], eve[:, 1])[0, 1]
+    return v_a, v_b, abs(c_ab), abs(c_al)
+
+
+def mc_point_estimate(alice, bob, eve, v_m_known, assume_no_leakage):
+    """Moment estimate (v_m, k, eta, eps) from raw records, by mc_moments."""
+    v_a, v_b, c_ab, c_al = mc_moments(alice, bob, eve)
+    s = max(v_a - 1.0, 1e-12)
+    if assume_no_leakage:
+        v_m, k = v_m_known, 0.0
+        eta = c_ab**2 / (v_m * (2.0 + v_m))
+    else:
+        k = 0.0
+        if eve is not None:
+            w = min(c_al**2 / (s * (2.0 + s)), 0.999)
+            k = np.sqrt(w / (1.0 - w))
+        v_m = v_m_known if v_m_known is not None else s / (1.0 + k * k)
+        eta = c_ab**2 / (v_m * (2.0 + s))
+    return v_m, k, eta, max(v_b - 1.0 - eta * v_m, 0.0)
+
+
+def mc_estimate(alice, bob, eve, v_m_known=None, assume_no_leakage=False, n_sub=10):
+    """Full-batch estimate and the standard errors of its n_sub-way split
+    (np.array_split of the record indices), from raw records."""
+    full = mc_point_estimate(alice, bob, eve, v_m_known, assume_no_leakage)
+    sub = np.array(
+        [
+            mc_point_estimate(
+                alice[i], bob[i], None if eve is None else eve[i], v_m_known, assume_no_leakage
+            )
+            for i in np.array_split(np.arange(len(alice)), n_sub)
+        ]
+    )
+    se = np.maximum(np.std(sub, axis=0, ddof=1) / np.sqrt(n_sub), 1e-12)
+    return np.concatenate([full, se])

@@ -234,6 +234,25 @@ class TestMc:
         result = runner.invoke(cli.main, ["mc", "--config", path])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "doc, args",
+        [
+            ({"mc": {"n": 2000.7, "seed": 1}}, []),
+            ({"mc": {"n": float("inf"), "seed": 1}}, []),
+            ({"mc": {"n": 2000, "seed": 1.5}}, []),
+            ({"mc": {"n": 2000, "seed": -3}}, []),
+            ({"mc": {"n": 2000, "seed": 1}}, ["--seed", "-3"]),
+            ({"mc": {"n": 2000, "seed": 1}, "protocol": dict(BASE_PROTOCOL, block_size=2.5)}, []),
+        ],
+    )
+    def test_bad_count_seed_or_block_size_exits_1(self, runner, tmp_path, doc, args):
+        path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL, **doc})
+        result = runner.invoke(cli.main, ["mc", "--config", path, *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error:" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestMetadata:
     DOCS = {

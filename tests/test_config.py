@@ -53,6 +53,32 @@ class TestParse:
         with pytest.raises(InvalidArgument):
             cfgmod.parse_config({"protocol": {"V_M": "five"}})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            dict(BASE, protocol=dict(BASE["protocol"], block_size=2.5)),
+            dict(BASE, protocol=dict(BASE["protocol"], block_size=float("inf"))),
+            dict(BASE, mc={"n": 2000.7}),
+            dict(BASE, mc={"n": float("inf")}),
+            dict(BASE, mc={"n": float("nan")}),
+            dict(BASE, mc={"n": 2000, "seed": 3.5}),
+            dict(BASE, mc={"n": True}),
+            dict(BASE, mc={"n": "2000"}),
+            {"protocol": {"V_M": {"start": 1.0, "stop": 5.0, "points": 2.7}}},
+        ],
+    )
+    def test_integer_fields_must_be_finite_integers(self, raw):
+        with pytest.raises(InvalidArgument, match="finite integer"):
+            cfgmod.parse_config(raw).params_at()
+
+    def test_integral_floats_accepted_as_integers(self):
+        protocol = dict(BASE["protocol"], block_size=1e7)
+        raw = dict(BASE, protocol=protocol, mc={"n": 2000.0, "seed": 3.0})
+        cfg = cfgmod.parse_config(raw)
+        assert cfg.mc == {"n": 2000, "seed": 3}
+        assert all(type(v) is int for v in cfg.mc.values())
+        assert cfg.params_at().block_size == 10**7
+
     def test_bad_output_format(self):
         raw = dict(BASE, outputs={"format": "xml"})
         with pytest.raises(InvalidArgument):

@@ -68,6 +68,17 @@ class TestConstructors:
         with pytest.raises(UnphysicalState):
             g.CovMatrix(("a",), np.diag([2.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        one_mode = np.eye(2)
+        one_mode[1, 1] = bad
+        with pytest.raises(NumericalError):
+            g.CovMatrix(("a",), one_mode)
+        batch = np.stack([np.eye(2), 3.0 * np.eye(2), np.eye(2)])
+        batch[1, 0, 0] = bad
+        with pytest.raises(NumericalError):
+            g.CovMatrix(("a",), batch)
+
 
 class TestBeamsplitter:
     def test_vacuum_invariant(self):

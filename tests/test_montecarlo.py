@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import mc_estimate
 
 from modleak import gaussian as g
 from modleak import montecarlo as mc
@@ -55,6 +57,13 @@ class TestSample:
     def test_rejects_nonpositive_count(self):
         with pytest.raises(InvalidArgument):
             mc.sample(g.vacuum(1, ("a",)), ["a"], 0, seed=0)
+        with pytest.raises(InvalidArgument):
+            mc.sample_moments(g.vacuum(1, ("a",)), ["a"], 0, seed=0)
+
+    @pytest.mark.parametrize("draw", [mc.sample, mc.sample_moments])
+    def test_rejects_negative_seed(self, draw):
+        with pytest.raises(InvalidArgument, match="seed"):
+            draw(g.vacuum(1, ("a",)), ["a"], 2_000, seed=-3)
 
 
 class TestEstimateParams:
@@ -95,6 +104,65 @@ class TestEstimateParams:
         batch = self._batch(POINT, 2_000, seed=1)
         with pytest.raises(InvalidArgument):
             mc.estimate_params(batch, assume_no_leakage=True)
+
+
+class TestStreamedMoments:
+    ESTIMATE_FIELDS = (
+        "v_m_hat", "k_hat", "eta_hat", "eps_hat", "se_v_m", "se_k", "se_eta", "se_eps"
+    )
+
+    @pytest.mark.parametrize("n", [1_000, 1_003, 200_003])
+    @pytest.mark.parametrize("measured", [("A", "B", "L"), ("A", "B")])
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_estimates_match_oracle_on_the_same_draws(self, n, measured, blind):
+        state = sec.build_scheme(POINT).state
+        batch = mc.sample(state, list(measured), n, seed=n)
+        kwargs = {"v_m_known": POINT.v_m, "assume_no_leakage": True} if blind else {}
+        expected = mc_estimate(
+            batch.data["A"], batch.data["B"], batch.data.get("L"),
+            kwargs.get("v_m_known"), blind,
+        )
+        for source in (mc.sample_moments(state, list(measured), n, seed=n), batch):
+            est = mc.estimate_params(source, **kwargs)
+            got = [getattr(est, f) for f in self.ESTIMATE_FIELDS]
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+            assert est.n == n
+
+    @pytest.mark.parametrize("n, block_rows", [(1_000_003, mc.BLOCK_ROWS), (20_003, 1_000)])
+    def test_blocks_are_one_draw(self, monkeypatch, n, block_rows):
+        monkeypatch.setattr(mc, "BLOCK_ROWS", block_rows)
+        sizes = mc._subbatch_sizes(n)
+        assert sizes == [len(i) for i in np.array_split(np.arange(n), mc.N_SUBBATCHES)]
+        blocks = [(i, z.copy()) for i, z in mc._blocks(np.random.default_rng(5), sizes, 6)]
+        assert max(len(z) for _, z in blocks) <= block_rows
+        assert [sum(len(z) for j, z in blocks if j == i) for i in range(10)] == sizes
+        whole = np.random.default_rng(5).standard_normal((n, 6))
+        assert np.array_equal(np.concatenate([z for _, z in blocks]), whole)
+
+    def test_moments_of_short_batches(self):
+        # fewer samples than sub-batches leaves empty sub-batches with zero moments
+        moments = mc.sample_moments(g.vacuum(1, ("a",)), ["a"], 3, seed=1)
+        assert moments.counts == (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
+        assert np.all(np.isfinite(moments.grams)) and np.all(moments.grams[3:] == 0.0)
+        with pytest.raises(InvalidArgument, match="at least"):
+            mc.estimate_params(moments, alice="a", bob="a")
+
+    def test_non_finite_statistics_rejected(self):
+        moments = mc.sample_moments(g.epr_source(4.0, ("a", "b")), ["a", "b"], 2_000, seed=1)
+        grams = moments.grams.copy()
+        grams[4, 2, 2] = np.inf
+        with pytest.raises(InvalidArgument, match="mode b: non-finite"):
+            dataclasses.replace(moments, grams=grams)
+
+    def test_closure_memory_does_not_grow_with_n(self):
+        mc.end_to_end_consistency(POINT, 2_000, seed=1)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            mc.end_to_end_consistency(POINT, 2_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestEndToEndConsistency:
