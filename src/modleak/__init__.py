@@ -25,12 +25,10 @@ from .security import (
     ProtocolParams,
     Scheme,
     build_scheme,
-    holevo_bounds,
     key_rate,
     key_rates,
     leakage_penalty,
     max_additional_loss,
-    mutual_information,
     optimize_vm,
     trusted_noise_viability,
 )

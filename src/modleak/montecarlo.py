@@ -1,9 +1,10 @@
 """Monte-Carlo sampling and parameter re-estimation at desk scale.
 
-Draws heterodyne outcomes from the analytic covariance matrices, re-derives
-the protocol parameters with moment estimators, and closes the loop by
-comparing the key rate at the estimated point against the true one.  Eve's
-record is the leakage-mode output, measured with perfect efficiency.
+Draws heterodyne outcomes of A, B and L from the protocol's five-mode reduced
+state (`security.reduced_state`), re-derives the protocol parameters with
+moment estimators, and closes the loop by comparing the key rate at the
+estimated point against the true one.  Eve's record is the leakage-mode
+output, measured with perfect efficiency.
 The closure streams its draws into per-sub-batch sufficient statistics
 (`sample_moments`), so its memory does not grow with the sample count.
 """
@@ -357,10 +358,10 @@ def end_to_end_consistency(
     beyond the propagated statistical tolerance in either direction, which is
     the dangerous failure mode for the legitimate parties.
     """
-    scheme = sec.build_scheme(p)
-    measured = ["A", "B"] + (["L"] if "L" in scheme.state.modes else [])
+    # Eve's record is L wherever the purification has it: leakage or noise on L
+    measured = ["A", "B"] + (["L"] if p.k > 0.0 or p.eps_l > 0.0 else [])
     est = estimate_params(
-        sample_moments(scheme.state, measured, n, seed),
+        sample_moments(sec.reduced_state(p), measured, n, seed),
         v_m_known=p.v_m if assume_no_leakage else None,
         assume_no_leakage=assume_no_leakage,
     )

@@ -1,13 +1,10 @@
 """Key-rate security analysis for the leaky single-sideband protocol.
 
-Builds the entanglement-based purification scheme (EPR source, leakage
-beamsplitter, trusted-noise couplings, untrusted channel, detection
-coupling), evaluates mutual information and Holevo bounds from covariance
-matrices, and derives secret key fractions and leakage penalties.
-
-`key_rates` is the one evaluator: it takes many operating points and runs
-one batched pass per scheme structure.  The V_M and loss-margin searches are
-generators that yield the points they need; `lockstep` runs many of them
+Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
+protocol's pure purification `build_scheme`, the model of record: Eve holds
+E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b).  `key_rates`
+evaluates many points in one batched pass.  The V_M and loss-margin searches
+are generators that yield the points they need; `lockstep` runs many of them
 side by side and `drive` sends each round's new points to `key_rates`.
 """
 
@@ -95,13 +92,11 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class Scheme:
-    """Global pure state of the purification scheme plus its mode partition."""
+    """Global pure state of the purification scheme (Alice A, Bob B) plus its mode partition."""
 
     state: g.CovMatrix
     trusted: tuple[str, ...]
     untrusted: tuple[str, ...]
-    alice_mode: str = "A"
-    bob_mode: str = "B"
 
 
 @dataclass(frozen=True)
@@ -166,27 +161,13 @@ def _couple_trusted_noise(state: g.CovMatrix, target: str, eps, tag: str) -> g.C
     return g.beamsplitter(state, target, labels[2], eta)
 
 
-def _structure(p: ProtocolParams) -> tuple[bool, ...]:
-    """Which optional modes the scheme of p has: P1, L, L noise, P2, channel, detector."""
-    return (
-        p.eps_p1 > 0.0,
-        p.k > 0.0 or p.eps_l > 0.0,
-        p.eps_l > 0.0,
-        p.eps_p2 > 0.0,
-        p.eta_ch < 1.0,
-        p.eta_d < 1.0,
-    )
-
-
 def build_scheme(p: ProtocolParams) -> Scheme:
-    """Construct the global pure purification state of the protocol.
+    """Construct the global pure purification state of the protocol: the model of record.
 
     Mode roles: A Alice, B signal, L leakage output (Eve), E1/E2 channel
     purification (Eve), D1/D2 detection purification (trusted), *a..*d
-    trusted-noise coupling arms (trusted).
-
-    `p` may also hold, in every field, an array of one length: a batch of
-    points with one scheme structure (see `key_rates`), giving a batched state.
+    trusted-noise coupling arms (trusted).  Key rates come from its reduced
+    state on A, B, L, E1, E2 (`reduced_state`); the tests compare the two.
     """
     k2 = p.k * p.k
     v_s = 1.0 + (1.0 + k2) * p.v_m
@@ -194,33 +175,86 @@ def build_scheme(p: ProtocolParams) -> Scheme:
     trusted = ["A", "B"]
     untrusted: list[str] = []
 
-    if np.any(p.eps_p1 > 0.0):
+    if p.eps_p1 > 0.0:
         state = _couple_trusted_noise(state, "B", p.eps_p1, "P1")
         trusted += _noise_mode_labels("P1")
 
-    if np.any(p.k > 0.0) or np.any(p.eps_l > 0.0):
+    if p.k > 0.0 or p.eps_l > 0.0:
         state = g.tensor(state, g.vacuum(1, ("L",)))
-        if np.any(p.eps_l > 0.0):
+        if p.eps_l > 0.0:
             state = _couple_trusted_noise(state, "L", p.eps_l, "L")
             trusted += _noise_mode_labels("L")
         state = g.beamsplitter(state, "B", "L", 1.0 / (1.0 + k2))
         untrusted.append("L")
 
-    if np.any(p.eps_p2 > 0.0):
+    if p.eps_p2 > 0.0:
         state = _couple_trusted_noise(state, "B", p.eps_p2, "P2")
         trusted += _noise_mode_labels("P2")
 
-    if np.any(p.eta_ch < 1.0):
+    if p.eta_ch < 1.0:
         state = g.loss_excess_channel(state, "B", p.eta_ch, p.eps_ch, ("E1", "E2"))
         untrusted += ["E1", "E2"]
 
-    if np.any(p.eta_d < 1.0):
+    if p.eta_d < 1.0:
         v_d = 1.0 + p.eps_d / (1.0 - p.eta_d)
         state = g.tensor(state, g.epr_source(v_d, ("D1", "D2")))
         state = g.beamsplitter(state, "B", "D1", p.eta_d)
         trusted += ["D1", "D2"]
 
     return Scheme(state=state, trusted=tuple(trusted), untrusted=tuple(untrusted))
+
+
+REDUCED_MODES = ("A", "B", "L", "E1", "E2")
+EVE_MODES = ("L", "E1", "E2")
+# the p block is S X S for the x block X, with S these signs of the modes
+_SIGNS = (1.0, -1.0, -1.0, -1.0, 1.0)
+_P_BLOCK_SIGNS = np.outer(_SIGNS, _SIGNS)
+
+
+def reduced_state(p) -> g.CovMatrix:
+    """The state of the modes A, B, L, E1, E2 of `build_scheme(p)`, in closed form.
+
+    Trusted noise adds eps_p1 and eps_p2 to B and eps_l to L.  The channel
+    mixes B with E1 of an EPR pair E1/E2 of variance 1 + eps_ch / (1 - eta_ch);
+    the detector attenuates B by eta_d and adds (1 - eta_d) + eps_d.  Unused
+    L, E1 and E2 are vacua.  Fields of `p` may be arrays of one length: a batch.
+    """
+    a, b, l, e1, e2 = range(5)
+    k2 = p.k * p.k
+    t, r = np.sqrt(1.0 / (1.0 + k2)), np.sqrt(k2 / (1.0 + k2))
+    e, f, d = np.sqrt(p.eta_ch), np.sqrt(1.0 - p.eta_ch), np.sqrt(p.eta_d)
+    v_s = 1.0 + (1.0 + k2) * p.v_m
+    c_s = np.sqrt(v_s * v_s - 1.0)
+    # ProtocolParams has eps_ch = 0 wherever eta_ch = 1
+    v_e = 1.0 + p.eps_ch / np.where(p.eta_ch < 1.0, 1.0 - p.eta_ch, 1.0)
+    c_e = np.sqrt(v_e * v_e - 1.0)
+    # B and L after the leakage beamsplitter, with the trusted noise on each
+    b0, l0 = v_s + p.eps_p1, 1.0 + p.eps_l
+    bb = t * t * b0 + r * r * l0 + p.eps_p2
+    bl = t * r * (l0 - b0)
+    b_out = p.eta_d * (p.eta_ch * bb + (1.0 - p.eta_ch) + p.eps_ch) + (1.0 - p.eta_d) + p.eps_d
+    x_entries = {
+        (a, a): v_s,
+        (a, b): d * e * t * c_s,
+        (a, l): -r * c_s,
+        (a, e1): -f * t * c_s,
+        (b, b): b_out,
+        (b, l): d * e * bl,
+        (b, e1): d * e * f * (v_e - bb),
+        (b, e2): d * f * c_e,
+        (l, l): r * r * b0 + t * t * l0,
+        (l, e1): -f * bl,
+        (e1, e1): (1.0 - p.eta_ch) * bb + p.eta_ch * v_e,
+        (e1, e2): e * c_e,
+        (e2, e2): v_e,
+    }
+    x = np.zeros(np.shape(v_s) + (5, 5))
+    for (i, j), value in x_entries.items():
+        x[..., i, j] = x[..., j, i] = value
+    gamma = np.zeros(np.shape(v_s) + (10, 10))
+    gamma[..., 0::2, 0::2] = x
+    gamma[..., 1::2, 1::2] = _P_BLOCK_SIGNS * x
+    return g.CovMatrix(REDUCED_MODES, gamma)
 
 
 def finite_size_penalty(block_size: int) -> float:
@@ -230,98 +264,59 @@ def finite_size_penalty(block_size: int) -> float:
     return float(7.0 * np.sqrt(np.log2(2.0 / FINITE_SIZE_EPS) / block_size))
 
 
-def _mutual_information(scheme: Scheme) -> np.ndarray:
-    """Heterodyne-heterodyne I_AB (bits/symbol) of each state of the scheme's batch."""
-    gamma_ab = g.partial_trace(scheme.state, [scheme.alice_mode, scheme.bob_mode])
-    bob = gamma_ab.mode_block(scheme.bob_mode)
-    cond = g.heterodyne_condition(gamma_ab, scheme.alice_mode)
-    bob_cond = cond.mode_block(scheme.bob_mode)
-    i_x = 0.5 * np.log2((bob[..., 0, 0] + 1.0) / (bob_cond[..., 0, 0] + 1.0))
-    i_p = 0.5 * np.log2((bob[..., 1, 1] + 1.0) / (bob_cond[..., 1, 1] + 1.0))
-    return i_x + i_p
+def _mutual_information(state: g.CovMatrix) -> np.ndarray:
+    """Heterodyne-heterodyne I_AB (bits/symbol), x term plus p term, of each state of a batch."""
+    gamma_ab = g.partial_trace(state, ["A", "B"])
+    bob, bob_cond = (
+        np.diagonal(s.mode_block("B"), axis1=-2, axis2=-1)
+        for s in (gamma_ab, g.heterodyne_condition(gamma_ab, "A"))
+    )
+    return (0.5 * np.log2((bob + 1.0) / (bob_cond + 1.0))).sum(axis=-1)
 
 
-def _holevo_bounds(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
-    """Holevo bounds (chi_DR, chi_RR) of each state of the scheme's batch.
-
-    Eve's entropy equals the trusted-mode entropy because the global state is
-    pure, so both bounds follow from the trusted covariance matrix alone.
-    """
-    gamma_t = g.partial_trace(scheme.state, scheme.trusted)
-    s_t = g.von_neumann_entropy(gamma_t)
-    chi_dr = s_t - g.von_neumann_entropy(g.heterodyne_condition(gamma_t, scheme.alice_mode))
-    chi_rr = s_t - g.von_neumann_entropy(g.heterodyne_condition(gamma_t, scheme.bob_mode))
+def _holevo_bounds(state: g.CovMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Holevo bounds S(E) - S(E|a) (DR) and S(E) - S(E|b) (RR) of each reduced state of a batch."""
+    s_e = g.von_neumann_entropy(g.partial_trace(state, EVE_MODES))
+    chi_dr, chi_rr = (
+        s_e - g.von_neumann_entropy(g.partial_trace(g.heterodyne_condition(state, x), EVE_MODES))
+        for x in ("A", "B")
+    )
     # tiny negative residues from the eigensolver are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
         raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
     return chi_dr, chi_rr
 
 
-def _stack(points: list[ProtocolParams]) -> SimpleNamespace:
-    """The points' fields as arrays, one entry per point: a batch for `build_scheme`."""
-    return SimpleNamespace(
+def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
+    """Reports for distinct points, from one batched reduced state."""
+    batch = SimpleNamespace(
         **{f.name: np.array([getattr(q, f.name) for q in points]) for f in fields(ProtocolParams)}
     )
-
-
-def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
-    """Reports for distinct points of one scheme structure, from one batched scheme."""
-    scheme = build_scheme(_stack(points))
-    i_abs = _mutual_information(scheme).tolist()
-    chis_dr, chis_rr = (chi.tolist() for chi in _holevo_bounds(scheme))
-    reports = []
-    for q, i_ab, chi_dr, chi_rr in zip(points, i_abs, chis_dr, chis_rr):
-        chi_dr, chi_rr = max(chi_dr, 0.0), max(chi_rr, 0.0)
-        delta = finite_size_penalty(q.block_size)
-        r_dr = q.beta * i_ab - chi_dr - delta
-        r_rr = q.beta * i_ab - chi_rr - delta
-        reports.append(
-            KeyRateReport(
-                i_ab=i_ab,
-                chi_dr=chi_dr,
-                chi_rr=chi_rr,
-                r_dr=r_dr,
-                r_rr=r_rr,
-                r_dr_clamped=max(r_dr, 0.0),
-                r_rr_clamped=max(r_rr, 0.0),
-                finite_size_penalty=delta,
-            )
-        )
-    return reports
+    state = reduced_state(batch)
+    i_ab = _mutual_information(state)
+    chi_dr, chi_rr = (np.maximum(chi, 0.0) for chi in _holevo_bounds(state))
+    delta = np.array([finite_size_penalty(q.block_size) for q in points])
+    r_dr, r_rr = (batch.beta * i_ab - chi - delta for chi in (chi_dr, chi_rr))
+    clamped = (np.maximum(r, 0.0) for r in (r_dr, r_rr))
+    columns = (i_ab, chi_dr, chi_rr, r_dr, r_rr, *clamped, delta)
+    return [KeyRateReport(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def key_rates(points) -> list[KeyRateReport]:
     """Secret key fractions for both reconciliation directions at many points, in order.
 
-    Each distinct point is evaluated once.  Points are grouped by scheme
-    structure (which optional modes exist) and each group is one batched pass
-    through `build_scheme`, I_AB and chi.  A point that fails alone fails
-    the call with the same error.
+    Each distinct point is evaluated once, all in one batched pass through
+    `reduced_state`.  A point that fails alone fails the call with the same error.
     """
     points = list(points)
-    groups: dict[tuple[bool, ...], list[ProtocolParams]] = {}
-    for q in dict.fromkeys(points):
-        groups.setdefault(_structure(q), []).append(q)
-    reports = {}
-    for group in groups.values():
-        reports.update(zip(group, _evaluate(group)))
+    distinct = list(dict.fromkeys(points))
+    reports = dict(zip(distinct, _evaluate(distinct)))
     return [reports[q] for q in points]
 
 
 def key_rate(p: ProtocolParams) -> KeyRateReport:
     """Secret key fractions for both reconciliation directions."""
     return key_rates([p])[0]
-
-
-def mutual_information(p: ProtocolParams) -> float:
-    """Heterodyne-heterodyne mutual information (bits/symbol) from the scheme."""
-    return key_rate(p).i_ab
-
-
-def holevo_bounds(p: ProtocolParams) -> tuple[float, float]:
-    """Holevo bounds (chi_DR, chi_RR) in bits/symbol."""
-    report = key_rate(p)
-    return report.chi_dr, report.chi_rr
 
 
 def drive(search):

@@ -7,8 +7,8 @@ from modleak import security as sec
 def evaluated_points(monkeypatch):
     """Every ProtocolParams that security.key_rates evaluates during the test, in order.
 
-    key_rates evaluates each distinct point of a call once, in one batched
-    pass per scheme structure; this records the points of every such pass.
+    key_rates evaluates the distinct points of a call once each, in one
+    batched pass; this records the points of every such pass.
     """
     points = []
     real = sec._evaluate

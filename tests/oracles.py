@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately standalone scalar/FFT algebra: no imports
-from the package under test beyond the entropy helper being re-derived.
+Everything here is deliberately standalone scalar/FFT/high-precision
+algebra: no imports from the package under test.
 """
 
 import numpy as np
+from mpmath import mp
 
 SZ = np.diag([1.0, -1.0])
 
@@ -116,3 +117,98 @@ def mc_estimate(alice, bob, eve, v_m_known=None, assume_no_leakage=False, n_sub=
     )
     se = np.maximum(np.std(sub, axis=0, ddof=1) / np.sqrt(n_sub), 1e-12)
     return np.concatenate([full, se])
+
+
+def _mp_symplectic_entropy(gamma):
+    """Entropy (bits) of an mpmath covariance matrix from the eigenvalues +-i nu of Omega gamma."""
+    n = gamma.rows // 2
+    omega = mp.zeros(2 * n, 2 * n)
+    for i in range(n):
+        omega[2 * i, 2 * i + 1], omega[2 * i + 1, 2 * i] = 1, -1
+    ev = sorted(abs(mp.im(lam)) for lam in mp.eig(omega * gamma, left=False, right=False))
+    total = mp.mpf(0)
+    for nu in ev[::2]:
+        if nu > 1:
+            a, b = (nu + 1) / 2, (nu - 1) / 2
+            total += a * mp.log(a, 2) - b * mp.log(b, 2)
+    return total
+
+
+def _mp_sub(gamma, modes):
+    idx = [2 * m + q for m in modes for q in (0, 1)]
+    return mp.matrix([[gamma[i, j] for j in idx] for i in idx])
+
+
+def _mp_heterodyne(gamma, measured, kept):
+    """Schur complement gamma_K - C (gamma_M + 1)^-1 C^T of the kept modes."""
+    km = [2 * m + q for m in kept for q in (0, 1)]
+    mm = [2 * measured, 2 * measured + 1]
+    gk = mp.matrix([[gamma[i, j] for j in km] for i in km])
+    gm = mp.matrix([[gamma[i, j] for j in mm] for i in mm]) + mp.eye(2)
+    c = mp.matrix([[gamma[i, j] for j in mm] for i in km])
+    return gk - c * mp.inverse(gm) * c.T
+
+
+def reduced_model_rates(
+    v_m, k=0.0, eta_ch=1.0, eps_ch=0.0, eta_d=1.0, eps_d=0.0,
+    eps_p1=0.0, eps_p2=0.0, eps_l=0.0, dps=50,
+):
+    """(I_AB, chi_DR, chi_RR) of the five-mode model A, B, L, E1, E2 at `dps` digits.
+
+    The state is built by applying each element of the protocol to the full
+    (x, p) covariance matrix: EPR sources for A/B and E1/E2, trusted noise
+    added to B (eps_p1), to L (eps_l) and to B again (eps_p2) around the
+    leakage beamsplitter, the channel beamsplitter B/E1 and the detector
+    (attenuation eta_d plus noise eps_d on B).  chi = S(E) - S(E|x) with
+    E = (L, E1, E2).  Inputs are converted exactly from their floats.
+    """
+    with mp.workdps(dps):
+        v_m, k, eta_ch, eps_ch, eta_d, eps_d, eps_p1, eps_p2, eps_l = (
+            mp.mpf(x) for x in (v_m, k, eta_ch, eps_ch, eta_d, eps_d, eps_p1, eps_p2, eps_l)
+        )
+        a, b, l, e1, e2 = range(5)
+        gamma = mp.eye(10)
+
+        def epr(i, j, v):
+            c = mp.sqrt(v * v - 1)
+            for q, sign in ((0, 1), (1, -1)):
+                gamma[2 * i + q, 2 * i + q] = gamma[2 * j + q, 2 * j + q] = v
+                gamma[2 * i + q, 2 * j + q] = gamma[2 * j + q, 2 * i + q] = sign * c
+
+        def add_noise(i, eps):
+            for q in (0, 1):
+                gamma[2 * i + q, 2 * i + q] += eps
+
+        def apply(s):
+            return s * gamma * s.T
+
+        def beamsplitter(i, j, transmittance):
+            s = mp.eye(10)
+            t, r = mp.sqrt(transmittance), mp.sqrt(1 - transmittance)
+            for q in (0, 1):
+                s[2 * i + q, 2 * i + q] = s[2 * j + q, 2 * j + q] = t
+                s[2 * i + q, 2 * j + q], s[2 * j + q, 2 * i + q] = r, -r
+            return apply(s)
+
+        epr(a, b, 1 + (1 + k * k) * v_m)
+        epr(e1, e2, 1 + eps_ch / (1 - eta_ch) if eta_ch < 1 else mp.mpf(1))
+        add_noise(b, eps_p1)
+        add_noise(l, eps_l)
+        gamma = beamsplitter(b, l, 1 / (1 + k * k))
+        add_noise(b, eps_p2)
+        gamma = beamsplitter(b, e1, eta_ch)
+        detector = mp.eye(10)
+        detector[2 * b, 2 * b] = detector[2 * b + 1, 2 * b + 1] = mp.sqrt(eta_d)
+        gamma = apply(detector)
+        add_noise(b, 1 - eta_d + eps_d)
+
+        bob = _mp_sub(gamma, [b])
+        bob_cond = _mp_heterodyne(_mp_sub(gamma, [a, b]), 0, [1])
+        i_ab = sum(mp.log((bob[q, q] + 1) / (bob_cond[q, q] + 1), 2) / 2 for q in (0, 1))
+        eve = [l, e1, e2]
+        s_e = _mp_symplectic_entropy(_mp_sub(gamma, eve))
+        chi_dr, chi_rr = (
+            s_e - _mp_symplectic_entropy(_mp_heterodyne(_mp_sub(gamma, [x] + eve), 0, [1, 2, 3]))
+            for x in (a, b)
+        )
+        return float(i_ab), float(chi_dr), float(chi_rr)

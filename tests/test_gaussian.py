@@ -69,6 +69,7 @@ class TestConstructors:
             g.CovMatrix(("a",), np.diag([2.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_matrix_rejected(self, bad):
         one_mode = np.eye(2)
         one_mode[1, 1] = bad
@@ -279,8 +280,8 @@ class TestSpectraAndEntropy:
             states = [
                 scheme.state,
                 trusted,
-                g.heterodyne_condition(trusted, scheme.alice_mode),
-                g.heterodyne_condition(trusted, scheme.bob_mode),
+                g.heterodyne_condition(trusted, "A"),
+                g.heterodyne_condition(trusted, "B"),
             ]
             assert scheme.state.n_modes == 19
             for state in states:

@@ -194,6 +194,23 @@ class TestEndToEndConsistency:
         r2 = mc.end_to_end_consistency(POINT, 100_000, seed=21)
         assert r1 == r2
 
+    @pytest.mark.parametrize("k, measured", [(0.0, ["A", "B"]), (0.3, ["A", "B", "L"])])
+    def test_samples_the_reduced_state(self, monkeypatch, k, measured):
+        def refuse(p):
+            raise AssertionError("the closure must not build the purification")
+
+        draws = []
+        sample_moments = mc.sample_moments
+
+        def recorded(state, modes, n, seed):
+            draws.append((state.modes, modes))
+            return sample_moments(state, modes, n, seed)
+
+        monkeypatch.setattr(sec, "build_scheme", refuse)
+        monkeypatch.setattr(mc, "sample_moments", recorded)
+        mc.end_to_end_consistency(dataclasses.replace(POINT, k=k), 5_000, seed=3)
+        assert draws == [(sec.REDUCED_MODES, measured)]
+
     def test_evaluates_each_point_once(self, evaluated_points):
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
         # the true point, the estimated point and its four bumped copies

@@ -8,11 +8,47 @@ from modleak import gaussian as g
 from modleak import security as sec
 from modleak.errors import InvalidArgument, UnphysicalState
 
-from oracles import eq4_matrix, no_switching_rates
+from oracles import eq4_matrix, no_switching_rates, reduced_model_rates
 
 TABLE_POINT = sec.ProtocolParams(
     v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
 )
+MODEL_FIELDS = ("v_m", "k", "eta_ch", "eps_ch", "eta_d", "eps_d", "eps_p1", "eps_p2", "eps_l")
+
+
+def purification_rates(p: sec.ProtocolParams) -> tuple[float, float, float]:
+    """(I_AB, chi_DR, chi_RR) from the pure global state of `build_scheme`, the model of record.
+
+    chi comes from the trusted modes: the global state is pure, so Eve's
+    entropy equals theirs, before and after a heterodyne of A or B.
+    """
+    scheme = sec.build_scheme(p)
+    gamma_ab = g.partial_trace(scheme.state, ["A", "B"])
+    bob = gamma_ab.mode_block("B")
+    bob_cond = g.heterodyne_condition(gamma_ab, "A").mode_block("B")
+    i_ab = sum(0.5 * np.log2((bob[q, q] + 1.0) / (bob_cond[q, q] + 1.0)) for q in (0, 1))
+    trusted = g.partial_trace(scheme.state, scheme.trusted)
+    s_t = g.von_neumann_entropy(trusted)
+    chi_dr, chi_rr = (
+        s_t - g.von_neumann_entropy(g.heterodyne_condition(trusted, x)) for x in ("A", "B")
+    )
+    return float(i_ab), float(chi_dr), float(chi_rr)
+
+
+def structure(p: sec.ProtocolParams) -> tuple[bool, ...]:
+    """Which optional modes the purification of p has: P1, L, L noise, P2, channel, detector."""
+    return (
+        p.eps_p1 > 0.0,
+        p.k > 0.0 or p.eps_l > 0.0,
+        p.eps_l > 0.0,
+        p.eps_p2 > 0.0,
+        p.eta_ch < 1.0,
+        p.eta_d < 1.0,
+    )
+
+
+def has_trusted_noise(p: sec.ProtocolParams) -> bool:
+    return any(getattr(p, name) > 0.0 for name in ("eps_p1", "eps_p2", "eps_l", "eps_d"))
 
 
 class TestProtocolParams:
@@ -85,11 +121,11 @@ class TestBuildScheme:
 class TestMutualInformation:
     def test_vanishes_without_modulation(self):
         p = sec.ProtocolParams(v_m=1e-9, eta_ch=0.8, eps_ch=0.01)
-        assert sec.mutual_information(p) == pytest.approx(0.0, abs=1e-8)
+        assert sec.key_rate(p).i_ab == pytest.approx(0.0, abs=1e-8)
 
     def test_ideal_point_closed_form(self):
         p = sec.ProtocolParams(v_m=2.0)
-        assert sec.mutual_information(p) == pytest.approx(1.0, abs=1e-9)
+        assert sec.key_rate(p).i_ab == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_no_switching_closed_form(self):
         rng = np.random.default_rng(7)
@@ -99,13 +135,11 @@ class TestMutualInformation:
             eps = rng.uniform(0.0, 0.3)
             p = sec.ProtocolParams(v_m=vm, eta_ch=eta, eps_ch=eps)
             i_ref, _, _ = no_switching_rates(vm, eta, eps, p.beta)
-            assert sec.mutual_information(p) == pytest.approx(i_ref, abs=1e-9)
+            assert sec.key_rate(p).i_ab == pytest.approx(i_ref, abs=1e-9)
 
     def test_monotone_in_excess_noise(self):
         values = [
-            sec.mutual_information(
-                sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=eps)
-            )
+            sec.key_rate(sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=eps)).i_ab
             for eps in np.linspace(0.0, 0.5, 11)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -113,9 +147,9 @@ class TestMutualInformation:
 
 class TestHolevoBounds:
     def test_clean_point_gives_eve_nothing(self):
-        chi_dr, chi_rr = sec.holevo_bounds(sec.ProtocolParams(v_m=4.0))
-        assert chi_dr == pytest.approx(0.0, abs=1e-8)
-        assert chi_rr == pytest.approx(0.0, abs=1e-8)
+        rep = sec.key_rate(sec.ProtocolParams(v_m=4.0))
+        assert rep.chi_dr == pytest.approx(0.0, abs=1e-8)
+        assert rep.chi_rr == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_no_leakage_oracle(self):
         rng = np.random.default_rng(8)
@@ -130,12 +164,11 @@ class TestHolevoBounds:
             assert rep.r_rr == pytest.approx(r_rr_ref, abs=1e-8)
 
     def test_nondecreasing_in_leakage(self):
-        chis = [
-            sec.holevo_bounds(
-                sec.ProtocolParams(v_m=5.0, k=k, eta_ch=0.6, eps_ch=0.02)
-            )
+        reports = [
+            sec.key_rate(sec.ProtocolParams(v_m=5.0, k=k, eta_ch=0.6, eps_ch=0.02))
             for k in np.linspace(0.0, 1.0, 11)
         ]
+        chis = [(rep.chi_dr, rep.chi_rr) for rep in reports]
         for (dr_a, rr_a), (dr_b, rr_b) in zip(chis, chis[1:]):
             assert dr_b >= dr_a - 1e-9
             assert rr_b >= rr_a - 1e-9
@@ -218,7 +251,7 @@ def random_points(rng, n: int) -> list[sec.ProtocolParams]:
 class TestKeyRates:
     def test_batch_matches_single_points(self):
         points = random_points(np.random.default_rng(21), 200)
-        assert len({sec._structure(q) for q in points}) >= 32
+        assert len({structure(q) for q in points}) >= 32
         batched = sec.key_rates(points + points[:10])
         assert batched[200:] == batched[:10]
         for q, report in zip(points, batched):
@@ -226,16 +259,27 @@ class TestKeyRates:
             for name, value in vars(single).items():
                 assert getattr(report, name) == pytest.approx(value, rel=0.0, abs=1e-12)
 
-    def test_batched_scheme_matches_single_schemes(self):
-        points = [q for q in random_points(np.random.default_rng(22), 400)
-                  if sec._structure(q) == (True, True, True, True, True, True)][:5]
-        batched = sec.build_scheme(sec._stack(points))
-        assert batched.state.batch_shape == (len(points),)
-        for i, q in enumerate(points):
-            single = sec.build_scheme(q)
-            assert single.state.modes == batched.state.modes
-            assert single.trusted == batched.trusted
-            np.testing.assert_array_equal(single.state.data, batched.state.data[i])
+    def test_one_evaluation_on_five_modes(self, monkeypatch):
+        points = random_points(np.random.default_rng(22), 60)
+        assert len({structure(q) for q in points}) >= 16
+        evaluations, states = [], []
+        evaluate, reduced_state = sec._evaluate, sec.reduced_state
+
+        def recorded_evaluate(group):
+            evaluations.append(list(group))
+            return evaluate(group)
+
+        def recorded_state(p):
+            states.append(reduced_state(p))
+            return states[-1]
+
+        monkeypatch.setattr(sec, "_evaluate", recorded_evaluate)
+        monkeypatch.setattr(sec, "reduced_state", recorded_state)
+        sec.key_rates(points + points[:5])
+        assert evaluations == [points]
+        [state] = states
+        assert state.modes == ("A", "B", "L", "E1", "E2")
+        assert state.batch_shape == (len(points),)
 
     def test_empty_call(self):
         assert sec.key_rates([]) == []
@@ -248,6 +292,58 @@ class TestKeyRates:
         other = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.1, eps_l=0.2)
         with pytest.raises(UnphysicalState):
             sec.key_rates([same_structure, bad, other])
+
+
+class TestReducedState:
+    """The five-mode evaluator against the purification and a 50-digit oracle."""
+
+    POINTS = random_points(np.random.default_rng(24), 300)
+
+    def gaps(self):
+        """Per point: |report - purification| for (I_AB, chi_DR, chi_RR)."""
+        rows = []
+        for q, rep in zip(self.POINTS, sec.key_rates(self.POINTS)):
+            i_ab, chi_dr, chi_rr = purification_rates(q)
+            rows.append(
+                (
+                    abs(rep.i_ab - i_ab),
+                    abs(rep.chi_dr - max(chi_dr, 0.0)),
+                    abs(rep.chi_rr - max(chi_rr, 0.0)),
+                )
+            )
+        return np.array(rows)
+
+    def test_matches_purification(self):
+        gaps = self.gaps()
+        clean = np.array([not has_trusted_noise(q) for q in self.POINTS])
+        assert clean.sum() >= 10
+        assert gaps[:, 0].max() <= 1e-12
+        assert gaps[clean, 1:].max() <= 1e-11
+        assert gaps.max() <= 1e-9
+
+    def test_matches_high_precision_oracle_on_largest_gaps(self):
+        largest = np.argsort(self.gaps().max(axis=1))[-5:]
+        for i in largest:
+            q = self.POINTS[i]
+            rep = sec.key_rate(q)
+            i_ab, chi_dr, chi_rr = reduced_model_rates(*(getattr(q, f) for f in MODEL_FIELDS))
+            assert rep.i_ab == pytest.approx(i_ab, rel=0.0, abs=1e-12)
+            assert rep.chi_dr == pytest.approx(max(chi_dr, 0.0), rel=0.0, abs=1e-12)
+            assert rep.chi_rr == pytest.approx(max(chi_rr, 0.0), rel=0.0, abs=1e-12)
+
+    def test_is_the_reduced_purification(self):
+        p = dataclasses.replace(TABLE_POINT, eps_p1=0.1, eps_l=0.2, eps_p2=0.3)
+        scheme = sec.build_scheme(p)
+        reduced = g.partial_trace(scheme.state, sec.REDUCED_MODES)
+        np.testing.assert_allclose(sec.reduced_state(p).data, reduced.data, rtol=0.0, atol=1e-11)
+
+    def test_detector_near_unit_efficiency(self):
+        # the purification's detector pair has variance 1e4 here and fails the
+        # physicality check from rounding; the reduced state has no such pair
+        rep = sec.key_rate(sec.ProtocolParams(v_m=5.0, eta_d=0.99999, eps_d=0.1))
+        assert all(math.isfinite(v) for v in vars(rep).values())
+        with pytest.raises(UnphysicalState):
+            purification_rates(sec.ProtocolParams(v_m=5.0, eta_d=0.99999, eps_d=0.1))
 
 
 class TestLockstep:
@@ -422,10 +518,11 @@ class TestCouplingStability:
         rates = []
         for eta_p in (0.9985, 0.999, 0.9995):
             monkeypatch.setattr(sec, "ETA_P", eta_p)
-            rates.append(sec.key_rate(p))
-        for rep in rates[1:]:
-            assert rep.r_dr == pytest.approx(rates[0].r_dr, abs=1e-4)
-            assert rep.r_rr == pytest.approx(rates[0].r_rr, abs=1e-4)
+            i_ab, chi_dr, chi_rr = purification_rates(p)
+            rates.append((p.beta * i_ab - chi_dr, p.beta * i_ab - chi_rr))
+        for r_dr, r_rr in rates[1:]:
+            assert r_dr == pytest.approx(rates[0][0], abs=1e-4)
+            assert r_rr == pytest.approx(rates[0][1], abs=1e-4)
 
     @pytest.mark.parametrize("field", ["eps_l", "eps_p1", "eps_p2"])
     def test_small_noise_does_not_round_below_vacuum(self, field):
@@ -434,3 +531,4 @@ class TestCouplingStability:
             p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, **{field: float(eps)})
             rep = sec.key_rate(p)
             assert np.isfinite(rep.r_dr) and np.isfinite(rep.r_rr)
+            assert np.all(np.isfinite(purification_rates(p)))
