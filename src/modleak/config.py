@@ -10,7 +10,6 @@ physics parameters are unacceptable.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import yaml
 
 from .errors import InvalidArgument
 from .modulator import DEFAULT_K_FLOOR, rho_to_k
-from .security import ProtocolParams
+from .security import ProtocolParams, as_integer
 
 PROTOCOL_KEYS = {
     "V_M": "v_m",
@@ -102,20 +101,12 @@ class RunConfig:
             attr = PROTOCOL_KEYS[key]
             if key == "eta_Ch" and self._eta_ch_is_db():
                 value = 10.0 ** (-value / 10.0)
-            kwargs[attr] = _integer(key, value) if attr == "block_size" else float(value)
+            kwargs[attr] = float(value)
         return ProtocolParams(**kwargs)
 
     def _eta_ch_is_db(self) -> bool:
         v = self.protocol.get("eta_Ch")
         return isinstance(v, Sweep) and v.scale == "dB"
-
-
-def _integer(key: str, value) -> int:
-    """An integer field's value; integral floats such as 2000.0 are accepted."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():  # not NaN or inf
-            return int(value)
-    raise InvalidArgument(f"{key} must be a finite integer, got {value!r}")
 
 
 def _parse_scalar_or_sweep(key: str, value) -> float | Sweep:
@@ -132,7 +123,7 @@ def _parse_scalar_or_sweep(key: str, value) -> float | Sweep:
         return Sweep(
             start=float(value["start"]),
             stop=float(value["stop"]),
-            points=_integer(f"{key}.points", value["points"]),
+            points=as_integer(f"{key}.points", value["points"]),
             scale=scale,
         )
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -185,7 +176,7 @@ def parse_config(raw: dict) -> RunConfig:
     unknown = set(mc_raw) - MC_KEYS
     if unknown:
         raise InvalidArgument(f"unknown mc key(s) {sorted(unknown)}")
-    mc = {k: _integer(f"mc.{k}", v) for k, v in mc_raw.items()}
+    mc = {k: as_integer(f"mc.{k}", v) for k, v in mc_raw.items()}
 
     cfg = RunConfig(protocol=protocol, modulator=modulator, outputs=dict(outputs_raw), mc=mc)
     cfg.sweep_axis  # validates single-axis constraint eagerly

@@ -5,17 +5,16 @@ vacuum quadrature variance is 1.  A state of N modes is a 2N x 2N real
 symmetric matrix ordered as (x_1, p_1, ..., x_N, p_N), with modes addressed
 by opaque string labels.
 
-A state may stand for a batch of states with the same labels: its matrix
-then has a leading batch shape, (..., 2N, 2N), and the scalar parameters of
-an operation (variances, transmittances, gains) may be arrays that broadcast
-against it.  A single state is the batch of shape (); every operation has
-this one code path.
+The state builders (`vacuum`, `epr_source`, `tensor`, the two-mode ops and
+`loss_excess_channel`) take scalars and build one state from the labels they
+are given.  `CovMatrix`, `partial_trace`, `heterodyne_condition` and the
+entropies also take a batch of states with the same labels: a matrix with a
+leading batch shape, (..., 2N, 2N).  A single state is the batch of shape ().
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +23,6 @@ from .errors import InvalidArgument, MissingMode, NumericalError, UnphysicalStat
 
 SYMMETRY_RTOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-
-_fresh_mode_counter = itertools.count()
-
-
-def _fresh_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"m{next(_fresh_mode_counter)}" for _ in range(n))
 
 
 def _transpose(mat: np.ndarray) -> np.ndarray:
@@ -141,36 +134,26 @@ class CovMatrix:
 
 
 def _two_mode_matrix(diag, x_ab, p_ab, x_ba, p_ba) -> np.ndarray:
-    """4x4 matrices on (x_a, p_a, x_b, p_b) with `diag` on the diagonal and the
+    """4x4 matrix on (x_a, p_a, x_b, p_b) with `diag` on the diagonal and the
     given entries at (x_a, x_b), (p_a, p_b), (x_b, x_a) and (p_b, p_a)."""
-    diag = np.asarray(diag)
-    mat = np.zeros(diag.shape + (4, 4))
-    for i in range(4):
-        mat[..., i, i] = diag
-    mat[..., 0, 2], mat[..., 1, 3], mat[..., 2, 0], mat[..., 3, 1] = x_ab, p_ab, x_ba, p_ba
+    mat = diag * np.eye(4)
+    mat[0, 2], mat[1, 3], mat[2, 0], mat[3, 1] = x_ab, p_ab, x_ba, p_ba
     return mat
 
 
-def vacuum(n: int, labels: tuple[str, ...] | None = None) -> CovMatrix:
-    """n-mode vacuum state (identity covariance matrix)."""
-    if n < 1:
-        raise InvalidArgument("mode count must be at least 1")
-    if labels is None:
-        labels = _fresh_labels(n)
-    return CovMatrix(labels, np.eye(2 * n))
+def vacuum(labels: tuple[str, ...]) -> CovMatrix:
+    """Vacuum state (identity covariance matrix) of the labelled modes."""
+    return CovMatrix(labels, np.eye(2 * len(labels)))
 
 
-def epr_source(V, labels: tuple[str, str] | None = None) -> CovMatrix:
+def epr_source(V: float, labels: tuple[str, str]) -> CovMatrix:
     """Two-mode squeezed vacuum with quadrature variance V per mode.
 
     Cross correlations are sqrt(V^2 - 1) * sigma_z; the state is pure for
     any V >= 1 and reduces to two decoupled vacua at V = 1.
     """
-    V = np.asarray(V, dtype=float)
-    if not (V >= 1.0).all():
+    if not V >= 1.0:
         raise InvalidArgument(f"EPR variance must be >= 1 SNU, got {V}")
-    if labels is None:
-        labels = _fresh_labels(2)
     c = np.sqrt(V * V - 1.0)
     return CovMatrix(labels, _two_mode_matrix(V, c, -c, c, -c))
 
@@ -181,10 +164,9 @@ def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
     if overlap:
         raise InvalidArgument(f"mode labels collide: {overlap}")
     na, nb = 2 * a.n_modes, 2 * b.n_modes
-    shape = np.broadcast_shapes(a.batch_shape, b.batch_shape)
-    mat = np.zeros(shape + (na + nb, na + nb))
-    mat[..., :na, :na] = a.data
-    mat[..., na:, na:] = b.data
+    mat = np.zeros((na + nb, na + nb))
+    mat[:na, :na] = a.data
+    mat[na:, na:] = b.data
     return CovMatrix(a.modes + b.modes, mat)
 
 
@@ -198,75 +180,60 @@ def _embed_two_mode(state: CovMatrix, mode_a: str, mode_b: str, s4: np.ndarray) 
     if ia == ib:
         raise InvalidArgument("two-mode operation needs two distinct modes")
     idx = [2 * ia, 2 * ia + 1, 2 * ib, 2 * ib + 1]
-    shape = np.broadcast_shapes(state.batch_shape, s4.shape[:-2])
-    mat = np.empty(shape + state.data.shape[-2:])
-    mat[...] = state.data
+    mat = state.data.copy()
     mat[..., idx, :] = s4 @ mat[..., idx, :]
-    mat[..., :, idx] = mat[..., :, idx] @ _transpose(s4)
+    mat[..., :, idx] = mat[..., :, idx] @ s4.T
     return CovMatrix(state.modes, mat)
 
 
-def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T) -> CovMatrix:
+def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T: float) -> CovMatrix:
     """Mix two modes on a beamsplitter with transmittance T.
 
     Convention: a -> sqrt(T) a + sqrt(1-T) b, b -> -sqrt(1-T) a + sqrt(T) b.
     """
-    T = np.asarray(T, dtype=float)
-    if not ((0.0 <= T) & (T <= 1.0)).all():
+    if not 0.0 <= T <= 1.0:
         raise InvalidArgument(f"transmittance must lie in [0, 1], got {T}")
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
     return _embed_two_mode(state, mode_a, mode_b, _two_mode_matrix(t, r, r, -r, -r))
 
 
-def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain) -> CovMatrix:
+def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain: float) -> CovMatrix:
     """Phase-insensitive amplification of mode a against idler mode b.
 
     Convention: x_a -> sqrt(G) x_a + sqrt(G-1) x_b with the conjugate sign on
     the p quadratures, i.e. the two-mode squeezing symplectic
     [[sqrt(G) 1, sqrt(G-1) sigma_z], [sqrt(G-1) sigma_z, sqrt(G) 1]].
     """
-    gain = np.asarray(gain, dtype=float)
-    if not (gain >= 1.0).all():
+    if not gain >= 1.0:
         raise InvalidArgument(f"amplifier gain must be >= 1, got {gain}")
     c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
     return _embed_two_mode(state, mode_a, mode_b, _two_mode_matrix(c, s, -s, s, -s))
 
 
 def loss_excess_channel(
-    state: CovMatrix,
-    mode: str,
-    eta_ch,
-    eps_ch,
-    labels: tuple[str, str] | None = None,
+    state: CovMatrix, mode: str, eta_ch: float, eps_ch: float, labels: tuple[str, str]
 ) -> CovMatrix:
     """Untrusted lossy channel with excess noise referred to the output.
 
     Purification style: the mode is mixed at transmittance eta_ch with one
     arm of an EPR pair of variance 1 + eps_ch / (1 - eta_ch); both EPR modes
-    are appended (kept by Eve), so a globally pure input stays pure.  The
-    signal variance maps to eta_ch * V + (1 - eta_ch) + eps_ch.  eta_ch = 1
-    appends no modes, so a batch has it everywhere or nowhere.
+    are appended under `labels` (kept by Eve), so a globally pure input stays
+    pure.  The signal variance maps to eta_ch * V + (1 - eta_ch) + eps_ch.
+    eta_ch = 1 appends no modes.
     """
-    eta_ch, eps_ch = np.asarray(eta_ch, dtype=float), np.asarray(eps_ch, dtype=float)
-    if not ((0.0 < eta_ch) & (eta_ch <= 1.0)).all():
+    if not 0.0 < eta_ch <= 1.0:
         raise InvalidArgument(f"channel transmittance must lie in (0, 1], got {eta_ch}")
-    if not (eps_ch >= 0.0).all():
+    if not eps_ch >= 0.0:
         raise InvalidArgument(f"excess noise must be >= 0, got {eps_ch}")
     state.index(mode)
-    lossless = eta_ch == 1.0
-    if (lossless & (eps_ch > 0.0)).any():
-        raise InvalidArgument(
-            "eta_ch = 1 with eps_ch > 0 has no EPR purification; use eta_ch <= 0.999"
-        )
-    if lossless.all():
+    if eta_ch == 1.0:
+        if eps_ch > 0.0:
+            raise InvalidArgument(
+                "eta_ch = 1 with eps_ch > 0 has no EPR purification; use eta_ch <= 0.999"
+            )
         return state
-    if lossless.any():
-        raise InvalidArgument("a batch cannot mix eta_ch = 1 with eta_ch < 1")
-    if labels is None:
-        labels = _fresh_labels(2)
     v_e = 1.0 + eps_ch / (1.0 - eta_ch)
-    eve = epr_source(v_e, labels)
-    joined = tensor(state, eve)
+    joined = tensor(state, epr_source(v_e, labels))
     return beamsplitter(joined, mode, labels[0], eta_ch)
 
 

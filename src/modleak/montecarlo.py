@@ -5,13 +5,13 @@ state (`security.reduced_state`), re-derives the protocol parameters with
 moment estimators, and closes the loop by comparing the key rate at the
 estimated point against the true one.  Eve's record is the leakage-mode
 output, measured with perfect efficiency.
-The closure streams its draws into per-sub-batch sufficient statistics
-(`sample_moments`), so its memory does not grow with the sample count.
+The draws stream into per-sub-batch sufficient statistics (`sample_moments`),
+the only sampling path: no outcome array is kept, so memory does not grow
+with the sample count.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,35 +80,6 @@ class OutcomeMoments:
 
 
 @dataclass(frozen=True)
-class SampleBatch:
-    """Per-mode heterodyne outcomes: label -> (n, 2) array of (x, p) pairs."""
-
-    data: dict[str, np.ndarray]
-    n: int
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
-
-    def __post_init__(self):
-        for label, arr in self.data.items():
-            if arr.shape != (self.n, 2):
-                raise InvalidArgument(f"mode {label}: bad sample shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidArgument(f"mode {label}: non-finite samples")
-
-    def moments(self) -> OutcomeMoments:
-        """The batch's per-sub-batch sufficient statistics."""
-        modes = tuple(self.data)
-        sizes = _subbatch_sizes(self.n)
-        means, grams = [], []
-        for lo, hi in itertools.pairwise(np.cumsum([0, *sizes])):
-            rows = np.hstack([self.data[m][lo:hi] for m in modes])
-            mean = rows.sum(axis=0) / max(hi - lo, 1)
-            means.append(mean)
-            grams.append((rows - mean).T @ (rows - mean))
-        return OutcomeMoments(modes, tuple(sizes), np.array(means), np.array(grams))
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     """Moment estimates with batch-split standard errors."""
 
@@ -122,24 +93,6 @@ class EstimateReport:
     se_eps: float
     n: int
     clamped: bool = False
-
-
-def _outcome_stream(state: g.CovMatrix, measured_modes: list[str], n: int, seed: int):
-    """Measured mode labels, the Cholesky factor of their outcome covariance
-    (gamma + 1)/2, and the seeded generator that draws their outcomes.
-
-    The measured vacuum has unit variance in outcome units."""
-    if n < 1:
-        raise InvalidArgument("sample count must be >= 1")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    reduced = g.partial_trace(state, measured_modes)
-    outcome_cov = 0.5 * (reduced.data + np.eye(2 * reduced.n_modes))
-    try:
-        chol = np.linalg.cholesky(outcome_cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
-    return reduced.modes, chol, np.random.default_rng(seed)
 
 
 def _blocks(rng: np.random.Generator, sizes: list[int], width: int):
@@ -156,43 +109,41 @@ def _blocks(rng: np.random.Generator, sizes: list[int], width: int):
             yield i, rng.standard_normal(out=buf[: min(BLOCK_ROWS, size - start)])
 
 
-def sample(
-    state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
-) -> SampleBatch:
-    """Draw n i.i.d. heterodyne outcomes of the given modes.
-
-    Outcome covariance is (gamma + 1)/2: the measured vacuum has unit
-    variance in outcome units.  Deterministic for a fixed seed (PCG64).
-    """
-    modes, chol, rng = _outcome_stream(state, measured_modes, n, seed)
-    draws = rng.standard_normal((n, chol.shape[0])) @ chol.T
-    data = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(modes)}
-    return SampleBatch(data=data, n=n, seed=seed)
-
-
 def sample_moments(
     state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
 ) -> OutcomeMoments:
-    """The sufficient statistics of `sample(state, measured_modes, n, seed)`,
+    """Sufficient statistics of n i.i.d. heterodyne outcomes of the given modes,
     streamed: memory does not grow with n.
 
-    Draws the same stream block by block.  Per sub-batch it keeps the count
-    m, s = z.sum(0) and G = z.T @ z of the standard normals z, and maps them
-    into outcome units through the Cholesky factor C: mean C s/m and centred
-    Gram matrix C (G - s s^T/m) C^T.
+    Outcome covariance is (gamma + 1)/2: the measured vacuum has unit
+    variance in outcome units.  With C its Cholesky factor, the outcomes are
+    the rows of default_rng(seed).standard_normal((n, 2M)) @ C^T for M
+    measured modes (PCG64), drawn block by block.  Per sub-batch it keeps the
+    count m, s = z.sum(0) and G = z.T @ z of the standard normals z, and maps
+    them into outcome units: mean C s/m and centred Gram matrix
+    C (G - s s^T/m) C^T.
     """
-    modes, chol, rng = _outcome_stream(state, measured_modes, n, seed)
+    if n < 1:
+        raise InvalidArgument("sample count must be >= 1")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    reduced = g.partial_trace(state, measured_modes)
+    outcome_cov = 0.5 * (reduced.data + np.eye(2 * reduced.n_modes))
+    try:
+        chol = np.linalg.cholesky(outcome_cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
     width = chol.shape[0]
     counts = _subbatch_sizes(n)
     sums = np.zeros((N_SUBBATCHES, width))
     grams = np.zeros((N_SUBBATCHES, width, width))
     ones = np.ones(BLOCK_ROWS)  # ones @ z is z.sum(0) as one BLAS pass
-    for i, z in _blocks(rng, counts, width):
+    for i, z in _blocks(np.random.default_rng(seed), counts, width):
         sums[i] += ones[: len(z)] @ z
         grams[i] += z.T @ z
     z_mean = sums / np.maximum(counts, 1)[:, None]
     centred = grams - sums[:, :, None] * z_mean[:, None, :]
-    return OutcomeMoments(modes, tuple(counts), z_mean @ chol.T, chol @ centred @ chol.T)
+    return OutcomeMoments(reduced.modes, tuple(counts), z_mean @ chol.T, chol @ centred @ chol.T)
 
 
 def _moments(count: int, gram: np.ndarray, a: int, b: int, e: int | None):
@@ -210,18 +161,15 @@ def _moments(count: int, gram: np.ndarray, a: int, b: int, e: int | None):
 
 
 def _point_estimate(
-    count: int, gram: np.ndarray, a: int, b: int, e: int | None,
-    v_m_known: float | None, assume_no_leakage: bool,
+    count: int, gram: np.ndarray, a: int, b: int, e: int | None, blind_v_m: float | None
 ):
     """One moment-based estimate (v_m, k, eta, eps) from a centred Gram matrix."""
     v_a, v_b, c_ab, c_al = _moments(count, gram, a, b, e)
     s = max(v_a - 1.0, 1e-12)
     clamped = bool(v_a < 1.0)
 
-    if assume_no_leakage:
-        if v_m_known is None:
-            raise InvalidArgument("assume-no-leakage estimation needs the set V_M")
-        v_m = v_m_known
+    if blind_v_m is not None:
+        v_m = blind_v_m
         k = 0.0
         eta = c_ab**2 / (v_m * (2.0 + v_m))
     else:
@@ -230,7 +178,7 @@ def _point_estimate(
         else:
             w = min(c_al**2 / (s * (2.0 + s)), 0.999)
             k = np.sqrt(w / (1.0 - w))
-        v_m = v_m_known if v_m_known is not None else s / (1.0 + k * k)
+        v_m = s / (1.0 + k * k)
         eta = c_ab**2 / (v_m * (2.0 + s))
     eps = v_b - 1.0 - eta * v_m
     if eps < 0.0:
@@ -238,34 +186,26 @@ def _point_estimate(
     return v_m, k, eta, eps, clamped
 
 
-def estimate_params(
-    batch: SampleBatch | OutcomeMoments,
-    v_m_known: float | None = None,
-    assume_no_leakage: bool = False,
-    alice: str = "A",
-    bob: str = "B",
-    eve: str = "L",
-) -> EstimateReport:
-    """Re-estimate (V_M, k, eta_Ch, eps_Ch) from heterodyne outcomes: a
-    sample batch, or the sub-batch statistics `sample_moments` streams.
+def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> EstimateReport:
+    """Re-estimate (V_M, k, eta_Ch, eps_Ch) from the heterodyne statistics
+    of Alice's A, Bob's B and, if measured, Eve's L (`sample_moments`).
 
-    Standard errors come from the spread of the 10 sub-batch estimates.
-    The leakage estimate uses Eve's record when present; without it k = 0.
+    With `blind_v_m` None the estimate is leakage aware: k comes from L's
+    record, or is 0 without one.  A number gives the leakage-blind estimate
+    at that set V_M, with k = 0.  Standard errors come from the spread of the
+    10 sub-batch estimates.
     """
-    moments = batch.moments() if isinstance(batch, SampleBatch) else batch
     if moments.n < MIN_SAMPLES:
         raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {moments.n}")
     cols = (
-        moments.column(alice),
-        moments.column(bob),
-        moments.column(eve) if eve in moments.modes else None,
+        moments.column("A"),
+        moments.column("B"),
+        moments.column("L") if "L" in moments.modes else None,
     )
-    full = _point_estimate(
-        moments.n, moments.merged_gram(), *cols, v_m_known, assume_no_leakage
-    )
+    full = _point_estimate(moments.n, moments.merged_gram(), *cols, blind_v_m)
     sub = np.array(
         [
-            _point_estimate(m, gram, *cols, v_m_known, assume_no_leakage)[:4]
+            _point_estimate(m, gram, *cols, blind_v_m)[:4]
             for m, gram in zip(moments.counts, moments.grams)
         ]
     )
@@ -362,8 +302,7 @@ def end_to_end_consistency(
     measured = ["A", "B"] + (["L"] if p.k > 0.0 or p.eps_l > 0.0 else [])
     est = estimate_params(
         sample_moments(sec.reduced_state(p), measured, n, seed),
-        v_m_known=p.v_m if assume_no_leakage else None,
-        assume_no_leakage=assume_no_leakage,
+        blind_v_m=p.v_m if assume_no_leakage else None,
     )
     p_est = _estimated_params(p, est)
     bumped, skipped = _bumped_points(p_est, est)

@@ -11,6 +11,7 @@ side by side and `drive` sends each round's new points to `key_rates`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
@@ -49,6 +50,14 @@ BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
 
 
+def as_integer(key: str, value) -> int:
+    """An integer field's value; integral floats such as 2000.0 are accepted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():  # not NaN or inf
+            return int(value)
+    raise InvalidArgument(f"{key} must be a finite integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """All scalar model parameters of one protocol operating point (SNU)."""
@@ -82,6 +91,7 @@ class ProtocolParams:
                 raise InvalidArgument(f"{name} must be >= 0")
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidArgument(f"beta must lie in [0, 1], got {self.beta}")
+        object.__setattr__(self, "block_size", as_integer("block_size", self.block_size))
         if self.block_size < 0:
             raise InvalidArgument("block size must be >= 0 (0 = asymptotic)")
         if self.eta_ch == 1.0 and self.eps_ch > 0.0:
@@ -180,7 +190,7 @@ def build_scheme(p: ProtocolParams) -> Scheme:
         trusted += _noise_mode_labels("P1")
 
     if p.k > 0.0 or p.eps_l > 0.0:
-        state = g.tensor(state, g.vacuum(1, ("L",)))
+        state = g.tensor(state, g.vacuum(("L",)))
         if p.eps_l > 0.0:
             state = _couple_trusted_noise(state, "L", p.eps_l, "L")
             trusted += _noise_mode_labels("L")

@@ -74,6 +74,14 @@ def iq_output_lines(mu1, mu2, delta1, delta2, n=1 << 12):
     return spec[1], spec[-1], spec[0]
 
 
+def heterodyne_draws(gamma, n, seed):
+    """n raw heterodyne records of the modes of covariance matrix gamma, one
+    row of (x_1, p_1, ..., x_N, p_N) outcomes each: standard normals from
+    default_rng(seed) through the Cholesky factor of (gamma + 1)/2."""
+    chol = np.linalg.cholesky(0.5 * (gamma + np.eye(len(gamma))))
+    return np.random.default_rng(seed).standard_normal((n, len(gamma))) @ chol.T
+
+
 def mc_moments(alice, bob, eve):
     """Monte-Carlo second moments in SNU from raw (n, 2) heterodyne records:
     variances with ddof = 0 (np.var), covariances with ddof = 1 (np.cov)."""

@@ -23,6 +23,7 @@ from modleak.config import parse_config
 from oracles import eq4_matrix, iq_output_lines, no_switching_rates
 
 _BUILT_STATES: list[g.CovMatrix] = []
+_REDUCED_STATES: list[g.CovMatrix] = []
 
 
 @pytest.fixture
@@ -44,8 +45,12 @@ def report(capsys):
     return _report
 
 
-def _record(state: g.CovMatrix) -> g.CovMatrix:
+def _record(p: sec.ProtocolParams) -> g.CovMatrix:
+    """Build p's purification and the reduced state its rates come from, both
+    kept for criterion 8; returns the purification."""
+    state = sec.build_scheme(p).state
     _BUILT_STATES.append(state)
+    _REDUCED_STATES.append(sec.reduced_state(p))
     return state
 
 
@@ -59,7 +64,7 @@ def test_criterion_1_effective_two_mode_reduction(report):
         eta = rng.uniform(1e-6, 0.999)
         eps = rng.uniform(0.0, 0.5)
         p = sec.ProtocolParams(v_m=v_m, k=k, eta_ch=eta, eps_ch=eps)
-        state = _record(sec.build_scheme(p).state)
+        state = _record(p)
         ab = g.partial_trace(state, ["A", "B"]).data
         worst = max(worst, float(np.max(np.abs(ab - eq4_matrix(v_m, k, eta, eps)))))
     report(1, "effective two-mode covariance oracle", worst <= 1e-10, started, 5.0)
@@ -75,7 +80,7 @@ def test_criterion_2_no_leakage_closed_form(report):
         eps = rng.uniform(0.0, 0.4)
         beta = rng.uniform(0.8, 1.0)
         p = sec.ProtocolParams(v_m=v_m, k=0.0, eta_ch=eta, eps_ch=eps, beta=beta)
-        _record(sec.build_scheme(p).state)
+        _record(p)
         rep = sec.key_rate(p)
         i_ref, r_dr_ref, r_rr_ref = no_switching_rates(v_m, eta, eps, beta)
         worst = max(
@@ -96,7 +101,7 @@ def test_criterion_3_direct_reconciliation_collapse_at_full_leakage(report):
                 v_m=1.0, k=1.0, eta_ch=float(eta), eps_ch=eps, beta=0.96
             )
             opt = sec.optimize_vm(p, "dr")
-            _record(sec.build_scheme(dataclasses.replace(p, v_m=opt.v_m)).state)
+            _record(dataclasses.replace(p, v_m=opt.v_m))
             ok = ok and opt.rate <= 0.0
     report(3, "direct reconciliation dead at k=1 over the loss grid", ok, started, 60.0)
 
@@ -156,7 +161,7 @@ def test_criterion_5_trusted_noise_viability_matrix(report):
     p = sec.ProtocolParams(
         v_m=5.0, k=0.3, eta_ch=0.15, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
     )
-    _record(sec.build_scheme(p).state)
+    _record(p)
     expected = {
         ("P1", "dr"): "check",
         ("P1", "rr"): "cross",
@@ -191,7 +196,7 @@ def test_criterion_6_ignorance_margins_nonnegative_over_rho_sweep(report):
     rows = cli.sweep_rows(cfg, with_eta_max=True)
     ok = len(rows) == 21
     for row in rows:
-        _record(sec.build_scheme(cfg.params_at(row["sweep_var"])).state)
+        _record(cfg.params_at(row["sweep_var"]))
         for col in ("dR_DR", "dR_RR", "d_eta_DR_dB", "d_eta_RR_dB"):
             ok = ok and row[col] >= -1e-9
     report(6, "leakage penalties and loss margins never negative", ok, started, 300.0)
@@ -200,7 +205,7 @@ def test_criterion_6_ignorance_margins_nonnegative_over_rho_sweep(report):
 def test_criterion_7_monte_carlo_closure_and_misuse(report, tmp_path):
     started = time.monotonic()
     p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.6, eps_ch=0.02, beta=0.96)
-    _record(sec.build_scheme(p).state)
+    _record(p)
     rep = mc.end_to_end_consistency(p, 1_000_000, seed=42)
     est = rep.estimate
     ok = rep.verdict == "consistent"
@@ -236,14 +241,17 @@ def test_criterion_7_monte_carlo_closure_and_misuse(report, tmp_path):
 
 def test_criterion_8_physicality_of_every_constructed_state(report):
     started = time.monotonic()
-    ok = len(_BUILT_STATES) > 0
-    for state in _BUILT_STATES:
+    ok = len(_BUILT_STATES) > 0 and len(_REDUCED_STATES) == len(_BUILT_STATES)
+    for state in _BUILT_STATES + _REDUCED_STATES:
         nus = g.symplectic_eigenvalues(state)
         ok = ok and nus[-1] >= 1.0 - 1e-9
+    # the purifications are pure; their reductions need not be
+    for state in _BUILT_STATES:
         ok = ok and g.von_neumann_entropy(state) < 1e-6
     report(
         8,
-        f"physicality and purity of {len(_BUILT_STATES)} constructed states",
+        f"physicality of {len(_BUILT_STATES)} purifications and their reduced states,"
+        " purity of the purifications",
         ok,
         started,
         120.0,

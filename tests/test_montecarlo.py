@@ -3,44 +3,42 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import mc_estimate
+from oracles import heterodyne_draws, mc_estimate
 
 from modleak import gaussian as g
 from modleak import montecarlo as mc
 from modleak import security as sec
-from modleak.errors import InvalidArgument
+from modleak.errors import InvalidArgument, MissingMode
 
 POINT = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.6, eps_ch=0.02)
 
 
 class TestSample:
     def test_vacuum_outcome_variance(self):
-        batch = mc.sample(g.vacuum(1, ("a",)), ["a"], 1_000_000, seed=1)
-        var = np.var(batch.data["a"], axis=0)
+        moments = mc.sample_moments(g.vacuum(("a",)), ["a"], 1_000_000, seed=1)
+        var = np.diagonal(moments.merged_gram()) / moments.n
         assert np.allclose(var, 1.0, atol=0.005)
 
     def test_same_seed_is_bit_for_bit(self):
         state = g.epr_source(4.0, ("a", "b"))
-        b1 = mc.sample(state, ["a", "b"], 5_000, seed=99)
-        b2 = mc.sample(state, ["a", "b"], 5_000, seed=99)
-        assert np.array_equal(b1.data["a"], b2.data["a"])
-        assert np.array_equal(b1.data["b"], b2.data["b"])
+        m1 = mc.sample_moments(state, ["a", "b"], 5_000, seed=99)
+        m2 = mc.sample_moments(state, ["a", "b"], 5_000, seed=99)
+        assert np.array_equal(m1.means, m2.means)
+        assert np.array_equal(m1.grams, m2.grams)
 
     def test_different_seed_differs(self):
-        state = g.vacuum(1, ("a",))
-        b1 = mc.sample(state, ["a"], 2_000, seed=1)
-        b2 = mc.sample(state, ["a"], 2_000, seed=2)
-        assert not np.array_equal(b1.data["a"], b2.data["a"])
+        state = g.vacuum(("a",))
+        m1 = mc.sample_moments(state, ["a"], 2_000, seed=1)
+        m2 = mc.sample_moments(state, ["a"], 2_000, seed=2)
+        assert not np.array_equal(m1.grams, m2.grams)
 
     def test_epr_cross_correlation(self):
         v, n = 6.0, 200_000
         state = g.epr_source(v, ("a", "b"))
-        batch = mc.sample(state, ["a", "b"], n, seed=3)
-        a, b = batch.data["a"], batch.data["b"]
+        gram = mc.sample_moments(state, ["a", "b"], n, seed=3).merged_gram()
         # heterodyne outcome cross-covariance is half the matrix entry
         target = 0.5 * np.sqrt(v * v - 1.0)
-        c_xx = np.cov(a[:, 0], b[:, 0])[0, 1]
-        c_pp = np.cov(a[:, 1], b[:, 1])[0, 1]
+        c_xx, c_pp = gram[0, 2] / (n - 1), gram[1, 3] / (n - 1)
         se = np.sqrt(2.0) * 0.5 * (v + 1.0) / np.sqrt(n)
         assert abs(c_xx - target) < 5.0 * se
         assert abs(c_pp + target) < 5.0 * se
@@ -49,28 +47,25 @@ class TestSample:
         # sample variance error should shrink roughly like 1/sqrt(n)
         errs = []
         for n in (10_000, 100_000, 1_000_000):
-            batch = mc.sample(g.vacuum(1, ("a",)), ["a"], n, seed=17)
-            errs.append(abs(np.var(batch.data["a"][:, 0]) - 1.0))
+            moments = mc.sample_moments(g.vacuum(("a",)), ["a"], n, seed=17)
+            errs.append(abs(moments.merged_gram()[0, 0] / n - 1.0))
         assert errs[2] < errs[0]
         assert errs[2] < 5.0 / np.sqrt(1_000_000)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(InvalidArgument):
-            mc.sample(g.vacuum(1, ("a",)), ["a"], 0, seed=0)
-        with pytest.raises(InvalidArgument):
-            mc.sample_moments(g.vacuum(1, ("a",)), ["a"], 0, seed=0)
+            mc.sample_moments(g.vacuum(("a",)), ["a"], 0, seed=0)
 
-    @pytest.mark.parametrize("draw", [mc.sample, mc.sample_moments])
-    def test_rejects_negative_seed(self, draw):
+    def test_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed"):
-            draw(g.vacuum(1, ("a",)), ["a"], 2_000, seed=-3)
+            mc.sample_moments(g.vacuum(("a",)), ["a"], 2_000, seed=-3)
 
 
 class TestEstimateParams:
     def _batch(self, p, n, seed):
         scheme = sec.build_scheme(p)
         measured = ["A", "B"] + (["L"] if "L" in scheme.state.modes else [])
-        return mc.sample(scheme.state, measured, n, seed)
+        return mc.sample_moments(scheme.state, measured, n, seed)
 
     def test_recovers_parameters_within_errors(self):
         est = mc.estimate_params(self._batch(POINT, 1_000_000, seed=42))
@@ -100,10 +95,10 @@ class TestEstimateParams:
         with pytest.raises(InvalidArgument):
             mc.estimate_params(batch)
 
-    def test_assume_no_leakage_requires_known_modulation(self):
-        batch = self._batch(POINT, 2_000, seed=1)
-        with pytest.raises(InvalidArgument):
-            mc.estimate_params(batch, assume_no_leakage=True)
+    def test_missing_bob_record(self):
+        moments = mc.sample_moments(sec.reduced_state(POINT), ["A", "L"], 2_000, seed=1)
+        with pytest.raises(MissingMode, match="B"):
+            mc.estimate_params(moments)
 
 
 class TestStreamedMoments:
@@ -116,17 +111,16 @@ class TestStreamedMoments:
     @pytest.mark.parametrize("blind", [False, True])
     def test_estimates_match_oracle_on_the_same_draws(self, n, measured, blind):
         state = sec.build_scheme(POINT).state
-        batch = mc.sample(state, list(measured), n, seed=n)
-        kwargs = {"v_m_known": POINT.v_m, "assume_no_leakage": True} if blind else {}
-        expected = mc_estimate(
-            batch.data["A"], batch.data["B"], batch.data.get("L"),
-            kwargs.get("v_m_known"), blind,
+        draws = heterodyne_draws(g.partial_trace(state, list(measured)).data, n, seed=n)
+        records = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(measured)}
+        blind_v_m = POINT.v_m if blind else None
+        expected = mc_estimate(records["A"], records["B"], records.get("L"), blind_v_m, blind)
+        est = mc.estimate_params(
+            mc.sample_moments(state, list(measured), n, seed=n), blind_v_m=blind_v_m
         )
-        for source in (mc.sample_moments(state, list(measured), n, seed=n), batch):
-            est = mc.estimate_params(source, **kwargs)
-            got = [getattr(est, f) for f in self.ESTIMATE_FIELDS]
-            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
-            assert est.n == n
+        got = [getattr(est, f) for f in self.ESTIMATE_FIELDS]
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        assert est.n == n
 
     @pytest.mark.parametrize("n, block_rows", [(1_000_003, mc.BLOCK_ROWS), (20_003, 1_000)])
     def test_blocks_are_one_draw(self, monkeypatch, n, block_rows):
@@ -141,11 +135,11 @@ class TestStreamedMoments:
 
     def test_moments_of_short_batches(self):
         # fewer samples than sub-batches leaves empty sub-batches with zero moments
-        moments = mc.sample_moments(g.vacuum(1, ("a",)), ["a"], 3, seed=1)
+        moments = mc.sample_moments(g.vacuum(("A", "B")), ["A", "B"], 3, seed=1)
         assert moments.counts == (1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
         assert np.all(np.isfinite(moments.grams)) and np.all(moments.grams[3:] == 0.0)
         with pytest.raises(InvalidArgument, match="at least"):
-            mc.estimate_params(moments, alice="a", bob="a")
+            mc.estimate_params(moments)
 
     def test_non_finite_statistics_rejected(self):
         moments = mc.sample_moments(g.epr_source(4.0, ("a", "b")), ["a", "b"], 2_000, seed=1)

@@ -72,6 +72,15 @@ class TestProtocolParams:
             with pytest.raises(InvalidArgument):
                 sec.ProtocolParams(**fields)
 
+    @pytest.mark.parametrize("block_size", [math.nan, math.inf, 2.5])
+    def test_rejects_block_size_that_is_not_a_finite_integer(self, block_size):
+        with pytest.raises(InvalidArgument, match="block_size must be a finite integer"):
+            sec.ProtocolParams(v_m=5.0, block_size=block_size)
+
+    def test_integral_block_size_is_stored_as_an_integer(self):
+        p = sec.ProtocolParams(v_m=5.0, block_size=1e7)
+        assert p.block_size == 10**7 and isinstance(p.block_size, int)
+
     def test_rejects_channel_noise_without_loss(self):
         with pytest.raises(InvalidArgument):
             sec.ProtocolParams(v_m=5.0, eta_ch=1.0, eps_ch=0.1)
