@@ -52,6 +52,8 @@ BRENT_MAXITER = 100
 
 def as_integer(key: str, value) -> int:
     """An integer field's value; integral floats such as 2000.0 are accepted."""
+    if type(value) is int:  # the common case, without the slower ABC checks
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():  # not NaN or inf
             return int(value)
