@@ -36,7 +36,7 @@ MODULATOR_KEYS = {"rho", "k_floor", "rho_convention"}
 OUTPUTS_KEYS = {"path", "format"}
 MC_KEYS = {"n", "seed"}
 SWEEP_KEYS = {"start", "stop", "points", "scale"}
-SCALES = {"linear", "dB", "log"}
+SCALES = ("linear", "dB", "log")
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,8 @@ class RunConfig:
                 raise InvalidArgument(f"unexpected sweep in field {key}")
             attr = PROTOCOL_KEYS[key]
             if key == "eta_Ch" and self._eta_ch_is_db():
+                if value < 0.0:
+                    raise InvalidArgument(f"channel loss must be >= 0 dB, got {value}")
                 value = 10.0 ** (-value / 10.0)
             kwargs[attr] = float(value)
         return ProtocolParams(**kwargs)
@@ -109,11 +111,22 @@ class RunConfig:
         return isinstance(v, Sweep) and v.scale == "dB"
 
 
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidArgument(f"field {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidArgument(f"field {key!r} is out of range: {value}") from None
+
+
 def _parse_scalar_or_sweep(key: str, value) -> float | Sweep:
     if isinstance(value, dict):
         unknown = set(value) - SWEEP_KEYS
         if unknown:
-            raise InvalidArgument(f"unknown sweep key(s) {sorted(unknown)} under {key!r}")
+            raise InvalidArgument(
+                f"unknown sweep key(s) {sorted(unknown, key=str)} under {key!r}"
+            )
         missing = {"start", "stop", "points"} - set(value)
         if missing:
             raise InvalidArgument(f"sweep under {key!r} lacks {sorted(missing)}")
@@ -121,14 +134,25 @@ def _parse_scalar_or_sweep(key: str, value) -> float | Sweep:
         if scale not in SCALES:
             raise InvalidArgument(f"unknown sweep scale {scale!r} under {key!r}")
         return Sweep(
-            start=float(value["start"]),
-            stop=float(value["stop"]),
+            start=_number(f"{key}.start", value["start"]),
+            stop=_number(f"{key}.stop", value["stop"]),
             points=as_integer(f"{key}.points", value["points"]),
             scale=scale,
         )
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidArgument(f"field {key!r} must be a number or a sweep block")
-    return float(value)
+    return _number(key, value)
+
+
+def _block(raw: dict, name: str, keys) -> dict:
+    """The named block of a config, {} when absent or null: a mapping of known keys."""
+    block = raw.get(name)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise InvalidArgument(f"{name!r} block must be a mapping, got {block!r}")
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise InvalidArgument(f"unknown {name} key(s) {sorted(unknown, key=str)}")
+    return block
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -136,27 +160,20 @@ def parse_config(raw: dict) -> RunConfig:
         raise InvalidArgument("config root must be a mapping")
     unknown = set(raw) - {"protocol", "modulator", "outputs", "mc"}
     if unknown:
-        raise InvalidArgument(f"unknown top-level key(s) {sorted(unknown)}")
+        raise InvalidArgument(f"unknown top-level key(s) {sorted(unknown, key=str)}")
     if "protocol" not in raw:
         raise InvalidArgument("config lacks the required 'protocol' block")
 
-    protocol_raw = raw["protocol"] or {}
-    unknown = set(protocol_raw) - set(PROTOCOL_KEYS)
-    if unknown:
-        raise InvalidArgument(f"unknown protocol key(s) {sorted(unknown)}")
+    protocol_raw = _block(raw, "protocol", PROTOCOL_KEYS)
     if "V_M" not in protocol_raw:
         raise InvalidArgument("protocol block lacks the required key 'V_M'")
     protocol = {k: _parse_scalar_or_sweep(k, v) for k, v in protocol_raw.items()}
 
-    modulator_raw = raw.get("modulator") or {}
-    unknown = set(modulator_raw) - MODULATOR_KEYS
-    if unknown:
-        raise InvalidArgument(f"unknown modulator key(s) {sorted(unknown)}")
-    modulator = dict(modulator_raw)
+    modulator = dict(_block(raw, "modulator", MODULATOR_KEYS))
     if "rho" in modulator:
         modulator["rho"] = _parse_scalar_or_sweep("rho", modulator["rho"])
     if "k_floor" in modulator:
-        modulator["k_floor"] = float(modulator["k_floor"])
+        modulator["k_floor"] = _number("k_floor", modulator["k_floor"])
     if "rho_convention" in modulator and modulator["rho_convention"] not in (
         "amplitude10",
         "amplitude20",
@@ -165,20 +182,15 @@ def parse_config(raw: dict) -> RunConfig:
             f"unknown rho_convention {modulator['rho_convention']!r}"
         )
 
-    outputs_raw = raw.get("outputs") or {}
-    unknown = set(outputs_raw) - OUTPUTS_KEYS
-    if unknown:
-        raise InvalidArgument(f"unknown outputs key(s) {sorted(unknown)}")
-    if outputs_raw.get("format") not in (None, "csv", "json"):
-        raise InvalidArgument(f"unknown output format {outputs_raw['format']!r}")
+    outputs = dict(_block(raw, "outputs", OUTPUTS_KEYS))
+    if outputs.get("format") not in (None, "csv", "json"):
+        raise InvalidArgument(f"unknown output format {outputs['format']!r}")
+    if "path" in outputs and not isinstance(outputs["path"], str):
+        raise InvalidArgument(f"outputs.path must be a string, got {outputs['path']!r}")
 
-    mc_raw = raw.get("mc") or {}
-    unknown = set(mc_raw) - MC_KEYS
-    if unknown:
-        raise InvalidArgument(f"unknown mc key(s) {sorted(unknown)}")
-    mc = {k: as_integer(f"mc.{k}", v) for k, v in mc_raw.items()}
+    mc = {k: as_integer(f"mc.{k}", v) for k, v in _block(raw, "mc", MC_KEYS).items()}
 
-    cfg = RunConfig(protocol=protocol, modulator=modulator, outputs=dict(outputs_raw), mc=mc)
+    cfg = RunConfig(protocol=protocol, modulator=modulator, outputs=outputs, mc=mc)
     cfg.sweep_axis  # validates single-axis constraint eagerly
     return cfg
 

@@ -296,9 +296,5 @@ def entropy_g(nu):
 
 
 def von_neumann_entropy(state: CovMatrix) -> float | np.ndarray:
-    """Total entropy in bits of each state of the batch, summed over its spectrum.
-
-    The terms are added one mode at a time in spectrum order (the last
-    partial sum of a cumulative sum), as a plain sum over the spectrum would.
-    """
-    return np.cumsum(entropy_g(state.spectrum), axis=-1)[..., -1][()]
+    """Total entropy in bits of each state of the batch, summed over its spectrum."""
+    return entropy_g(state.spectrum).sum(axis=-1)[()]

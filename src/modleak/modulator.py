@@ -96,12 +96,12 @@ def rho_to_k(
     """
     if not 0.0 <= k_floor < 1.0:
         raise InvalidArgument(f"k_floor must lie in [0, 1), got {k_floor}")
-    if rho_convention == "amplitude10":
-        r = 10.0 ** (rho_db / 10.0)
-    elif rho_convention == "amplitude20":
-        r = 10.0 ** (rho_db / 20.0)
-    else:
+    if rho_convention not in ("amplitude10", "amplitude20"):
         raise InvalidArgument(f"unknown rho convention {rho_convention!r}")
+    try:
+        r = 10.0 ** (rho_db / (10.0 if rho_convention == "amplitude10" else 20.0))
+    except OverflowError:
+        raise InvalidArgument(f"rho = {rho_db} dB is out of range") from None
     k_ideal = abs(1.0 - r) / (1.0 + r)
     return max(k_ideal, k_floor)
 

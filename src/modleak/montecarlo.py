@@ -36,28 +36,27 @@ def _subbatch_sizes(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class OutcomeMoments:
-    """Sufficient statistics of heterodyne outcomes, one set per sub-batch.
+    """Sufficient statistics of n heterodyne outcomes: the whole batch and
+    its N_SUBBATCHES consecutive sub-batches.
 
-    Columns are the (x, p) outcomes of each mode in `modes`.  Sub-batch i
-    holds `counts[i]` outcomes with mean `means[i]` and centred Gram matrix
-    `grams[i]`, the sum of (r - mean)(r - mean)^T over its outcomes r.
+    Columns are the (x, p) outcomes of each mode in `modes`.  `gram` is the
+    centred Gram matrix of all n outcomes, the sum of (r - mean)(r - mean)^T
+    over them; sub-batch i holds `counts[i]` outcomes with centred Gram
+    matrix `grams[i]`, centred on its own mean.
     """
 
     modes: tuple[str, ...]
+    n: int
+    gram: np.ndarray
     counts: tuple[int, ...]
-    means: np.ndarray
     grams: np.ndarray
 
     def __post_init__(self):
         # a non-finite outcome makes its column's centred square sum non-finite
-        diag = np.diagonal(self.grams, axis1=-2, axis2=-1)
+        diag = np.diagonal(np.concatenate([self.gram[None], self.grams]), axis1=-2, axis2=-1)
         for i, label in enumerate(self.modes):
             if not np.all(np.isfinite(diag[:, 2 * i : 2 * i + 2])):
                 raise InvalidArgument(f"mode {label}: non-finite samples")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
 
     def column(self, mode: str) -> int:
         """Column of the mode's x outcome; its p outcome is the next one."""
@@ -65,18 +64,6 @@ class OutcomeMoments:
             return 2 * self.modes.index(mode)
         except ValueError:
             raise MissingMode(mode) from None
-
-    def merged_gram(self) -> np.ndarray:
-        """Centred Gram matrix of the whole batch, merged from the sub-batches
-        with the pairwise update of Chan, Golub & LeVeque (1979)."""
-        count, mean, gram = 0, np.zeros_like(self.means[0]), np.zeros_like(self.grams[0])
-        for m, sub_mean, sub_gram in zip(self.counts, self.means, self.grams):
-            total = count + m
-            delta = sub_mean - mean
-            mean = mean + delta * (m / total)
-            gram = gram + sub_gram + np.outer(delta, delta) * (count * m / total)
-            count = total
-        return gram
 
 
 @dataclass(frozen=True)
@@ -119,9 +106,9 @@ def sample_moments(
     variance in outcome units.  With C its Cholesky factor, the outcomes are
     the rows of default_rng(seed).standard_normal((n, 2M)) @ C^T for M
     measured modes (PCG64), drawn block by block.  Per sub-batch it keeps the
-    count m, s = z.sum(0) and G = z.T @ z of the standard normals z, and maps
-    them into outcome units: mean C s/m and centred Gram matrix
-    C (G - s s^T/m) C^T.
+    count m, s = z.sum(0) and G = z.T @ z of the standard normals z; their
+    sums over the sub-batches give the whole batch's.  Each is mapped into
+    outcome units as the centred Gram matrix C (G - s s^T/m) C^T.
     """
     if n < 1:
         raise InvalidArgument("sample count must be >= 1")
@@ -141,49 +128,46 @@ def sample_moments(
     for i, z in _blocks(np.random.default_rng(seed), counts, width):
         sums[i] += ones[: len(z)] @ z
         grams[i] += z.T @ z
-    z_mean = sums / np.maximum(counts, 1)[:, None]
-    centred = grams - sums[:, :, None] * z_mean[:, None, :]
-    return OutcomeMoments(reduced.modes, tuple(counts), z_mean @ chol.T, chol @ centred @ chol.T)
+    # the whole batch first, then its sub-batches
+    sizes = np.array([n, *counts])
+    sums = np.concatenate([sums.sum(axis=0, keepdims=True), sums])
+    grams = np.concatenate([grams.sum(axis=0, keepdims=True), grams])
+    z_mean = sums / np.maximum(sizes, 1)[:, None]
+    centred = chol @ (grams - sums[:, :, None] * z_mean[:, None, :]) @ chol.T
+    return OutcomeMoments(reduced.modes, n, centred[0], tuple(counts), centred[1:])
 
 
-def _moments(count: int, gram: np.ndarray, a: int, b: int, e: int | None):
-    """Second moments in SNU (outcome covariances doubled back to gamma units)
-    of `count` outcomes with centred Gram matrix `gram`.  Variances divide by
-    count (ddof = 0, as np.var), covariances by count - 1 (ddof = 1, as np.cov);
-    a, b and e are the x columns of Alice, Bob and Eve (None: no record)."""
-    v_a = 2.0 * 0.5 * (gram[a, a] / count + gram[a + 1, a + 1] / count) - 1.0
-    v_b = 2.0 * 0.5 * (gram[b, b] / count + gram[b + 1, b + 1] / count) - 1.0
-    c_ab = gram[a, b] / (count - 1) - gram[a + 1, b + 1] / (count - 1)
-    c_al = 0.0
-    if e is not None:
-        c_al = gram[a, e] / (count - 1) - gram[a + 1, e + 1] / (count - 1)
-    return v_a, v_b, abs(c_ab), abs(c_al)
-
-
-def _point_estimate(
-    count: int, gram: np.ndarray, a: int, b: int, e: int | None, blind_v_m: float | None
+def _moment_estimates(
+    counts: np.ndarray, grams: np.ndarray, a: int, b: int, e: int | None, blind_v_m: float | None
 ):
-    """One moment-based estimate (v_m, k, eta, eps) from a centred Gram matrix."""
-    v_a, v_b, c_ab, c_al = _moments(count, gram, a, b, e)
-    s = max(v_a - 1.0, 1e-12)
-    clamped = bool(v_a < 1.0)
+    """Moment estimates (v_m, k, eta, eps) and clamp flags, arrays with one entry
+    per centred Gram matrix of `grams`, each of `counts` outcomes.  Moments are
+    in SNU (outcome covariances doubled back to gamma units); variances divide
+    by the count (ddof = 0, as np.var), covariances by the count - 1 (ddof = 1,
+    as np.cov).  a, b and e are the x columns of Alice, Bob and Eve (None: no record)."""
 
+    def cov(i, j):
+        return grams[:, i, j] / (counts - 1) - grams[:, i + 1, j + 1] / (counts - 1)
+
+    v_a = 2.0 * 0.5 * (grams[:, a, a] / counts + grams[:, a + 1, a + 1] / counts) - 1.0
+    v_b = 2.0 * 0.5 * (grams[:, b, b] / counts + grams[:, b + 1, b + 1] / counts) - 1.0
+    c_ab = np.abs(cov(a, b))
+    s = np.maximum(v_a - 1.0, 1e-12)
     if blind_v_m is not None:
-        v_m = blind_v_m
-        k = 0.0
+        v_m = np.full_like(s, blind_v_m)
+        k = np.zeros_like(s)
         eta = c_ab**2 / (v_m * (2.0 + v_m))
     else:
         if e is None:
-            k = 0.0
+            k = np.zeros_like(s)
         else:
-            w = min(c_al**2 / (s * (2.0 + s)), 0.999)
+            w = np.minimum(np.abs(cov(a, e)) ** 2 / (s * (2.0 + s)), 0.999)
             k = np.sqrt(w / (1.0 - w))
         v_m = s / (1.0 + k * k)
         eta = c_ab**2 / (v_m * (2.0 + s))
     eps = v_b - 1.0 - eta * v_m
-    if eps < 0.0:
-        eps, clamped = 0.0, True
-    return v_m, k, eta, eps, clamped
+    clamped = (v_a < 1.0) | (eps < 0.0)
+    return v_m, k, eta, np.where(eps < 0.0, 0.0, eps), clamped
 
 
 def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> EstimateReport:
@@ -192,8 +176,9 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
 
     With `blind_v_m` None the estimate is leakage aware: k comes from L's
     record, or is 0 without one.  A number gives the leakage-blind estimate
-    at that set V_M, with k = 0.  Standard errors come from the spread of the
-    10 sub-batch estimates.
+    at that set V_M, with k = 0.  One call estimates from the whole batch's
+    Gram matrix and from each sub-batch's; the standard errors come from the
+    spread of the 10 sub-batch estimates.
     """
     if moments.n < MIN_SAMPLES:
         raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {moments.n}")
@@ -202,14 +187,15 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
         moments.column("B"),
         moments.column("L") if "L" in moments.modes else None,
     )
-    full = _point_estimate(moments.n, moments.merged_gram(), *cols, blind_v_m)
-    sub = np.array(
-        [
-            _point_estimate(m, gram, *cols, blind_v_m)[:4]
-            for m, gram in zip(moments.counts, moments.grams)
-        ]
+    *columns, clamped = _moment_estimates(
+        np.array([moments.n, *moments.counts]),
+        np.concatenate([moments.gram[None], moments.grams]),
+        *cols,
+        blind_v_m,
     )
-    se = np.std(sub, axis=0, ddof=1) / np.sqrt(N_SUBBATCHES)
+    estimates = np.stack(columns, axis=-1)
+    full = estimates[0]
+    se = np.std(estimates[1:], axis=0, ddof=1) / np.sqrt(N_SUBBATCHES)
     se = np.maximum(se, 1e-12)
     return EstimateReport(
         v_m_hat=float(full[0]),
@@ -221,7 +207,7 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
         se_eta=float(se[2]),
         se_eps=float(se[3]),
         n=moments.n,
-        clamped=full[4],
+        clamped=bool(clamped[0]),
     )
 
 

@@ -276,37 +276,32 @@ def finite_size_penalty(block_size: int) -> float:
     return float(7.0 * np.sqrt(np.log2(2.0 / FINITE_SIZE_EPS) / block_size))
 
 
-def _mutual_information(state: g.CovMatrix) -> np.ndarray:
-    """Heterodyne-heterodyne I_AB (bits/symbol), x term plus p term, of each state of a batch."""
-    gamma_ab = g.partial_trace(state, ["A", "B"])
-    bob, bob_cond = (
-        np.diagonal(s.mode_block("B"), axis1=-2, axis2=-1)
-        for s in (gamma_ab, g.heterodyne_condition(gamma_ab, "A"))
-    )
-    return (0.5 * np.log2((bob + 1.0) / (bob_cond + 1.0))).sum(axis=-1)
-
-
-def _holevo_bounds(state: g.CovMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Holevo bounds S(E) - S(E|a) (DR) and S(E) - S(E|b) (RR) of each reduced state of a batch."""
-    s_e = g.von_neumann_entropy(g.partial_trace(state, EVE_MODES))
-    chi_dr, chi_rr = (
-        s_e - g.von_neumann_entropy(g.partial_trace(g.heterodyne_condition(state, x), EVE_MODES))
-        for x in ("A", "B")
-    )
-    # tiny negative residues from the eigensolver are numerical zero
-    if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
-        raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
-    return chi_dr, chi_rr
-
-
 def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
-    """Reports for distinct points, from one batched reduced state."""
+    """Reports for distinct points, from one batched reduced state.
+
+    The state is conditioned once on Alice's heterodyne outcome a and once
+    on Bob's b.  I_AB comes from B's diagonal before and after a; chi is
+    S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR).
+    """
     batch = SimpleNamespace(
         **{f.name: np.array([getattr(q, f.name) for q in points]) for f in fields(ProtocolParams)}
     )
     state = reduced_state(batch)
-    i_ab = _mutual_information(state)
-    chi_dr, chi_rr = (np.maximum(chi, 0.0) for chi in _holevo_bounds(state))
+    s_e = g.von_neumann_entropy(g.partial_trace(state, EVE_MODES))
+    given_a, given_b = (g.heterodyne_condition(state, x) for x in ("A", "B"))
+    # heterodyne-heterodyne I_AB (bits/symbol), x term plus p term
+    bob, bob_given_a = (
+        np.diagonal(s.mode_block("B"), axis1=-2, axis2=-1) for s in (state, given_a)
+    )
+    i_ab = (0.5 * np.log2((bob + 1.0) / (bob_given_a + 1.0))).sum(axis=-1)
+    chi_dr, chi_rr = (
+        s_e - g.von_neumann_entropy(g.partial_trace(given, EVE_MODES))
+        for given in (given_a, given_b)
+    )
+    # tiny negative residues from the eigensolver are numerical zero
+    if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
+        raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
+    chi_dr, chi_rr = np.maximum(chi_dr, 0.0), np.maximum(chi_rr, 0.0)
     delta = np.array([finite_size_penalty(q.block_size) for q in points])
     r_dr, r_rr = (batch.beta * i_ab - chi - delta for chi in (chi_dr, chi_rr))
     clamped = (np.maximum(r, 0.0) for r in (r_dr, r_rr))

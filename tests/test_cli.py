@@ -137,6 +137,13 @@ class TestSweep:
         result = runner.invoke(cli.main, ["sweep", "--config", path])
         assert result.exit_code == 1
 
+    def test_non_string_output_path_exits_1(self, runner, tmp_path):
+        path = write_cfg(tmp_path, self.sweep_doc(outputs={"path": 7}))
+        result = runner.invoke(cli.main, ["sweep", "--config", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "outputs.path must be a string" in result.output
+
     def test_loss_sweep_in_db(self, runner, tmp_path):
         doc = {
             "protocol": dict(

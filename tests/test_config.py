@@ -84,6 +84,27 @@ class TestParse:
         with pytest.raises(InvalidArgument):
             cfgmod.parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"protocol": 5},
+            dict(BASE, modulator=7),
+            dict(BASE, outputs=3),
+            dict(BASE, mc=3),
+            dict(BASE, modulator={"k_floor": [1]}),
+            dict(BASE, modulator={"rho": 1.0, "k_floor": "0.1"}),
+            {"protocol": {"V_M": {"start": [1], "stop": 5.0, "points": 3}}},
+            {"protocol": {"V_M": {"start": 1.0, "stop": True, "points": 3}}},
+            {"protocol": {"V_M": {"start": 1.0, "stop": 5.0, "points": 3, "scale": [1]}}},
+            {"protocol": {"V_M": 10**400}},
+            dict(BASE, outputs={"path": 7}),
+            {"protocol": {"V_M": 5.0, 1: 2.0, "x": 3.0}},
+        ],
+    )
+    def test_malformed_block_rejected(self, raw):
+        with pytest.raises(InvalidArgument):
+            cfgmod.parse_config(raw)
+
 
 class TestSweepAxis:
     def test_single_axis(self):
@@ -133,6 +154,8 @@ class TestSweepAxis:
         cfg = cfgmod.parse_config(raw)
         p = cfg.params_at(3.0)
         assert p.eta_ch == pytest.approx(10.0 ** (-0.3))
+        with pytest.raises(InvalidArgument, match="loss must be >= 0 dB"):
+            cfg.params_at(-4000.0)
 
 
 class TestModulatorBlock:
@@ -153,6 +176,11 @@ class TestModulatorBlock:
         cfg = cfgmod.parse_config(raw)
         ks = [cfg.params_at(v).k for v in cfg.sweep_axis[1].values()]
         assert np.allclose(ks, ks[::-1])
+
+    def test_rho_out_of_range(self):
+        raw = dict(BASE, modulator={"rho": 4000.0})
+        with pytest.raises(InvalidArgument, match="out of range"):
+            cfgmod.parse_config(raw).params_at()
 
     def test_bad_convention(self):
         raw = dict(BASE, modulator={"rho": 1.0, "rho_convention": "power"})

@@ -16,14 +16,14 @@ POINT = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.6, eps_ch=0.02)
 class TestSample:
     def test_vacuum_outcome_variance(self):
         moments = mc.sample_moments(g.vacuum(("a",)), ["a"], 1_000_000, seed=1)
-        var = np.diagonal(moments.merged_gram()) / moments.n
+        var = np.diagonal(moments.gram) / moments.n
         assert np.allclose(var, 1.0, atol=0.005)
 
     def test_same_seed_is_bit_for_bit(self):
         state = g.epr_source(4.0, ("a", "b"))
         m1 = mc.sample_moments(state, ["a", "b"], 5_000, seed=99)
         m2 = mc.sample_moments(state, ["a", "b"], 5_000, seed=99)
-        assert np.array_equal(m1.means, m2.means)
+        assert np.array_equal(m1.gram, m2.gram)
         assert np.array_equal(m1.grams, m2.grams)
 
     def test_different_seed_differs(self):
@@ -35,7 +35,7 @@ class TestSample:
     def test_epr_cross_correlation(self):
         v, n = 6.0, 200_000
         state = g.epr_source(v, ("a", "b"))
-        gram = mc.sample_moments(state, ["a", "b"], n, seed=3).merged_gram()
+        gram = mc.sample_moments(state, ["a", "b"], n, seed=3).gram
         # heterodyne outcome cross-covariance is half the matrix entry
         target = 0.5 * np.sqrt(v * v - 1.0)
         c_xx, c_pp = gram[0, 2] / (n - 1), gram[1, 3] / (n - 1)
@@ -48,7 +48,7 @@ class TestSample:
         errs = []
         for n in (10_000, 100_000, 1_000_000):
             moments = mc.sample_moments(g.vacuum(("a",)), ["a"], n, seed=17)
-            errs.append(abs(moments.merged_gram()[0, 0] / n - 1.0))
+            errs.append(abs(moments.gram[0, 0] / n - 1.0))
         assert errs[2] < errs[0]
         assert errs[2] < 5.0 / np.sqrt(1_000_000)
 
@@ -115,12 +115,14 @@ class TestStreamedMoments:
         records = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(measured)}
         blind_v_m = POINT.v_m if blind else None
         expected = mc_estimate(records["A"], records["B"], records.get("L"), blind_v_m, blind)
-        est = mc.estimate_params(
-            mc.sample_moments(state, list(measured), n, seed=n), blind_v_m=blind_v_m
-        )
+        moments = mc.sample_moments(state, list(measured), n, seed=n)
+        est = mc.estimate_params(moments, blind_v_m=blind_v_m)
         got = [getattr(est, f) for f in self.ESTIMATE_FIELDS]
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
         assert est.n == n
+        centred = draws - draws.mean(axis=0)
+        gram = centred.T @ centred
+        np.testing.assert_allclose(moments.gram, gram, rtol=0.0, atol=1e-14 * np.abs(gram).max())
 
     @pytest.mark.parametrize("n, block_rows", [(1_000_003, mc.BLOCK_ROWS), (20_003, 1_000)])
     def test_blocks_are_one_draw(self, monkeypatch, n, block_rows):

@@ -271,8 +271,13 @@ class TestKeyRates:
     def test_one_evaluation_on_five_modes(self, monkeypatch):
         points = random_points(np.random.default_rng(22), 60)
         assert len({structure(q) for q in points}) >= 16
-        evaluations, states = [], []
+        evaluations, states, checked = [], [], []
         evaluate, reduced_state = sec._evaluate, sec.reduced_state
+        post_init = g.CovMatrix.__post_init__
+
+        def recorded_post_init(state):
+            post_init(state)
+            checked.append(state.batch_shape)
 
         def recorded_evaluate(group):
             evaluations.append(list(group))
@@ -284,11 +289,14 @@ class TestKeyRates:
 
         monkeypatch.setattr(sec, "_evaluate", recorded_evaluate)
         monkeypatch.setattr(sec, "reduced_state", recorded_state)
+        monkeypatch.setattr(g.CovMatrix, "__post_init__", recorded_post_init)
         sec.key_rates(points + points[:5])
         assert evaluations == [points]
         [state] = states
         assert state.modes == ("A", "B", "L", "E1", "E2")
         assert state.batch_shape == (len(points),)
+        # the state, E, the state given a and given b, and E given each
+        assert checked == [(len(points),)] * 6
 
     def test_empty_call(self):
         assert sec.key_rates([]) == []
