@@ -16,7 +16,8 @@ import click
 from . import __version__, montecarlo
 from . import security as sec
 from .config import RunConfig, config_doc, load_config
-from .errors import ModleakError
+from .errors import InvalidArgument, ModleakError
+from .modulator import DEFAULT_RHO_CONVENTION
 
 SWEEP_COLUMNS = [
     "sweep_var",
@@ -54,32 +55,40 @@ def _fail(message: str):
 def _load(config_path: str) -> RunConfig:
     try:
         return load_config(config_path)
-    except (ModleakError, OSError, ValueError) as exc:
+    except (ModleakError, OSError) as exc:
         _fail(str(exc))
 
 
 def _metadata(cfg: RunConfig) -> dict:
     return {
         "loss_convention": "attenuation dB >= 0, eta_Ch = 10^(-loss/10)",
-        "rho_convention": cfg.modulator.get("rho_convention", "amplitude10"),
+        "rho_convention": cfg.modulator.get("rho_convention", DEFAULT_RHO_CONVENTION),
         "rng_algorithm": montecarlo.RNG_ALGORITHM,
         "modleak_version": __version__,
         "config": config_doc(cfg),
     }
 
 
-def _emit_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
+def _write(text: str, out: str | None):
+    """Echo text to stdout, or write exactly the same bytes to the file out."""
+    if not out:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+            fh.write(text)
+    except OSError as exc:
+        _fail(f"cannot write {out}: {exc.strerror}")
+
+
+def _emit_json(payload: dict, cfg: RunConfig, out: str | None):
+    payload = {**payload, "metadata": _metadata(cfg)}
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _check_optimize(optimize_vm: bool, direction: str):
     if optimize_vm and direction == "both":
-        _fail("--optimize-vm requires --direction dr or rr")
+        raise InvalidArgument("--optimize-vm requires --direction dr or rr")
 
 
 def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool):
@@ -102,9 +111,6 @@ def main():
 def keyrate(config_path, direction, optimize_vm, out):
     """Key-rate report for a single parameter point (JSON)."""
     cfg = _load(config_path)
-    if cfg.sweep_axis is not None:
-        _fail("keyrate takes a fixed config; use the sweep command for sweep axes")
-    _check_optimize(optimize_vm, direction)
 
     def search(p):
         p = yield from _search_optimum(p, direction, optimize_vm)
@@ -112,15 +118,12 @@ def keyrate(config_path, direction, optimize_vm, out):
         return p, report
 
     try:
+        _check_optimize(optimize_vm, direction)
         p, report = sec.drive(search(cfg.params_at()))
     except ModleakError as exc:
         _fail(str(exc))
-    payload = {
-        "params": dataclasses.asdict(p),
-        "report": dataclasses.asdict(report),
-        "metadata": _metadata(cfg),
-    }
-    _emit_json(payload, out)
+    payload = {"params": dataclasses.asdict(p), "report": dataclasses.asdict(report)}
+    _emit_json(payload, cfg, out)
     positive = {
         "dr": report.r_dr > 0.0,
         "rr": report.r_rr > 0.0,
@@ -209,16 +212,11 @@ def sweep(config_path, direction, optimize_vm, with_eta_max, out, fmt):
     except ModleakError as exc:
         _fail(str(exc))
     if fmt == "json":
-        _emit_json({"rows": rows, "metadata": _metadata(cfg)}, out)
+        _emit_json({"rows": rows}, cfg, out)
         return
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(lines) + "\n", out)
 
 
 def table1_matrix(p: sec.ProtocolParams) -> dict:
@@ -239,16 +237,12 @@ def table1_matrix(p: sec.ProtocolParams) -> dict:
 def table1(config_path, out):
     """Trusted-noise viability matrix (4 infusion points x 2 directions)."""
     cfg = _load(config_path)
-    if cfg.sweep_axis is not None:
-        _fail("table1 takes a fixed config")
     try:
         p = cfg.params_at()
         result = table1_matrix(p)
     except ModleakError as exc:
         _fail(str(exc))
-    result["params"] = dataclasses.asdict(p)
-    result["metadata"] = _metadata(cfg)
-    _emit_json(result, out)
+    _emit_json({**result, "params": dataclasses.asdict(p)}, cfg, out)
 
 
 @main.command()
@@ -259,24 +253,16 @@ def table1(config_path, out):
 def mc(config_path, seed, assume_no_leakage, out):
     """Monte-Carlo re-estimation and key-rate consistency check."""
     cfg = _load(config_path)
-    if cfg.sweep_axis is not None:
-        _fail("mc takes a fixed config")
     if "n" not in cfg.mc:
         _fail("mc command needs an mc block with a sample count n")
-    n = cfg.mc["n"]
-    if n < montecarlo.MIN_SAMPLES:
-        _fail(f"mc sample count must be >= {montecarlo.MIN_SAMPLES}, got {n}")
     seed = seed if seed is not None else cfg.mc.get("seed", 0)
     try:
-        p = cfg.params_at()
         report = montecarlo.end_to_end_consistency(
-            p, n, seed, assume_no_leakage=assume_no_leakage
+            cfg.params_at(), cfg.mc["n"], seed, assume_no_leakage=assume_no_leakage
         )
     except ModleakError as exc:
         _fail(str(exc))
-    payload = dataclasses.asdict(report)
-    payload["metadata"] = _metadata(cfg)
-    _emit_json(payload, out)
+    _emit_json(dataclasses.asdict(report), cfg, out)
     sys.exit(EXIT_NO_SECURITY if report.verdict == "overestimates key" else 0)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import InvalidArgument
-from .modulator import DEFAULT_K_FLOOR, rho_to_k
+from .modulator import RHO_CONVENTIONS, rho_to_k
 from .security import ProtocolParams, as_integer
 
 PROTOCOL_KEYS = {
@@ -37,6 +37,8 @@ OUTPUTS_KEYS = {"path", "format"}
 MC_KEYS = {"n", "seed"}
 SWEEP_KEYS = {"start", "stop", "points", "scale"}
 SCALES = ("linear", "dB", "log")
+# sweep_rows evaluates every row in one batch, at about 6.5 KB per point
+MAX_SWEEP_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,10 @@ class Sweep:
     def values(self) -> np.ndarray:
         if self.points < 2:
             raise InvalidArgument("sweep needs at least 2 points")
+        if self.points > MAX_SWEEP_POINTS:
+            raise InvalidArgument(
+                f"sweep takes at most {MAX_SWEEP_POINTS} points, got {self.points}"
+            )
         if self.scale == "log":
             if self.start <= 0 or self.stop <= 0:
                 raise InvalidArgument("log sweep requires positive bounds")
@@ -77,38 +83,24 @@ class RunConfig:
 
     def params_at(self, sweep_value: float | None = None) -> ProtocolParams:
         """ProtocolParams for one point, substituting the swept value if any."""
-        axis = self.sweep_axis
         values = dict(self.protocol)
+        modulator = dict(self.modulator)
+        axis = self.sweep_axis
         if axis is not None:
+            name, sweep = axis
             if sweep_value is None:
-                raise InvalidArgument("config has a sweep axis; a point value is needed")
-            name, _ = axis
-            if name != "rho":
-                values[name] = sweep_value
-        if "rho" in self.modulator:
-            rho = self.modulator["rho"]
-            if isinstance(rho, Sweep):
-                rho = sweep_value
-            values["k"] = rho_to_k(
-                rho,
-                self.modulator.get("k_floor", DEFAULT_K_FLOOR),
-                self.modulator.get("rho_convention", "amplitude10"),
-            )
-        kwargs = {}
-        for key, value in values.items():
-            if isinstance(value, Sweep):
-                raise InvalidArgument(f"unexpected sweep in field {key}")
-            attr = PROTOCOL_KEYS[key]
-            if key == "eta_Ch" and self._eta_ch_is_db():
-                if value < 0.0:
-                    raise InvalidArgument(f"channel loss must be >= 0 dB, got {value}")
-                value = 10.0 ** (-value / 10.0)
-            kwargs[attr] = float(value)
-        return ProtocolParams(**kwargs)
-
-    def _eta_ch_is_db(self) -> bool:
-        v = self.protocol.get("eta_Ch")
-        return isinstance(v, Sweep) and v.scale == "dB"
+                raise InvalidArgument(
+                    f"config sweeps {name!r}: run it with the sweep command, "
+                    "or give a fixed config"
+                )
+            if name == "eta_Ch" and sweep.scale == "dB":
+                if sweep_value < 0.0:
+                    raise InvalidArgument(f"channel loss must be >= 0 dB, got {sweep_value}")
+                sweep_value = 10.0 ** (-sweep_value / 10.0)
+            (modulator if name == "rho" else values)[name] = sweep_value
+        if "rho" in modulator:
+            values["k"] = rho_to_k(modulator.pop("rho"), **modulator)
+        return ProtocolParams(**{PROTOCOL_KEYS[key]: float(v) for key, v in values.items()})
 
 
 def _number(key: str, value) -> float:
@@ -174,10 +166,7 @@ def parse_config(raw: dict) -> RunConfig:
         modulator["rho"] = _parse_scalar_or_sweep("rho", modulator["rho"])
     if "k_floor" in modulator:
         modulator["k_floor"] = _number("k_floor", modulator["k_floor"])
-    if "rho_convention" in modulator and modulator["rho_convention"] not in (
-        "amplitude10",
-        "amplitude20",
-    ):
+    if "rho_convention" in modulator and modulator["rho_convention"] not in RHO_CONVENTIONS:
         raise InvalidArgument(
             f"unknown rho_convention {modulator['rho_convention']!r}"
         )
@@ -196,8 +185,14 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """Read and parse a YAML config file; a file that is not YAML is InvalidArgument."""
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        # ValueError: bytes that are not UTF-8, or a date such as 2001-13-45
+        except (yaml.YAMLError, ValueError) as exc:
+            reason = " ".join(str(exc).split())  # YAML errors span several lines
+            raise InvalidArgument(f"cannot read {path} as YAML: {reason}") from None
     return parse_config(raw)
 
 

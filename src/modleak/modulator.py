@@ -18,6 +18,10 @@ from .errors import DegenerateConfig, InvalidArgument
 # residual amplitude ratio below which arm rebalancing no longer helps.
 DEFAULT_K_FLOOR = 10.0 ** (-24.0 / 20.0)
 
+# How rho (dB) maps to the arm amplitude ratio: 10^(rho/10) or 10^(rho/20)
+RHO_CONVENTIONS = ("amplitude10", "amplitude20")
+DEFAULT_RHO_CONVENTION = "amplitude10"
+
 LINEAR_REGIME_LIMIT = 0.2
 
 
@@ -85,7 +89,7 @@ def field_coefficients(cfg: ModulatorConfig) -> tuple[complex, complex, complex]
 def rho_to_k(
     rho_db: float,
     k_floor: float = DEFAULT_K_FLOOR,
-    rho_convention: str = "amplitude10",
+    rho_convention: str = DEFAULT_RHO_CONVENTION,
 ) -> float:
     """Leakage amplitude ratio k from the RF scaling factor rho (dB).
 
@@ -96,7 +100,7 @@ def rho_to_k(
     """
     if not 0.0 <= k_floor < 1.0:
         raise InvalidArgument(f"k_floor must lie in [0, 1), got {k_floor}")
-    if rho_convention not in ("amplitude10", "amplitude20"):
+    if rho_convention not in RHO_CONVENTIONS:
         raise InvalidArgument(f"unknown rho convention {rho_convention!r}")
     try:
         r = 10.0 ** (rho_db / (10.0 if rho_convention == "amplitude10" else 20.0))

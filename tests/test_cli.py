@@ -27,6 +27,17 @@ def write_cfg(tmp_path, doc, name="cfg.yaml"):
     return str(path)
 
 
+def assert_one_error(result, *fragments):
+    """Exit 1 with a single `error:` line on stderr, naming each fragment, and no traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in line
+    assert result.stdout == ""
+
+
 class TestKeyrate:
     def test_matches_library(self, runner, tmp_path):
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
@@ -57,7 +68,7 @@ class TestKeyrate:
     def test_optimize_needs_single_direction(self, runner, tmp_path):
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
         result = runner.invoke(cli.main, ["keyrate", "--config", path, "--optimize-vm"])
-        assert result.exit_code == 1
+        assert_one_error(result, "--direction dr or rr")
 
     def test_positive_reverse_rate_at_3db(self, runner, tmp_path):
         doc = {"protocol": dict(BASE_PROTOCOL, k=0.0, eta_Ch=0.5)}
@@ -135,7 +146,14 @@ class TestSweep:
     def test_fixed_config_rejected(self, runner, tmp_path):
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
         result = runner.invoke(cli.main, ["sweep", "--config", path])
-        assert result.exit_code == 1
+        assert_one_error(result, "sweep axis")
+
+    @pytest.mark.parametrize("points", [1, 1001, 10**41])
+    def test_point_count_out_of_range_exits_1(self, runner, tmp_path, points):
+        doc = self.sweep_doc()
+        doc["protocol"]["k"]["points"] = points
+        result = runner.invoke(cli.main, ["sweep", "--config", write_cfg(tmp_path, doc)])
+        assert_one_error(result, "points")
 
     def test_non_string_output_path_exits_1(self, runner, tmp_path):
         path = write_cfg(tmp_path, self.sweep_doc(outputs={"path": 7}))
@@ -189,6 +207,12 @@ class TestTable1:
                 grid = payload["grids"][point][direction]
                 assert len(grid) == len(sec.VIABILITY_GRID)
 
+    def test_ideal_detector_exits_1(self, runner, tmp_path):
+        # the D column scans eps_D > 0, which has no purification at eta_D = 1
+        path = write_cfg(tmp_path, {"protocol": dict(BASE_PROTOCOL, eta_D=1.0)})
+        result = runner.invoke(cli.main, ["table1", "--config", path])
+        assert_one_error(result, "eta_d < 1")
+
 
     def test_one_scan_per_noise_point(self, evaluated_points):
         p = sec.ProtocolParams(
@@ -239,7 +263,7 @@ class TestMc:
     def test_sample_count_floor(self, runner, tmp_path):
         path = write_cfg(tmp_path, self.mc_doc(n=100))
         result = runner.invoke(cli.main, ["mc", "--config", path])
-        assert result.exit_code == 1
+        assert_one_error(result, "at least 1000 samples, got 100")
 
     @pytest.mark.parametrize(
         "doc, args",
@@ -285,6 +309,62 @@ class TestMetadata:
         assert metadata["rng_algorithm"] == "PCG64"
 
 
+class TestInputsAndOutputs:
+    """Every command reads its config and writes its output the same way."""
+
+    COMMANDS = {
+        "keyrate": ["keyrate"],
+        "sweep-csv": ["sweep"],
+        "sweep-json": ["sweep", "--format", "json"],
+        "table1": ["table1"],
+        "mc": ["mc"],
+    }
+
+    def args(self, tmp_path, name):
+        command = self.COMMANDS[name]
+        doc = TestMetadata.DOCS[command[0]]
+        return [*command, "--config", write_cfg(tmp_path, doc)]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_out_file_holds_the_stdout_bytes(self, runner, tmp_path, name):
+        args = self.args(tmp_path, name)
+        echoed = runner.invoke(cli.main, args)
+        assert echoed.exit_code in (0, cli.EXIT_NO_SECURITY), echoed.output
+        out = tmp_path / "out"
+        written = runner.invoke(cli.main, [*args, "--out", str(out)])
+        assert written.exit_code == echoed.exit_code
+        assert written.stdout_bytes == b""
+        assert out.read_bytes() == echoed.stdout_bytes
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_unwritable_out_exits_1(self, runner, tmp_path, name):
+        out = str(tmp_path / "missing" / "out")
+        result = runner.invoke(cli.main, [*self.args(tmp_path, name), "--out", out])
+        assert_one_error(result, out)
+
+    @pytest.mark.parametrize("command", ["keyrate", "table1", "mc"])
+    def test_sweep_config_needs_sweep_command(self, runner, tmp_path, command):
+        doc = dict(TestMetadata.DOCS["sweep"], mc={"n": 5_000})
+        result = runner.invoke(cli.main, [command, "--config", write_cfg(tmp_path, doc)])
+        assert_one_error(result, "'k'", "sweep command")
+
+    @pytest.mark.parametrize("command", ["keyrate", "sweep", "table1", "mc"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"protocol: {V_M: 5.0\n",
+            b"protocol:\n  V_M: \xff\xfe\n",
+            b"protocol:\n  V_M: 2001-13-45\n",
+        ],
+        ids=["malformed", "not-utf8", "impossible-date"],
+    )
+    def test_file_that_is_not_yaml_exits_1(self, runner, tmp_path, command, content):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(content)
+        result = runner.invoke(cli.main, [command, "--config", str(path)])
+        assert_one_error(result, str(path))
+
+
 class TestSweepRowsHelper:
     def test_matches_library_pointwise(self, tmp_path):
         from modleak.config import parse_config
@@ -298,6 +378,14 @@ class TestSweepRowsHelper:
             rep = sec.key_rate(p)
             assert row["R_DR"] == pytest.approx(rep.r_dr)
             assert row["dR_RR"] == pytest.approx(sec.leakage_penalty(p, "rr"))
+
+    def test_optimize_needs_single_direction(self):
+        from modleak.config import parse_config
+        from modleak.errors import InvalidArgument
+
+        cfg = parse_config(TestMetadata.DOCS["sweep"])
+        with pytest.raises(InvalidArgument, match="--direction dr or rr"):
+            cli.sweep_rows(cfg, "both", optimize_vm=True)
 
     def test_each_row_evaluates_point_and_twin_once(self, evaluated_points):
         from modleak.config import parse_config

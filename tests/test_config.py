@@ -87,6 +87,9 @@ class TestParse:
     @pytest.mark.parametrize(
         "raw",
         [
+            None,
+            [BASE],
+            {"mc": {"n": 2000}},
             {"protocol": 5},
             dict(BASE, modulator=7),
             dict(BASE, outputs=3),
@@ -139,6 +142,20 @@ class TestSweepAxis:
         }
         with pytest.raises(InvalidArgument):
             cfgmod.parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            cfgmod.Sweep(0.0, 1.0, 3, "log"),
+            cfgmod.Sweep(1.0, -1.0, 3, "log"),
+        ],
+    )
+    def test_log_sweep_needs_positive_bounds(self, sweep):
+        with pytest.raises(InvalidArgument):
+            sweep.values()
+
+    def test_largest_sweep_accepted(self):
+        assert len(cfgmod.Sweep(0.0, 1.0, 1000).values()) == 1000
 
     def test_log_scale_values(self):
         sweep = cfgmod.Sweep(0.01, 100.0, 5, "log")

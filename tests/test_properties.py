@@ -1,5 +1,6 @@
 """Property tests of key_rate over the parameter domain documented in README,
-and of the CLI's exit codes over generated configs.
+of its monotonicity in the leakage k without trusted noise, and of the CLI's
+exit codes over generated configs.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -46,6 +47,33 @@ def test_key_rate_is_finite_and_bounded(**fields):
     assert report.chi_dr >= -1e-9 and report.chi_rr >= -1e-9
     assert report.r_dr <= p.beta * report.i_ab
     assert report.r_rr <= p.beta * report.i_ab
+
+
+# Without trusted noise, more leakage never helps; with eps_P1 > 0 it can,
+# because the leakage beamsplitter moves part of that noise off B.
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    v_m=between(0.01, 100.0),
+    ks=st.tuples(between(0.0, 2.0), between(0.0, 2.0)).map(sorted),
+    eta_ch=between(1e-3, 0.999),
+    eps_ch=between(0.0, 0.5),
+    detector=st.one_of(
+        st.just((1.0, 0.0)), st.tuples(between(0.1, 0.999), between(0.0, 0.5))
+    ),
+    beta=between(0.8, 1.0),
+)
+def test_leakage_never_raises_the_key_rate(v_m, ks, eta_ch, eps_ch, detector, beta):
+    eta_d, eps_d = detector
+    less, more = sec.key_rates(
+        [
+            sec.ProtocolParams(
+                v_m=v_m, k=k, eta_ch=eta_ch, eps_ch=eps_ch, eta_d=eta_d, eps_d=eps_d, beta=beta
+            )
+            for k in ks
+        ]
+    )
+    assert more.r_dr <= less.r_dr + 1e-10
+    assert more.r_rr <= less.r_rr + 1e-10
 
 
 SCALARS = st.one_of(
