@@ -1,20 +1,22 @@
 """Covariance-matrix calculus for multimode Gaussian states.
 
 All states are zero-mean and expressed in shot-noise units (SNU), i.e. the
-vacuum quadrature variance is 1.  A state of N modes is a 2N x 2N real
-symmetric matrix ordered as (x_1, p_1, ..., x_N, p_N), with modes addressed
-by opaque string labels.
+vacuum quadrature variance is 1, with modes addressed by opaque string
+labels.  Every operation here is phase insensitive (EPR sources,
+beamsplitters, two-mode squeezers, lossy channels, partial traces and
+heterodyne conditioning), so no state has an x-p cross entry: a state of N
+modes is its x block X and its p block P, real symmetric N x N matrices
+stacked as one (2, N, N) array.
 
 The state builders (`vacuum`, `epr_source`, `tensor`, the two-mode ops and
 `loss_excess_channel`) take scalars and build one state from the labels they
 are given.  `CovMatrix`, `partial_trace`, `heterodyne_condition` and the
-entropies also take a batch of states with the same labels: a matrix with a
-leading batch shape, (..., 2N, 2N).  A single state is the batch of shape ().
+entropies also take a batch of states with the same labels: blocks with a
+leading batch shape, (..., 2, N, N).  A single state is the batch of shape ().
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,43 +32,30 @@ def _transpose(mat: np.ndarray) -> np.ndarray:
     return mat.swapaxes(-1, -2)
 
 
-def _sub(mat: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
-    """The (rows, cols) block of every matrix in a batch."""
-    return mat[..., np.array(rows)[:, None], cols]
+def _spectrum(blocks: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of each state in a batch of (X, P) blocks, descending.
 
-
-@functools.cache
-def _symplectic_form(n: int) -> np.ndarray:
-    """Read-only Omega for n modes: the direct sum of n copies of [[0, 1], [-1, 0]]."""
-    omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    omega.setflags(write=False)
-    return omega
-
-
-def _spectrum(mat: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of each covariance matrix in a batch, descending.
-
-    With gamma = L L^T (Cholesky), i Omega gamma is similar to the Hermitian
-    i L^T Omega L, whose eigenvalues are +-nu_k (Williamson).  A matrix that
-    is not positive definite cannot be a covariance matrix.
+    They are the square roots of the eigenvalues of X P (Williamson).  With
+    X = Lx Lx^T and P = Lp Lp^T (Cholesky), X P is similar to
+    (Lp^T Lx)(Lp^T Lx)^T, so they are the singular values of Lp^T Lx.  A
+    block that is not positive definite cannot belong to a covariance matrix.
     """
-    n = mat.shape[-1] // 2
     try:
-        chol = np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
         raise UnphysicalState("covariance matrix is not positive definite") from None
     try:
-        ev = np.linalg.eigvalsh(1j * (_transpose(chol) @ _symplectic_form(n) @ chol))
+        return np.linalg.svd(_transpose(chol[..., 1, :, :]) @ chol[..., 0, :, :], compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return ev[..., n:][..., ::-1]
+        raise NumericalError(f"singular value solver failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Gaussian state, or batch of states: ordered mode labels plus (..., 2N, 2N) matrices.
+    """Gaussian state, or batch of states: ordered mode labels plus (..., 2, N, N) blocks.
 
-    Every matrix of the batch is checked for symmetry and physicality at
+    `data[..., 0, :, :]` is the x block and `data[..., 1, :, :]` the p block.
+    Every state of the batch is checked for symmetry and physicality at
     construction.  The check computes the symplectic spectrum, (..., N), and
     keeps it read-only in `spectrum`.
     """
@@ -82,16 +71,15 @@ class CovMatrix:
         if len(set(self.modes)) != len(self.modes):
             raise InvalidArgument(f"duplicate mode labels: {self.modes}")
         mat = np.asarray(self.data, dtype=float)
-        n = 2 * len(self.modes)
-        if mat.shape[-2:] != (n, n):
-            raise InvalidArgument(
-                f"matrix shape {mat.shape} does not match {len(self.modes)} modes"
-            )
-        scale = np.abs(mat).max(axis=(-2, -1), initial=1.0)
+        n = len(self.modes)
+        if mat.shape[-3:] != (2, n, n):
+            raise InvalidArgument(f"block shape {mat.shape} does not match {n} modes")
+        state_axes = (-3, -2, -1)
+        scale = np.abs(mat).max(axis=state_axes, initial=1.0)
         # a NaN or inf entry makes the scale non-finite; test it before inf - inf can warn
         if not (scale < np.inf).all():
             raise NumericalError("covariance matrix has non-finite entries")
-        if not (np.abs(mat - _transpose(mat)).max(axis=(-2, -1)) <= SYMMETRY_RTOL * scale).all():
+        if not (np.abs(mat - _transpose(mat)).max(axis=state_axes) <= SYMMETRY_RTOL * scale).all():
             raise InvalidArgument("covariance matrix is not symmetric")
         mat = 0.5 * (mat + _transpose(mat))
         mat.setflags(write=False)
@@ -110,7 +98,7 @@ class CovMatrix:
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
-        return self.data.shape[:-2]
+        return self.data.shape[:-3]
 
     def index(self, mode: str) -> int:
         try:
@@ -118,44 +106,28 @@ class CovMatrix:
         except ValueError:
             raise MissingMode(mode) from None
 
-    def mode_slice(self, mode: str) -> slice:
-        i = self.index(mode)
-        return slice(2 * i, 2 * i + 2)
-
-    def mode_block(self, mode: str) -> np.ndarray:
-        """2x2 diagonal block of a single mode."""
-        s = self.mode_slice(mode)
-        return self.data[..., s, s]
-
     def variance(self, mode: str) -> float | np.ndarray:
         """Mean of the x and p variances of one mode."""
-        b = self.mode_block(mode)
-        return 0.5 * (b[..., 0, 0] + b[..., 1, 1])
-
-
-def _two_mode_matrix(diag, x_ab, p_ab, x_ba, p_ba) -> np.ndarray:
-    """4x4 matrix on (x_a, p_a, x_b, p_b) with `diag` on the diagonal and the
-    given entries at (x_a, x_b), (p_a, p_b), (x_b, x_a) and (p_b, p_a)."""
-    mat = diag * np.eye(4)
-    mat[0, 2], mat[1, 3], mat[2, 0], mat[3, 1] = x_ab, p_ab, x_ba, p_ba
-    return mat
+        i = self.index(mode)
+        return 0.5 * (self.data[..., 0, i, i] + self.data[..., 1, i, i])
 
 
 def vacuum(labels: tuple[str, ...]) -> CovMatrix:
     """Vacuum state (identity covariance matrix) of the labelled modes."""
-    return CovMatrix(labels, np.eye(2 * len(labels)))
+    return CovMatrix(labels, np.array([np.eye(len(labels))] * 2))
 
 
 def epr_source(V: float, labels: tuple[str, str]) -> CovMatrix:
     """Two-mode squeezed vacuum with quadrature variance V per mode.
 
-    Cross correlations are sqrt(V^2 - 1) * sigma_z; the state is pure for
-    any V >= 1 and reduces to two decoupled vacua at V = 1.
+    Cross correlations are +sqrt(V^2 - 1) between the x and -sqrt(V^2 - 1)
+    between the p quadratures; the state is pure for any V >= 1 and reduces
+    to two decoupled vacua at V = 1.
     """
     if not V >= 1.0:
         raise InvalidArgument(f"EPR variance must be >= 1 SNU, got {V}")
     c = np.sqrt(V * V - 1.0)
-    return CovMatrix(labels, _two_mode_matrix(V, c, -c, c, -c))
+    return CovMatrix(labels, np.array([[[V, c], [c, V]], [[V, -c], [-c, V]]]))
 
 
 def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
@@ -163,26 +135,26 @@ def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
     overlap = set(a.modes) & set(b.modes)
     if overlap:
         raise InvalidArgument(f"mode labels collide: {overlap}")
-    na, nb = 2 * a.n_modes, 2 * b.n_modes
-    mat = np.zeros((na + nb, na + nb))
-    mat[:na, :na] = a.data
-    mat[na:, na:] = b.data
+    na, nb = a.n_modes, b.n_modes
+    mat = np.zeros((2, na + nb, na + nb))
+    mat[:, :na, :na] = a.data
+    mat[:, na:, na:] = b.data
     return CovMatrix(a.modes + b.modes, mat)
 
 
-def _embed_two_mode(state: CovMatrix, mode_a: str, mode_b: str, s4: np.ndarray) -> CovMatrix:
-    """Apply a two-mode symplectic (given as 4x4 on (a, b)) to the full state.
+def _embed_two_mode(state: CovMatrix, mode_a: str, mode_b: str, s: np.ndarray) -> CovMatrix:
+    """Apply a two-mode symplectic, given as its 2x2 on the x and on the p
+    quadratures of (a, b), shape (2, 2, 2), to the full state.
 
-    Only the rows and columns of a and b change: gamma -> S gamma S^T with S
-    the identity outside them.
+    Only the rows and columns of a and b change: X -> Sx X Sx^T and
+    P -> Sp P Sp^T with Sx, Sp the identity outside them.
     """
-    ia, ib = state.index(mode_a), state.index(mode_b)
-    if ia == ib:
+    idx = [state.index(mode_a), state.index(mode_b)]
+    if idx[0] == idx[1]:
         raise InvalidArgument("two-mode operation needs two distinct modes")
-    idx = [2 * ia, 2 * ia + 1, 2 * ib, 2 * ib + 1]
     mat = state.data.copy()
-    mat[..., idx, :] = s4 @ mat[..., idx, :]
-    mat[..., :, idx] = mat[..., :, idx] @ s4.T
+    mat[..., idx, :] = s @ mat[..., idx, :]
+    mat[..., :, idx] = mat[..., :, idx] @ _transpose(s)
     return CovMatrix(state.modes, mat)
 
 
@@ -194,7 +166,7 @@ def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T: float) -> CovMat
     if not 0.0 <= T <= 1.0:
         raise InvalidArgument(f"transmittance must lie in [0, 1], got {T}")
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    return _embed_two_mode(state, mode_a, mode_b, _two_mode_matrix(t, r, r, -r, -r))
+    return _embed_two_mode(state, mode_a, mode_b, np.array([[[t, r], [-r, t]]] * 2))
 
 
 def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain: float) -> CovMatrix:
@@ -202,12 +174,13 @@ def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain: float) -
 
     Convention: x_a -> sqrt(G) x_a + sqrt(G-1) x_b with the conjugate sign on
     the p quadratures, i.e. the two-mode squeezing symplectic
-    [[sqrt(G) 1, sqrt(G-1) sigma_z], [sqrt(G-1) sigma_z, sqrt(G) 1]].
+    [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] on the x quadratures and
+    [[sqrt(G), -sqrt(G-1)], [-sqrt(G-1), sqrt(G)]] on the p quadratures.
     """
     if not gain >= 1.0:
         raise InvalidArgument(f"amplifier gain must be >= 1, got {gain}")
     c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
-    return _embed_two_mode(state, mode_a, mode_b, _two_mode_matrix(c, s, -s, s, -s))
+    return _embed_two_mode(state, mode_a, mode_b, np.array([[[c, s], [s, c]], [[c, -s], [-s, c]]]))
 
 
 def loss_excess_channel(
@@ -237,47 +210,39 @@ def loss_excess_channel(
     return beamsplitter(joined, mode, labels[0], eta_ch)
 
 
-def _quadratures(state: CovMatrix, modes) -> list[int]:
-    idx = []
-    for m in modes:
-        i = state.index(m)
-        idx.extend([2 * i, 2 * i + 1])
-    return idx
-
-
 def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMatrix:
     """Reduce to the requested modes, in the requested order."""
     keep = tuple(keep)
-    idx = _quadratures(state, keep)
-    return CovMatrix(keep, _sub(state.data, idx, idx))
+    idx = np.array([state.index(m) for m in keep])
+    return CovMatrix(keep, state.data[..., idx[:, None], idx])
 
 
 def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:
     """State of the remaining modes after heterodyning one mode.
 
-    Gaussian heterodyne conditioning is outcome independent: the kept
-    covariance becomes the Schur complement gamma_K - C (gamma_M + 1)^-1 C^T.
+    Gaussian heterodyne conditioning is outcome independent: each block of
+    the kept modes becomes its Schur complement K - c c^T / (m + 1), with m
+    the measured mode's variance and c its correlations with the kept modes.
     """
-    kept = [m for m in state.modes if m != measured_mode]
-    mm = _quadratures(state, [measured_mode])
+    m = state.index(measured_mode)
+    kept = [i for i in range(state.n_modes) if i != m]
     if not kept:
         raise InvalidArgument("cannot condition away the only mode")
-    km = _quadratures(state, kept)
-    gk = _sub(state.data, km, km)
-    gm = _sub(state.data, mm, mm) + np.eye(2)
-    c = _sub(state.data, km, mm)
-    det = gm[..., 0, 0] * gm[..., 1, 1] - gm[..., 0, 1] * gm[..., 1, 0]
-    if (np.abs(det) < 1e-14).any():
+    idx = np.array(kept)
+    gk = state.data[..., idx[:, None], idx]
+    c = state.data[..., idx, m]
+    gm = state.data[..., m, m] + 1.0
+    if (np.abs(gm[..., 0] * gm[..., 1]) < 1e-14).any():
         raise NumericalError("singular measured block in heterodyne conditioning")
-    cond = gk - c @ np.linalg.inv(gm) @ _transpose(c)
-    return CovMatrix(tuple(kept), cond)
+    cond = gk - c[..., :, None] * c[..., None, :] / gm[..., None, None]
+    return CovMatrix(tuple(state.modes[i] for i in kept), cond)
 
 
 def symplectic_eigenvalues(state: CovMatrix) -> np.ndarray:
     """Symplectic spectrum, one value per mode, descending (read-only).
 
-    It is the spectrum computed when the state was built: the absolute
-    eigenvalues of i Omega gamma, each counted once.
+    It is the spectrum computed when the state was built: the singular
+    values of Lp^T Lx for the Cholesky factors of the x and p blocks.
     """
     return state.spectrum
 

@@ -103,24 +103,27 @@ def sample_moments(
     streamed: memory does not grow with n.
 
     Outcome covariance is (gamma + 1)/2: the measured vacuum has unit
-    variance in outcome units.  With C its Cholesky factor, the outcomes are
-    the rows of default_rng(seed).standard_normal((n, 2M)) @ C^T for M
-    measured modes (PCG64), drawn block by block.  Per sub-batch it keeps the
-    count m, s = z.sum(0) and G = z.T @ z of the standard normals z; their
-    sums over the sub-batches give the whole batch's.  Each is mapped into
-    outcome units as the centred Gram matrix C (G - s s^T/m) C^T.
+    variance in outcome units.  Its Cholesky factor C on the columns
+    (x_1, p_1, ..., x_M, p_M) of M measured modes interleaves the Cholesky
+    factors of the x and p blocks.  The outcomes are the rows of
+    default_rng(seed).standard_normal((n, 2M)) @ C^T (PCG64), drawn block by
+    block.  Per sub-batch it keeps the count m, s = z.sum(0) and G = z.T @ z
+    of the standard normals z; their sums over the sub-batches give the whole
+    batch's.  Each is mapped into outcome units as the centred Gram matrix
+    C (G - s s^T/m) C^T.
     """
     if n < 1:
         raise InvalidArgument("sample count must be >= 1")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     reduced = g.partial_trace(state, measured_modes)
-    outcome_cov = 0.5 * (reduced.data + np.eye(2 * reduced.n_modes))
+    width = 2 * reduced.n_modes
     try:
-        chol = np.linalg.cholesky(outcome_cov)
+        blocks = np.linalg.cholesky(0.5 * (reduced.data + np.eye(reduced.n_modes)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
-    width = chol.shape[0]
+    chol = np.zeros((width, width))
+    chol[0::2, 0::2], chol[1::2, 1::2] = blocks
     counts = _subbatch_sizes(n)
     sums = np.zeros((N_SUBBATCHES, width))
     grams = np.zeros((N_SUBBATCHES, width, width))

@@ -219,54 +219,64 @@ def build_scheme(p: ProtocolParams) -> Scheme:
 REDUCED_MODES = ("A", "B", "L", "E1", "E2")
 EVE_MODES = ("L", "E1", "E2")
 # the p block is S X S for the x block X, with S these signs of the modes
-_SIGNS = (1.0, -1.0, -1.0, -1.0, 1.0)
-_P_BLOCK_SIGNS = np.outer(_SIGNS, _SIGNS)
+_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
 
 
 def reduced_state(p) -> g.CovMatrix:
-    """The state of the modes A, B, L, E1, E2 of `build_scheme(p)`, in closed form.
+    """The state of the modes A, B, L, E1, E2 of `build_scheme(p)`, in closed form,
+    with Eve's channel modes E1, E2 in their unsqueezed frame.
 
     Trusted noise adds eps_p1 and eps_p2 to B and eps_l to L.  The channel
-    mixes B with E1 of an EPR pair E1/E2 of variance 1 + eps_ch / (1 - eta_ch);
+    mixes B with E1 of an EPR pair E1/E2 of variance v_e = 1 + eps_ch / (1 - eta_ch);
     the detector attenuates B by eta_d and adds (1 - eta_d) + eps_d.  Unused
     L, E1 and E2 are vacua.  Fields of `p` may be arrays of one length: a batch.
+
+    E1 and E2 are then mapped to c E1 - s E2 and c E2 - s E1 on the x
+    quadratures (+s on the p quadratures), with c^2 = (v_e + 1) / 2 and
+    s^2 = (v_e - 1) / 2: the inverse of the squeezer that made the pair.  It
+    acts on Eve's modes alone, so no entropy of E changes, given a or b or
+    not, but no entry grows with v_e, whose size would cost the spectra of E
+    digits.  The x block X is written entry by entry and the p block is
+    S X S, with S the signs +, -, -, -, + of the modes.
     """
     a, b, l, e1, e2 = range(5)
     k2 = p.k * p.k
     t, r = np.sqrt(1.0 / (1.0 + k2)), np.sqrt(k2 / (1.0 + k2))
-    e, f, d = np.sqrt(p.eta_ch), np.sqrt(1.0 - p.eta_ch), np.sqrt(p.eta_d)
+    e, d = np.sqrt(p.eta_ch), np.sqrt(p.eta_d)
     v_s = 1.0 + (1.0 + k2) * p.v_m
     c_s = np.sqrt(v_s * v_s - 1.0)
-    # ProtocolParams has eps_ch = 0 wherever eta_ch = 1
-    v_e = 1.0 + p.eps_ch / np.where(p.eta_ch < 1.0, 1.0 - p.eta_ch, 1.0)
-    c_e = np.sqrt(v_e * v_e - 1.0)
     # B and L after the leakage beamsplitter, with the trusted noise on each
     b0, l0 = v_s + p.eps_p1, 1.0 + p.eps_l
     bb = t * t * b0 + r * r * l0 + p.eps_p2
     bl = t * r * (l0 - b0)
     b_out = p.eta_d * (p.eta_ch * bb + (1.0 - p.eta_ch) + p.eps_ch) + (1.0 - p.eta_d) + p.eps_d
+    # with f = sqrt(1 - eta_ch): fc = f c, fs = f s and uv = (1 - e) v_e, so that
+    # E1 = -fc B + alpha V1 - beta V2 and E2 = fs B + beta V1 + delta V2 on the x
+    # quadratures, for B before the channel and two vacua V1, V2
+    fc, fs = np.sqrt(1.0 - p.eta_ch + 0.5 * p.eps_ch), np.sqrt(0.5 * p.eps_ch)
+    uv = (1.0 - p.eta_ch + p.eps_ch) / (1.0 + e)
+    alpha, beta, delta = 1.0 - fc * fc / (1.0 + e), fc * fs / (1.0 + e), 1.0 + fs * fs / (1.0 + e)
     x_entries = {
         (a, a): v_s,
         (a, b): d * e * t * c_s,
         (a, l): -r * c_s,
-        (a, e1): -f * t * c_s,
+        (a, e1): -fc * t * c_s,
+        (a, e2): fs * t * c_s,
         (b, b): b_out,
         (b, l): d * e * bl,
-        (b, e1): d * e * f * (v_e - bb),
-        (b, e2): d * f * c_e,
+        (b, e1): d * fc * (1.0 - uv - e * bb),
+        (b, e2): d * fs * (1.0 + uv + e * bb),
         (l, l): r * r * b0 + t * t * l0,
-        (l, e1): -f * bl,
-        (e1, e1): (1.0 - p.eta_ch) * bb + p.eta_ch * v_e,
-        (e1, e2): e * c_e,
-        (e2, e2): v_e,
+        (l, e1): -fc * bl,
+        (l, e2): fs * bl,
+        (e1, e1): fc * fc * bb + alpha * alpha + beta * beta,
+        (e1, e2): -fc * fs * (bb + uv / (1.0 + e)),
+        (e2, e2): fs * fs * bb + beta * beta + delta * delta,
     }
     x = np.zeros(np.shape(v_s) + (5, 5))
     for (i, j), value in x_entries.items():
         x[..., i, j] = x[..., j, i] = value
-    gamma = np.zeros(np.shape(v_s) + (10, 10))
-    gamma[..., 0::2, 0::2] = x
-    gamma[..., 1::2, 1::2] = _P_BLOCK_SIGNS * x
-    return g.CovMatrix(REDUCED_MODES, gamma)
+    return g.CovMatrix(REDUCED_MODES, np.stack([x, _SIGNS[:, None] * x * _SIGNS], axis=-3))
 
 
 def finite_size_penalty(block_size: int) -> float:
@@ -290,15 +300,13 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     s_e = g.von_neumann_entropy(g.partial_trace(state, EVE_MODES))
     given_a, given_b = (g.heterodyne_condition(state, x) for x in ("A", "B"))
     # heterodyne-heterodyne I_AB (bits/symbol), x term plus p term
-    bob, bob_given_a = (
-        np.diagonal(s.mode_block("B"), axis1=-2, axis2=-1) for s in (state, given_a)
-    )
+    bob, bob_given_a = (s.data[..., :, s.index("B"), s.index("B")] for s in (state, given_a))
     i_ab = (0.5 * np.log2((bob + 1.0) / (bob_given_a + 1.0))).sum(axis=-1)
     chi_dr, chi_rr = (
         s_e - g.von_neumann_entropy(g.partial_trace(given, EVE_MODES))
         for given in (given_a, given_b)
     )
-    # tiny negative residues from the eigensolver are numerical zero
+    # tiny negative residues from the spectrum are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
         raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
     chi_dr, chi_rr = np.maximum(chi_dr, 0.0), np.maximum(chi_rr, 0.0)
@@ -331,15 +339,17 @@ def drive(search):
 
     A search is a generator that yields lists of points and is sent their
     reports, in the same order.  Each round's points that this call has not
-    seen yet go to `key_rates` in one call; reports are kept until the
-    search ends, so no point is evaluated twice within one call.
+    seen yet go to `key_rates` in one call, and a round with none makes no
+    call; reports are kept until the search ends, so no point is evaluated
+    twice within one call.
     """
     known: dict[ProtocolParams, KeyRateReport] = {}
     try:
         request = next(search)
         while True:
             new = [q for q in request if q not in known]
-            known.update(zip(new, key_rates(new)))
+            if new:
+                known.update(zip(new, key_rates(new)))
             request = search.send([known[q] for q in request])
     except StopIteration as stop:
         return stop.value

@@ -22,6 +22,17 @@ def eq4_matrix(v_m, k, eta_ch, eps_ch):
     )
 
 
+def interleave(blocks):
+    """The (x_1, p_1, ..., x_N, p_N) covariance matrix gamma of stacked x and p
+    blocks, shape (..., 2, N, N): gamma[2i, 2j] = X[i, j], gamma[2i+1, 2j+1] = P[i, j]."""
+    blocks = np.asarray(blocks)
+    n = blocks.shape[-1]
+    gamma = np.zeros(blocks.shape[:-3] + (2 * n, 2 * n))
+    gamma[..., 0::2, 0::2] = blocks[..., 0, :, :]
+    gamma[..., 1::2, 1::2] = blocks[..., 1, :, :]
+    return gamma
+
+
 def symplectic_spectrum(gamma):
     """Symplectic eigenvalues, descending: |eig(i Omega gamma)|, one per +- pair."""
     n = gamma.shape[0] // 2

@@ -410,6 +410,28 @@ class TestSweepRowsHelper:
             optimum = dataclasses.replace(cfg.params_at(row["sweep_var"]), v_m=row["V_M"])
             assert evaluated_points.count(optimum) == 1
 
+    def test_rounds_of_known_points_evaluate_nothing(self, monkeypatch):
+        from modleak.config import parse_config
+
+        # the loss margins' 0 dB points are the rows' own points, known when asked for
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -5.0, "stop": 4.0, "points": 2}},
+            }
+        )
+        sizes = []
+        real = sec._evaluate
+
+        def recorded(group):
+            sizes.append(len(group))
+            return real(group)
+
+        monkeypatch.setattr(sec, "_evaluate", recorded)
+        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        assert len(sizes) > 10
+        assert min(sizes) > 0
+
     def test_lockstep_rows_equal_public_calls(self):
         from modleak.config import parse_config
 

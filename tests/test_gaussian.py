@@ -6,24 +6,32 @@ from modleak import gaussian as g
 from modleak import security as sec
 from modleak.errors import InvalidArgument, MissingMode, NumericalError, UnphysicalState
 
-from oracles import symplectic_spectrum
-
-OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+from oracles import interleave, symplectic_spectrum
 
 
 def random_state(rng, n: int, pure: bool) -> np.ndarray:
-    """S diag(nu, nu, ...) S^T with S = exp(Omega H) for a random symmetric H."""
-    h = rng.normal(size=(2 * n, 2 * n))
-    h = (h + h.T) * (0.4 / np.sqrt(n))
-    s = expm(np.kron(np.eye(n), OMEGA_1) @ h)
-    nus = np.ones(n) if pure else rng.uniform(1.0, 6.0, n)
-    return s @ np.diag(np.repeat(nus, 2)) @ s.T
+    """Blocks X = M D M^T and P = M^-T D M^-1, D = diag(nu), for M = exp(A) with a
+    random A: the symplectic M (+) M^-T applied to thermal modes of spectrum nu."""
+    m = expm(rng.normal(size=(n, n)) * (0.4 / np.sqrt(n)))
+    m_inv = np.linalg.inv(m)
+    d = np.diag(np.ones(n) if pure else rng.uniform(1.0, 6.0, n))
+    return np.stack([m @ d @ m.T, m_inv.T @ d @ m_inv])
+
+
+def thermal(v: float) -> np.ndarray:
+    """Blocks of one thermal mode of quadrature variance v."""
+    return np.full((2, 1, 1), v)
+
+
+def identities(n: int) -> np.ndarray:
+    """Blocks of the n-mode vacuum."""
+    return np.array([np.eye(n)] * 2)
 
 
 class TestConstructors:
     def test_vacuum_is_identity(self):
-        assert np.allclose(g.vacuum(("a",)).data, np.eye(2))
-        assert np.allclose(g.vacuum(("a", "b")).data, np.eye(4))
+        assert np.allclose(interleave(g.vacuum(("a",)).data), np.eye(2))
+        assert np.allclose(interleave(g.vacuum(("a", "b")).data), np.eye(4))
 
     def test_vacuum_is_pure(self):
         nus = g.symplectic_eigenvalues(g.vacuum(("a", "b", "c")))
@@ -34,13 +42,13 @@ class TestConstructors:
             g.vacuum(())
 
     def test_epr_at_unit_variance_is_two_vacua(self):
-        assert np.allclose(g.epr_source(1.0, ("a", "b")).data, np.eye(4))
+        assert np.allclose(interleave(g.epr_source(1.0, ("a", "b")).data), np.eye(4))
 
     def test_epr_reduces_to_thermal(self):
         state = g.epr_source(5.0, ("a", "b"))
         for mode in ("a", "b"):
             reduced = g.partial_trace(state, [mode])
-            assert np.allclose(reduced.data, 5.0 * np.eye(2))
+            assert np.allclose(interleave(reduced.data), 5.0 * np.eye(2))
 
     def test_epr_is_pure(self):
         nus = g.symplectic_eigenvalues(g.epr_source(5.0, ("a", "b")))
@@ -65,31 +73,36 @@ class TestConstructors:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a", "a"), np.eye(4))
+            g.CovMatrix(("a", "a"), identities(2))
 
-    def test_asymmetric_matrix_rejected(self):
-        mat = np.eye(2)
-        mat = mat + np.array([[0.0, 1e-6], [0.0, 0.0]])
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_asymmetric_matrix_rejected(self, block):
+        mat = identities(2)
+        mat[block, 0, 1] = 1e-6
         with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a",), mat)
+            g.CovMatrix(("a", "b"), mat)
 
     def test_unphysical_matrix_rejected(self):
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a",), 0.5 * np.eye(2))
+            g.CovMatrix(("a",), thermal(0.5))
 
     def test_non_positive_definite_matrix_rejected(self):
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a",), np.diag([2.0, -1.0]))
+            g.CovMatrix(("a",), np.array([[[2.0]], [[-1.0]]]))
+
+    def test_block_shape_must_match_modes(self):
+        with pytest.raises(InvalidArgument):
+            g.CovMatrix(("a",), np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_matrix_rejected(self, bad):
-        one_mode = np.eye(2)
-        one_mode[1, 1] = bad
+        one_mode = thermal(1.0)
+        one_mode[1, 0, 0] = bad
         with pytest.raises(NumericalError):
             g.CovMatrix(("a",), one_mode)
-        batch = np.stack([np.eye(2), 3.0 * np.eye(2), np.eye(2)])
-        batch[1, 0, 0] = bad
+        batch = np.stack([thermal(1.0), thermal(3.0), thermal(1.0)])
+        batch[1, 0, 0, 0] = bad
         with pytest.raises(NumericalError):
             g.CovMatrix(("a",), batch)
 
@@ -98,7 +111,7 @@ class TestBeamsplitter:
     def test_vacuum_invariant(self):
         state = g.vacuum(("a", "b"))
         out = g.beamsplitter(state, "a", "b", 0.5)
-        assert np.allclose(out.data, np.eye(4))
+        assert np.allclose(interleave(out.data), np.eye(4))
 
     def test_full_transmittance_is_identity(self):
         state = g.epr_source(3.0, ("a", "b"))
@@ -165,8 +178,8 @@ class TestTwoModeSqueezer:
         state = g.tensor(g.epr_source(6.0, ("a", "b")), g.vacuum(("c", "d")))
         out = g.two_mode_squeezer(state, "b", "c", 1.0 / eta)
         out = g.beamsplitter(out, "b", "d", eta)
-        ab = g.partial_trace(out, ["a", "b"]).data
-        assert np.allclose(ab[0:2, 2:4], state.data[0:2, 2:4])
+        ab = interleave(g.partial_trace(out, ["a", "b"]).data)
+        assert np.allclose(ab[0:2, 2:4], interleave(state.data)[0:2, 2:4])
         assert out.variance("b") == pytest.approx(6.0 + 2.0 * (1.0 - eta))
 
 
@@ -225,7 +238,7 @@ class TestHeterodyneCondition:
     def test_epr_conditions_to_vacuum_variance(self):
         for v in (1.0, 2.0, 10.0, 40.0):
             out = g.heterodyne_condition(g.epr_source(v, ("a", "b")), "b")
-            assert np.allclose(out.data, np.eye(2), atol=1e-12)
+            assert np.allclose(interleave(out.data), np.eye(2), atol=1e-12)
 
     def test_measured_mode_removed(self):
         out = g.heterodyne_condition(g.epr_source(2.0, ("a", "b")), "a")
@@ -234,7 +247,7 @@ class TestHeterodyneCondition:
 
 class TestSpectraAndEntropy:
     def test_thermal_eigenvalue(self):
-        state = g.CovMatrix(("a",), 4.0 * np.eye(2))
+        state = g.CovMatrix(("a",), thermal(4.0))
         assert g.symplectic_eigenvalues(state)[0] == pytest.approx(4.0)
 
     def test_reduced_epr_eigenvalue(self):
@@ -246,7 +259,7 @@ class TestSpectraAndEntropy:
 
     def test_thermal_entropy_value(self):
         # g(3) = 2 log2(2) - 1 log2(1) = 2 bits
-        state = g.CovMatrix(("a",), 3.0 * np.eye(2))
+        state = g.CovMatrix(("a",), thermal(3.0))
         assert g.von_neumann_entropy(state) == pytest.approx(2.0)
 
     def test_epr_reductions_have_equal_entropy(self):
@@ -271,7 +284,9 @@ class TestSpectraAndEntropy:
                 labels = tuple(f"m{i}" for i in range(n))
                 state = g.CovMatrix(labels, random_state(rng, n, pure))
                 np.testing.assert_allclose(
-                    g.symplectic_eigenvalues(state), symplectic_spectrum(state.data), rtol=1e-9
+                    g.symplectic_eigenvalues(state),
+                    symplectic_spectrum(interleave(state.data)),
+                    rtol=1e-9,
                 )
 
     def test_matches_oracle_on_full_noise_schemes(self):
@@ -299,12 +314,16 @@ class TestSpectraAndEntropy:
             assert scheme.state.n_modes == 19
             for state in states:
                 np.testing.assert_allclose(
-                    g.symplectic_eigenvalues(state), symplectic_spectrum(state.data), rtol=1e-9
+                    g.symplectic_eigenvalues(state),
+                    symplectic_spectrum(interleave(state.data)),
+                    rtol=1e-9,
                 )
 
 
-def dense_two_mode(gamma: np.ndarray, idx: list[int], s4: np.ndarray) -> np.ndarray:
-    """S gamma S^T with S the identity outside the quadratures `idx`."""
+def dense_two_mode(blocks: np.ndarray, idx: list[int], s4: np.ndarray) -> np.ndarray:
+    """S gamma S^T for the interleaved gamma of `blocks`, with S the identity
+    outside the quadratures `idx`."""
+    gamma = interleave(blocks)
     dense = np.eye(len(gamma))
     dense[np.ix_(idx, idx)] = s4
     return dense @ gamma @ dense.T
@@ -321,7 +340,7 @@ class TestTwoModeUpdate:
         t, r = np.sqrt(T), np.sqrt(1.0 - T)
         s4 = np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
         np.testing.assert_allclose(
-            g.beamsplitter(state, "d", "b", T).data,
+            interleave(g.beamsplitter(state, "d", "b", T).data),
             dense_two_mode(state.data, [6, 7, 2, 3], s4),
             rtol=0.0,
             atol=1e-12,
@@ -332,7 +351,7 @@ class TestTwoModeUpdate:
         c, s, sz = np.sqrt(gain), np.sqrt(gain - 1.0), np.diag([1.0, -1.0])
         s4 = np.block([[c * np.eye(2), s * sz], [s * sz, c * np.eye(2)]])
         np.testing.assert_allclose(
-            g.two_mode_squeezer(state, "d", "b", gain).data,
+            interleave(g.two_mode_squeezer(state, "d", "b", gain).data),
             dense_two_mode(state.data, [6, 7, 2, 3], s4),
             rtol=0.0,
             atol=1e-12,
@@ -370,21 +389,25 @@ class TestBatches:
                 assert g.von_neumann_entropy(single) == g.von_neumann_entropy(batch)[i]
 
     def test_checks_every_state(self):
-        good = np.eye(2)
+        good = identities(2)
+        indefinite_p, skew_x, skew_p = good.copy(), good.copy(), good.copy()
+        indefinite_p[1, 0, 0] = -1.0
+        skew_x[0, 0, 1] = skew_p[1, 1, 0] = 1e-6
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a",), np.stack([good, 0.5 * good, good]))
+            g.CovMatrix(("a", "b"), np.stack([good, 0.5 * good, good]))
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a",), np.stack([good, np.diag([2.0, -1.0])]))
-        with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a",), np.stack([good, good + np.array([[0.0, 1e-6], [0.0, 0.0]])]))
+            g.CovMatrix(("a", "b"), np.stack([good, indefinite_p]))
+        for skew in (skew_x, skew_p):
+            with pytest.raises(InvalidArgument):
+                g.CovMatrix(("a", "b"), np.stack([good, skew]))
 
     def test_failing_state_raises_its_own_error(self):
-        bad = np.eye(4)
-        bad[0, 0] = np.nan
+        bad = identities(2)
+        bad[1, 0, 0] = np.nan
         with pytest.raises(NumericalError):
             g.CovMatrix(("a", "b"), bad)
         with pytest.raises(NumericalError):
-            g.CovMatrix(("a", "b"), np.stack([np.eye(4), bad, 2.0 * np.eye(4)]))
+            g.CovMatrix(("a", "b"), np.stack([identities(2), bad, 2.0 * identities(2)]))
 
 
 class TestRandomizedInvariants:
@@ -408,7 +431,7 @@ class TestRandomizedInvariants:
         for _ in range(10):
             state = g.tensor(
                 g.epr_source(rng.uniform(1.0, 20.0), ("a", "b")),
-                g.CovMatrix(("m",), rng.uniform(1.0, 5.0) * np.eye(2)),
+                g.CovMatrix(("m",), thermal(rng.uniform(1.0, 5.0))),
             )
             out = g.heterodyne_condition(state, "m")
             assert np.allclose(out.data, g.partial_trace(state, ["a", "b"]).data)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import heterodyne_draws, mc_estimate
+from oracles import heterodyne_draws, interleave, mc_estimate
 
 from modleak import gaussian as g
 from modleak import montecarlo as mc
@@ -111,7 +111,7 @@ class TestStreamedMoments:
     @pytest.mark.parametrize("blind", [False, True])
     def test_estimates_match_oracle_on_the_same_draws(self, n, measured, blind):
         state = sec.build_scheme(POINT).state
-        draws = heterodyne_draws(g.partial_trace(state, list(measured)).data, n, seed=n)
+        draws = heterodyne_draws(interleave(g.partial_trace(state, list(measured)).data), n, seed=n)
         records = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(measured)}
         blind_v_m = POINT.v_m if blind else None
         expected = mc_estimate(records["A"], records["B"], records.get("L"), blind_v_m, blind)

@@ -8,7 +8,7 @@ from modleak import gaussian as g
 from modleak import security as sec
 from modleak.errors import InvalidArgument, UnphysicalState
 
-from oracles import eq4_matrix, no_switching_rates, reduced_model_rates
+from oracles import eq4_matrix, interleave, no_switching_rates, reduced_model_rates
 
 TABLE_POINT = sec.ProtocolParams(
     v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
@@ -24,9 +24,10 @@ def purification_rates(p: sec.ProtocolParams) -> tuple[float, float, float]:
     """
     scheme = sec.build_scheme(p)
     gamma_ab = g.partial_trace(scheme.state, ["A", "B"])
-    bob = gamma_ab.mode_block("B")
-    bob_cond = g.heterodyne_condition(gamma_ab, "A").mode_block("B")
-    i_ab = sum(0.5 * np.log2((bob[q, q] + 1.0) / (bob_cond[q, q] + 1.0)) for q in (0, 1))
+    # B's x and p variances, before and after a
+    bob = gamma_ab.data[:, 1, 1]
+    bob_cond = g.heterodyne_condition(gamma_ab, "A").data[:, 0, 0]
+    i_ab = sum(0.5 * np.log2((bob[q] + 1.0) / (bob_cond[q] + 1.0)) for q in (0, 1))
     trusted = g.partial_trace(scheme.state, scheme.trusted)
     s_t = g.von_neumann_entropy(trusted)
     chi_dr, chi_rr = (
@@ -91,7 +92,7 @@ class TestBuildScheme:
         p = sec.ProtocolParams(v_m=3.0, k=0.0, eta_ch=0.7, eps_ch=0.05)
         scheme = sec.build_scheme(p)
         assert scheme.state.modes == ("A", "B", "E1", "E2")
-        ab = g.partial_trace(scheme.state, ["A", "B"]).data
+        ab = interleave(g.partial_trace(scheme.state, ["A", "B"]).data)
         assert np.allclose(ab, eq4_matrix(3.0, 0.0, 0.7, 0.05), atol=1e-10)
 
     def test_matches_effective_two_mode_matrix(self):
@@ -102,7 +103,7 @@ class TestBuildScheme:
             eta = rng.uniform(1e-3, 0.999)
             eps = rng.uniform(0.0, 0.5)
             p = sec.ProtocolParams(v_m=vm, k=k, eta_ch=eta, eps_ch=eps)
-            ab = g.partial_trace(sec.build_scheme(p).state, ["A", "B"]).data
+            ab = interleave(g.partial_trace(sec.build_scheme(p).state, ["A", "B"]).data)
             assert np.allclose(ab, eq4_matrix(vm, k, eta, eps), atol=1e-10)
 
     def test_global_state_is_pure(self):
@@ -302,7 +303,8 @@ class TestKeyRates:
         assert sec.key_rates([]) == []
 
     def test_unphysical_point_fails_its_batch_alike(self):
-        bad = sec.ProtocolParams(v_m=5.0, eta_ch=0.99999, eps_ch=0.1)
+        # A and B's EPR pair of variance 1e7 fails the physicality check from rounding
+        bad = sec.ProtocolParams(v_m=1e7, eta_ch=0.5, eps_ch=0.1)
         with pytest.raises(UnphysicalState):
             sec.key_rate(bad)
         same_structure = sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=0.1)
@@ -352,7 +354,23 @@ class TestReducedState:
         p = dataclasses.replace(TABLE_POINT, eps_p1=0.1, eps_l=0.2, eps_p2=0.3)
         scheme = sec.build_scheme(p)
         reduced = g.partial_trace(scheme.state, sec.REDUCED_MODES)
-        np.testing.assert_allclose(sec.reduced_state(p).data, reduced.data, rtol=0.0, atol=1e-11)
+        # E1/E2 after the inverse of the squeezer that made the channel's EPR pair
+        v_e = 1.0 + p.eps_ch / (1.0 - p.eta_ch)
+        c, s = np.sqrt(0.5 * (v_e + 1.0)), np.sqrt(0.5 * (v_e - 1.0))
+        frame = np.array([np.eye(5)] * 2)
+        frame[:, 3:, 3:] = [[[c, -s], [-s, c]], [[c, s], [s, c]]]
+        np.testing.assert_allclose(
+            sec.reduced_state(p).data,
+            frame @ reduced.data @ frame.swapaxes(-1, -2),
+            rtol=0.0,
+            atol=1e-11,
+        )
+
+    def test_channel_near_unit_transmittance(self):
+        # the channel's EPR pair has variance 1e4 here; E1/E2 in the unsqueezed
+        # frame keep the spectra of E, which it used to fail, well conditioned
+        rep = sec.key_rate(sec.ProtocolParams(v_m=5.0, eta_ch=0.99999, eps_ch=0.1))
+        assert all(math.isfinite(v) for v in vars(rep).values())
 
     def test_detector_near_unit_efficiency(self):
         # the purification's detector pair has variance 1e4 here and fails the
