@@ -134,15 +134,16 @@ def keyrate(config_path, direction, optimize_vm, out):
 
 def _search_row(p: sec.ProtocolParams, direction: str, optimize_vm: bool, with_eta_max: bool):
     """Search for one sweep row: its point, the k = 0 twin and, on request,
-    the loss margins of both in both directions."""
+    the loss margins of both in both directions.  The margins come first, so
+    their first round asks for p and p0 with their 60 dB ends."""
     p = yield from _search_optimum(p, direction, optimize_vm)
     p0 = dataclasses.replace(p, k=0.0)
-    report, twin = yield [p, p0]
     margins = None
     if with_eta_max:
         margins = yield from sec.lockstep(
             sec.search_loss_margin(q, d) for d in ("dr", "rr") for q in (p, p0)
         )
+    report, twin = yield [p, p0]
     return p, report, twin, margins
 
 

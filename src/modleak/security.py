@@ -3,9 +3,9 @@
 Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
 protocol's pure purification `build_scheme`, the model of record: Eve holds
 E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b).  `key_rates`
-evaluates many points in one batched pass.  The V_M and loss-margin searches
-are generators that yield the points they need; `lockstep` runs many of them
-side by side and `drive` sends each round's new points to `key_rates`.
+evaluates many points in one batched pass.  Every search is a generator that
+yields lists of points and is sent their reports; `lockstep` runs many side by
+side and `drive` sends each round's new points to `key_rates`.
 """
 
 from __future__ import annotations
@@ -279,11 +279,11 @@ def reduced_state(p) -> g.CovMatrix:
     return g.CovMatrix(REDUCED_MODES, np.stack([x, _SIGNS[:, None] * x * _SIGNS], axis=-3))
 
 
-def finite_size_penalty(block_size: int) -> float:
-    """Dominant finite-size correction Delta(n) in bits/symbol; 0 = asymptotic."""
-    if block_size == 0:
-        return 0.0
-    return float(7.0 * np.sqrt(np.log2(2.0 / FINITE_SIZE_EPS) / block_size))
+def finite_size_penalty(block_size):
+    """Dominant finite-size correction Delta(n) in bits/symbol, elementwise; 0 = asymptotic."""
+    n = np.asarray(block_size, dtype=float)
+    # an asymptotic block is an infinite one: its penalty is exactly 0
+    return 7.0 * np.sqrt(np.log2(2.0 / FINITE_SIZE_EPS) / np.where(n == 0.0, np.inf, n))
 
 
 def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
@@ -310,7 +310,7 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
         raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
     chi_dr, chi_rr = np.maximum(chi_dr, 0.0), np.maximum(chi_rr, 0.0)
-    delta = np.array([finite_size_penalty(q.block_size) for q in points])
+    delta = finite_size_penalty(batch.block_size)
     r_dr, r_rr = (batch.beta * i_ab - chi - delta for chi in (chi_dr, chi_rr))
     clamped = (np.maximum(r, 0.0) for r in (r_dr, r_rr))
     columns = (i_ab, chi_dr, chi_rr, r_dr, r_rr, *clamped, delta)
@@ -381,6 +381,12 @@ def lockstep(searches):
     return results
 
 
+def _rates(points: list[ProtocolParams], direction: str):
+    """One round of a search: yields `points` and returns their key fractions."""
+    reports = yield points
+    return [report.rate(direction) for report in reports]
+
+
 def search_vm(p: ProtocolParams, direction: str):
     """Search behind `optimize_vm`: the 40-point grid in one round, then golden section.
 
@@ -389,8 +395,7 @@ def search_vm(p: ProtocolParams, direction: str):
     grid stay where that search put them.
     """
     grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
-    reports = yield [replace(p, v_m=v) for v in grid]
-    rates = np.array([report.rate(direction) for report in reports])
+    rates = np.array((yield from _rates([replace(p, v_m=v) for v in grid], direction)))
     best = int(np.argmax(rates))
 
     def at(u):
@@ -405,21 +410,18 @@ def search_vm(p: ProtocolParams, direction: str):
         x1, x2 = mid, mid + GOLDEN_C * (x3 - mid)
     else:
         x1, x2 = mid - GOLDEN_C * (mid - x0), mid
-    r1, r2 = yield [at(x1), at(x2)]
-    f1, f2 = r1.rate(direction), r2.rate(direction)
+    f1, f2 = yield from _rates([at(x1), at(x2)], direction)
     for _ in range(GOLDEN_MAXITER):
         if abs(x3 - x0) <= GOLDEN_TOL * (abs(x1) + abs(x2)):
             break
         if f2 > f1:
             x0, x1, f1 = x1, x2, f2
             x2 = GOLDEN_R * x1 + GOLDEN_C * x3
-            [report] = yield [at(x2)]
-            f2 = report.rate(direction)
+            [f2] = yield from _rates([at(x2)], direction)
         else:
             x3, x2, f2 = x2, x1, f1
             x1 = GOLDEN_R * x2 + GOLDEN_C * x0
-            [report] = yield [at(x1)]
-            f1 = report.rate(direction)
+            [f1] = yield from _rates([at(x1)], direction)
     # ties break toward smaller V_M
     u_opt, r_opt = (x1, f1) if f1 > f2 else (x2, f2)
     if r_opt < rates[best]:
@@ -442,11 +444,12 @@ def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0.0
 
 
-def _brentq(xa: float, xb: float, fa: float, fb: float, xtol: float):
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float):
     """Root of f on [xa, xb] by Brent's method, step for step as scipy.optimize.brentq.
 
-    A generator over x: it yields each new x and is sent f(x); its return
-    value is the root.  fa = f(xa) and fb = f(xb) must not share a sign.
+    A search like any other: `f(x)` is a one-round search that returns
+    f(x), so each new x is one round.  The return value is the root.
+    fa = f(xa) and fb = f(xb) must not share a sign.
     """
     xpre, xcur, fpre, fcur = xa, xb, fa, fb
     xblk = fblk = spre = scur = 0.0
@@ -487,32 +490,27 @@ def _brentq(xa: float, xb: float, fa: float, fb: float, xtol: float):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = yield xcur
+        fcur = yield from f(xcur)
     raise NumericalError(f"root search did not converge in {BRENT_MAXITER} steps")
 
 
 def search_loss_margin(p: ProtocolParams, direction: str):
-    """Search behind `max_additional_loss`: both ends of [0, 60] dB, then Brent's method."""
+    """Search behind `max_additional_loss`: both ends of [0, 60] dB in one round,
+    then Brent's method, one round per step."""
 
     def at(a_db: float) -> ProtocolParams:
         return replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))
 
-    [report] = yield [at(0.0)]
-    f0 = report.rate(direction)
+    def rate(a_db: float):
+        return (yield from _rates([at(a_db)], direction))[0]
+
+    f0, f1 = yield from _rates([at(0.0), at(MAX_ADDITIONAL_LOSS_DB)], direction)
     if f0 <= 0.0:
         return LossMargin(db=0.0, flag="no-positive-key")
-    [report] = yield [at(MAX_ADDITIONAL_LOSS_DB)]
-    f1 = report.rate(direction)
     if f1 > 0.0:
         return LossMargin(db=MAX_ADDITIONAL_LOSS_DB, flag="saturated")
-    roots = _brentq(0.0, MAX_ADDITIONAL_LOSS_DB, f0, f1, LOSS_ROOT_XTOL_DB)
-    try:
-        a_db = next(roots)
-        while True:
-            [report] = yield [at(a_db)]
-            a_db = roots.send(report.rate(direction))
-    except StopIteration as stop:
-        return LossMargin(db=float(stop.value), flag="ok")
+    a_db = yield from _brentq(rate, 0.0, MAX_ADDITIONAL_LOSS_DB, f0, f1, LOSS_ROOT_XTOL_DB)
+    return LossMargin(db=float(a_db), flag="ok")
 
 
 def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:

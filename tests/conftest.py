@@ -3,6 +3,17 @@ import pytest
 from modleak import security as sec
 
 
+def _record_evaluations(monkeypatch, keep):
+    """Hand each batch that security._evaluate is given to `keep`, then evaluate it."""
+    real = sec._evaluate
+
+    def recorded(group):
+        keep(group)
+        return real(group)
+
+    monkeypatch.setattr(sec, "_evaluate", recorded)
+
+
 @pytest.fixture
 def evaluated_points(monkeypatch):
     """Every ProtocolParams that security.key_rates evaluates during the test, in order.
@@ -11,11 +22,13 @@ def evaluated_points(monkeypatch):
     batched pass; this records the points of every such pass.
     """
     points = []
-    real = sec._evaluate
-
-    def recorded(group):
-        points.extend(group)
-        return real(group)
-
-    monkeypatch.setattr(sec, "_evaluate", recorded)
+    _record_evaluations(monkeypatch, points.extend)
     return points
+
+
+@pytest.fixture
+def evaluated_batches(monkeypatch):
+    """The distinct points of every batched pass of security.key_rates during the test, in order."""
+    batches = []
+    _record_evaluations(monkeypatch, lambda group: batches.append(list(group)))
+    return batches

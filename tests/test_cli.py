@@ -410,27 +410,40 @@ class TestSweepRowsHelper:
             optimum = dataclasses.replace(cfg.params_at(row["sweep_var"]), v_m=row["V_M"])
             assert evaluated_points.count(optimum) == 1
 
-    def test_rounds_of_known_points_evaluate_nothing(self, monkeypatch):
+    def test_rounds_of_known_points_evaluate_nothing(self, evaluated_batches):
         from modleak.config import parse_config
 
-        # the loss margins' 0 dB points are the rows' own points, known when asked for
+        # the row's own round [p, p0] comes after the loss margins, which asked for both
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
                 "modulator": {"rho": {"start": -5.0, "stop": 4.0, "points": 2}},
             }
         )
-        sizes = []
-        real = sec._evaluate
-
-        def recorded(group):
-            sizes.append(len(group))
-            return real(group)
-
-        monkeypatch.setattr(sec, "_evaluate", recorded)
         cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        sizes = [len(batch) for batch in evaluated_batches]
         assert len(sizes) > 10
         assert min(sizes) > 0
+
+    def test_margins_ask_for_both_ends_with_the_row(self, evaluated_batches):
+        from modleak.config import parse_config
+
+        # the optimum p is known from the V_M search; its twin p0 is new and is
+        # evaluated together with both points' 60 dB ends
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -5.0, "stop": 4.0, "points": 2}},
+            }
+        )
+        rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        loss = 10.0 ** (-sec.MAX_ADDITIONAL_LOSS_DB / 10.0)
+        for row in rows:
+            p = dataclasses.replace(cfg.params_at(row["sweep_var"]), v_m=row["V_M"])
+            p0 = dataclasses.replace(p, k=0.0)
+            [batch] = [batch for batch in evaluated_batches if p0 in batch]
+            for q in (p, p0):
+                assert dataclasses.replace(q, eta_ch=q.eta_ch * loss) in batch
 
     def test_lockstep_rows_equal_public_calls(self):
         from modleak.config import parse_config

@@ -225,6 +225,21 @@ class TestKeyRate:
         assert delta > 0.0
         assert rep_fs.r_rr == pytest.approx(rep.r_rr - delta)
 
+    def test_finite_size_penalty_of_a_batch_equals_single_points(self):
+        # 10**30 does not fit an int64: the batch's block sizes are an object array
+        points = [
+            sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=0.02, block_size=n)
+            for n in (0, 10**7, 10**30)
+        ]
+        reports = sec.key_rates(points)
+        assert reports == [sec.key_rate(q) for q in points]
+        assert [rep.finite_size_penalty for rep in reports] == [
+            0.0,
+            sec.finite_size_penalty(10**7),
+            sec.finite_size_penalty(10**30),
+        ]
+        assert reports[2].finite_size_penalty > 0.0
+
     def test_rate_picks_direction(self):
         rep = sec.key_rate(sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02))
         assert rep.rate("dr") == rep.r_dr
@@ -341,8 +356,14 @@ class TestReducedState:
         assert gaps.max() <= 1e-9
 
     def test_matches_high_precision_oracle_on_largest_gaps(self):
-        largest = np.argsort(self.gaps().max(axis=1))[-5:]
-        for i in largest:
+        # rounding noise orders the gaps, so the points with the largest EPR
+        # variances, of the channel pair and of the source, are checked too
+        v_e = [1.0 + q.eps_ch / (1.0 - q.eta_ch) if q.eta_ch < 1.0 else 1.0 for q in self.POINTS]
+        v_s = [1.0 + (1.0 + q.k * q.k) * q.v_m for q in self.POINTS]
+        gaps = self.gaps().max(axis=1)
+        checked = {int(i) for key in (gaps, v_e, v_s) for i in np.argsort(key)[-5:]}
+        assert len(checked) >= 10
+        for i in sorted(checked):
             q = self.POINTS[i]
             rep = sec.key_rate(q)
             i_ab, chi_dr, chi_rr = reduced_model_rates(*(getattr(q, f) for f in MODEL_FIELDS))
@@ -394,14 +415,17 @@ class TestLockstep:
 
 
 def brent(f, a: float, b: float, xtol: float) -> float:
-    """sec._brentq driven by a plain function."""
-    roots = sec._brentq(a, b, f(a), f(b), xtol)
+    """sec._brentq on a plain function: each step returns f(x) without yielding."""
+
+    def step(x):
+        yield from ()
+        return f(x)
+
     try:
-        x = next(roots)
-        while True:
-            x = roots.send(f(x))
+        next(sec._brentq(step, a, b, f(a), f(b), xtol))
     except StopIteration as stop:
         return stop.value
+    raise AssertionError("a search without rounds yielded")
 
 
 class TestBrent:
@@ -482,6 +506,12 @@ class TestMaxAdditionalLoss:
         margin = sec.max_additional_loss(p, "rr")
         assert margin.flag == "saturated"
         assert margin.db == sec.MAX_ADDITIONAL_LOSS_DB
+
+    def test_both_ends_in_one_round(self, evaluated_batches):
+        p = sec.ProtocolParams(v_m=5.0)
+        assert sec.max_additional_loss(p, "rr").flag == "saturated"
+        end = dataclasses.replace(p, eta_ch=10.0 ** (-sec.MAX_ADDITIONAL_LOSS_DB / 10.0))
+        assert evaluated_batches == [[p, end]]
 
     def test_monotone_in_leakage(self):
         margins = [
