@@ -42,9 +42,7 @@ EXIT_NO_SECURITY = 2
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    return f"{value:.9g}"
+    return "" if value is None else f"{value:.9g}"
 
 
 def _fail(message: str):
@@ -98,13 +96,25 @@ def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool):
     return p
 
 
-@click.group()
+class _Group(click.Group):
+    """A command group whose usage errors take `_fail`: one `error:` line, exit 1."""
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except (click.ClickException, click.Abort) as exc:
+            if not standalone_mode:
+                raise
+            _fail(exc.format_message() if isinstance(exc, click.ClickException) else "aborted")
+
+
+@click.group(cls=_Group)
 def main():
     """Modulation-leakage security analysis for CV-QKD."""
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--direction", type=click.Choice(["dr", "rr", "both"]), default="both")
 @click.option("--optimize-vm", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -156,7 +166,7 @@ def sweep_rows(
     """Evaluate every sweep point; shared by the CLI and the test suite.
 
     All rows are searched in lockstep, so each round of every row's V_M
-    search and loss-margin searches is one `key_rates` call.
+    search and loss-margin searches is one batched pass of `sec.drive`.
     """
     axis = cfg.sweep_axis
     if axis is None:
@@ -197,7 +207,7 @@ def sweep_rows(
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--direction", type=click.Choice(["dr", "rr", "both"]), default="both")
 @click.option("--optimize-vm", is_flag=True)
 @click.option("--with-eta-max", is_flag=True)
@@ -233,7 +243,7 @@ def table1_matrix(p: sec.ProtocolParams) -> dict:
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None)
 def table1(config_path, out):
     """Trusted-noise viability matrix (4 infusion points x 2 directions)."""
@@ -247,7 +257,7 @@ def table1(config_path, out):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--assume-no-leakage", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)

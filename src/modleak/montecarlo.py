@@ -7,7 +7,8 @@ estimated point against the true one.  Eve's record is the leakage-mode
 output, measured with perfect efficiency.
 The draws stream into per-sub-batch sufficient statistics (`sample_moments`),
 the only sampling path: no outcome array is kept, so memory does not grow
-with the sample count.
+with the sample count.  `OutcomeMoments` holds them as one array, the whole
+batch first, and the sampler alone enforces the MIN_SAMPLES floor.
 """
 
 from __future__ import annotations
@@ -36,24 +37,22 @@ def _subbatch_sizes(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class OutcomeMoments:
-    """Sufficient statistics of n heterodyne outcomes: the whole batch and
-    its N_SUBBATCHES consecutive sub-batches.
+    """Sufficient statistics of n heterodyne outcomes: the whole batch at
+    index 0, then its N_SUBBATCHES consecutive sub-batches.
 
-    Columns are the (x, p) outcomes of each mode in `modes`.  `gram` is the
-    centred Gram matrix of all n outcomes, the sum of (r - mean)(r - mean)^T
-    over them; sub-batch i holds `counts[i]` outcomes with centred Gram
-    matrix `grams[i]`, centred on its own mean.
+    Columns are the (x, p) outcomes of each mode in `modes`.  Entry i holds
+    `counts[i]` outcomes with centred Gram matrix `grams[i]`, the sum of
+    (r - mean)(r - mean)^T over them, centred on their own mean; so
+    `counts[0]` is n.
     """
 
     modes: tuple[str, ...]
-    n: int
-    gram: np.ndarray
     counts: tuple[int, ...]
     grams: np.ndarray
 
     def __post_init__(self):
         # a non-finite outcome makes its column's centred square sum non-finite
-        diag = np.diagonal(np.concatenate([self.gram[None], self.grams]), axis1=-2, axis2=-1)
+        diag = np.diagonal(self.grams, axis1=-2, axis2=-1)
         for i, label in enumerate(self.modes):
             if not np.all(np.isfinite(diag[:, 2 * i : 2 * i + 2])):
                 raise InvalidArgument(f"mode {label}: non-finite samples")
@@ -110,10 +109,12 @@ def sample_moments(
     block.  Per sub-batch it keeps the count m, s = z.sum(0) and G = z.T @ z
     of the standard normals z; their sums over the sub-batches give the whole
     batch's.  Each is mapped into outcome units as the centred Gram matrix
-    C (G - s s^T/m) C^T.
+    C (G - s s^T/m) C^T, the whole batch's first.  n must be at least
+    MIN_SAMPLES, so no sub-batch holds fewer than MIN_SAMPLES / N_SUBBATCHES
+    outcomes.
     """
-    if n < 1:
-        raise InvalidArgument("sample count must be >= 1")
+    if n < MIN_SAMPLES:
+        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {n}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     reduced = g.partial_trace(state, measured_modes)
@@ -124,20 +125,20 @@ def sample_moments(
         raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
     chol = np.zeros((width, width))
     chol[0::2, 0::2], chol[1::2, 1::2] = blocks
-    counts = _subbatch_sizes(n)
+    sizes = _subbatch_sizes(n)
     sums = np.zeros((N_SUBBATCHES, width))
     grams = np.zeros((N_SUBBATCHES, width, width))
     ones = np.ones(BLOCK_ROWS)  # ones @ z is z.sum(0) as one BLAS pass
-    for i, z in _blocks(np.random.default_rng(seed), counts, width):
+    for i, z in _blocks(np.random.default_rng(seed), sizes, width):
         sums[i] += ones[: len(z)] @ z
         grams[i] += z.T @ z
     # the whole batch first, then its sub-batches
-    sizes = np.array([n, *counts])
+    counts = (n, *sizes)
     sums = np.concatenate([sums.sum(axis=0, keepdims=True), sums])
     grams = np.concatenate([grams.sum(axis=0, keepdims=True), grams])
-    z_mean = sums / np.maximum(sizes, 1)[:, None]
+    z_mean = sums / np.array(counts)[:, None]
     centred = chol @ (grams - sums[:, :, None] * z_mean[:, None, :]) @ chol.T
-    return OutcomeMoments(reduced.modes, n, centred[0], tuple(counts), centred[1:])
+    return OutcomeMoments(reduced.modes, counts, centred)
 
 
 def _moment_estimates(
@@ -149,11 +150,13 @@ def _moment_estimates(
     by the count (ddof = 0, as np.var), covariances by the count - 1 (ddof = 1,
     as np.cov).  a, b and e are the x columns of Alice, Bob and Eve (None: no record)."""
 
+    def var(i):
+        return grams[:, i, i] / counts + grams[:, i + 1, i + 1] / counts - 1.0
+
     def cov(i, j):
         return grams[:, i, j] / (counts - 1) - grams[:, i + 1, j + 1] / (counts - 1)
 
-    v_a = 2.0 * 0.5 * (grams[:, a, a] / counts + grams[:, a + 1, a + 1] / counts) - 1.0
-    v_b = 2.0 * 0.5 * (grams[:, b, b] / counts + grams[:, b + 1, b + 1] / counts) - 1.0
+    v_a, v_b = var(a), var(b)
     c_ab = np.abs(cov(a, b))
     s = np.maximum(v_a - 1.0, 1e-12)
     if blind_v_m is not None:
@@ -183,18 +186,13 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
     Gram matrix and from each sub-batch's; the standard errors come from the
     spread of the 10 sub-batch estimates.
     """
-    if moments.n < MIN_SAMPLES:
-        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {moments.n}")
     cols = (
         moments.column("A"),
         moments.column("B"),
         moments.column("L") if "L" in moments.modes else None,
     )
     *columns, clamped = _moment_estimates(
-        np.array([moments.n, *moments.counts]),
-        np.concatenate([moments.gram[None], moments.grams]),
-        *cols,
-        blind_v_m,
+        np.array(moments.counts), moments.grams, *cols, blind_v_m
     )
     estimates = np.stack(columns, axis=-1)
     full = estimates[0]
@@ -209,7 +207,7 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
         se_k=float(se[1]),
         se_eta=float(se[2]),
         se_eps=float(se[3]),
-        n=moments.n,
+        n=moments.counts[0],
         clamped=bool(clamped[0]),
     )
 

@@ -2,10 +2,11 @@
 
 Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
 protocol's pure purification `build_scheme`, the model of record: Eve holds
-E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b).  `key_rates`
-evaluates many points in one batched pass.  Every search is a generator that
-yields lists of points and is sent their reports; `lockstep` runs many side by
-side and `drive` sends each round's new points to `key_rates`.
+E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b).  Every search is
+a generator that yields lists of points and is sent their reports; `lockstep`
+runs many side by side.  `drive` is the one loop that evaluates: it sends each
+round's new points to `_evaluate` in one batched pass.  `key_rates` is `drive`
+run on a single round.
 """
 
 from __future__ import annotations
@@ -317,42 +318,42 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     return [KeyRateReport(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def key_rates(points) -> list[KeyRateReport]:
-    """Secret key fractions for both reconciliation directions at many points, in order.
-
-    Each distinct point is evaluated once, all in one batched pass through
-    `reduced_state`.  A point that fails alone fails the call with the same error.
-    """
-    points = list(points)
-    distinct = list(dict.fromkeys(points))
-    reports = dict(zip(distinct, _evaluate(distinct)))
-    return [reports[q] for q in points]
-
-
-def key_rate(p: ProtocolParams) -> KeyRateReport:
-    """Secret key fractions for both reconciliation directions."""
-    return key_rates([p])[0]
-
-
 def drive(search):
-    """Run a search to its end and return its result.
+    """Run a search to its end and return its result: the one loop that evaluates.
 
     A search is a generator that yields lists of points and is sent their
-    reports, in the same order.  Each round's points that this call has not
-    seen yet go to `key_rates` in one call, and a round with none makes no
-    call; reports are kept until the search ends, so no point is evaluated
-    twice within one call.
+    reports, in the same order.  Each round's distinct points that this call
+    has not seen yet go to `_evaluate` in one batched pass, and a round with
+    none makes no pass; reports are kept until the search ends, so no point
+    is evaluated twice within one call.  A point that fails alone fails the
+    round's pass with the same error.
     """
     known: dict[ProtocolParams, KeyRateReport] = {}
     try:
         request = next(search)
         while True:
-            new = [q for q in request if q not in known]
+            new = [q for q in dict.fromkeys(request) if q not in known]
             if new:
-                known.update(zip(new, key_rates(new)))
+                known.update(zip(new, _evaluate(new)))
             request = search.send([known[q] for q in request])
     except StopIteration as stop:
         return stop.value
+
+
+def _round(points: list[ProtocolParams]):
+    """A one-round search: yields `points` and returns their reports."""
+    return (yield points)
+
+
+def key_rates(points) -> list[KeyRateReport]:
+    """Secret key fractions for both reconciliation directions at many points, in order:
+    `drive` run on the one round `points`."""
+    return drive(_round(list(points)))
+
+
+def key_rate(p: ProtocolParams) -> KeyRateReport:
+    """Secret key fractions for both reconciliation directions."""
+    return key_rates([p])[0]
 
 
 def lockstep(searches):
@@ -383,8 +384,7 @@ def lockstep(searches):
 
 def _rates(points: list[ProtocolParams], direction: str):
     """One round of a search: yields `points` and returns their key fractions."""
-    reports = yield points
-    return [report.rate(direction) for report in reports]
+    return [report.rate(direction) for report in (yield from _round(points))]
 
 
 def search_vm(p: ProtocolParams, direction: str):
@@ -525,7 +525,8 @@ def leakage_penalty(p: ProtocolParams, direction: str) -> float:
 
 
 def noise_scans(p: ProtocolParams, noise_points=NOISE_POINTS) -> dict[str, dict[float, KeyRateReport]]:
-    """`noise_scan` at each of `noise_points`, from one `key_rates` call."""
+    """Reports over VIABILITY_GRID of the noise at each of `noise_points`, all
+    else as in `p`, from one `key_rates` round."""
     for point in noise_points:
         if point not in NOISE_FIELDS:
             raise InvalidArgument(f"noise point must be one of {NOISE_POINTS}")
@@ -537,13 +538,8 @@ def noise_scans(p: ProtocolParams, noise_points=NOISE_POINTS) -> dict[str, dict[
     return {point: {eps: next(reports) for eps in scan} for point, scan in scans.items()}
 
 
-def noise_scan(p: ProtocolParams, noise_point: str) -> dict[float, KeyRateReport]:
-    """Reports over VIABILITY_GRID of the noise at one infusion point, all else as in `p`."""
-    return noise_scans(p, (noise_point,))[noise_point]
-
-
 def viability_verdict(scan: dict[float, KeyRateReport], direction: str) -> str:
-    """Helpful, harmful or neutral: a `noise_scan` against its zero-noise baseline."""
+    """Helpful, harmful or neutral: one scan of `noise_scans` against its zero-noise baseline."""
     baseline = scan[0.0].rate(direction)
     rates = [report.rate(direction) for eps, report in scan.items() if eps > 0.0]
     if any(r > baseline + VIABILITY_MARGIN for r in rates):
@@ -560,4 +556,4 @@ def trusted_noise_viability(p: ProtocolParams, noise_point: str, direction: str)
     held at its value in `p`; the verdict compares against the zero-noise
     baseline for that infusion point.
     """
-    return viability_verdict(noise_scan(p, noise_point), direction)
+    return viability_verdict(noise_scans(p, (noise_point,))[noise_point], direction)

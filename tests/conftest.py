@@ -16,9 +16,9 @@ def _record_evaluations(monkeypatch, keep):
 
 @pytest.fixture
 def evaluated_points(monkeypatch):
-    """Every ProtocolParams that security.key_rates evaluates during the test, in order.
+    """Every ProtocolParams that security.drive evaluates during the test, in order.
 
-    key_rates evaluates the distinct points of a call once each, in one
+    drive evaluates the distinct new points of each round once each, in one
     batched pass; this records the points of every such pass.
     """
     points = []
@@ -28,7 +28,7 @@ def evaluated_points(monkeypatch):
 
 @pytest.fixture
 def evaluated_batches(monkeypatch):
-    """The distinct points of every batched pass of security.key_rates during the test, in order."""
+    """The distinct points of every batched pass of security.drive during the test, in order."""
     batches = []
     _record_evaluations(monkeypatch, lambda group: batches.append(list(group)))
     return batches

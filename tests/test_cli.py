@@ -364,6 +364,28 @@ class TestInputsAndOutputs:
         result = runner.invoke(cli.main, [command, "--config", str(path)])
         assert_one_error(result, str(path))
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["keyrate"], "--config"),
+            (["keyrate", "--config", "missing.yaml"], "missing.yaml"),
+            (["keyrate", "--config", "cfg.yaml", "--direction", "xx"], "--direction"),
+            (["mc", "--config", "cfg.yaml", "--seed", "abc"], "--seed"),
+            (["frobnicate"], "frobnicate"),
+        ],
+        ids=["no-config", "missing-config", "bad-choice", "bad-integer", "unknown-command"],
+    )
+    def test_usage_error_exits_1(self, runner, tmp_path, argv, fragment):
+        write_cfg(tmp_path, TestMetadata.DOCS["mc"])
+        argv = [str(tmp_path / arg) if arg.endswith(".yaml") else arg for arg in argv]
+        assert_one_error(runner.invoke(cli.main, argv), fragment)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["mc", "--help"]])
+    def test_help_exits_0(self, runner, argv):
+        result = runner.invoke(cli.main, argv)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage:")
+
 
 class TestSweepRowsHelper:
     def test_matches_library_pointwise(self, tmp_path):

@@ -314,8 +314,9 @@ class TestKeyRates:
         # the state, E, the state given a and given b, and E given each
         assert checked == [(len(points),)] * 6
 
-    def test_empty_call(self):
+    def test_empty_call(self, evaluated_batches):
         assert sec.key_rates([]) == []
+        assert evaluated_batches == []
 
     def test_unphysical_point_fails_its_batch_alike(self):
         # A and B's EPR pair of variance 1e7 fails the physicality check from rounding
