@@ -4,8 +4,8 @@ A config is a single YAML file with a `protocol` block (one ProtocolParams
 set), and optional `modulator`, `outputs` and `mc` blocks.  Any scalar
 protocol field, the channel loss (via eta_Ch with scale dB) or the RF
 scaling rho may instead hold a sweep {start, stop, points, scale}; at most
-one swept field per run.  Unknown keys are a hard error: silent typos in
-physics parameters are unacceptable.
+one swept field per run, and scale dB only on eta_Ch and rho.  Unknown keys
+are a hard error: silent typos in physics parameters are unacceptable.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ OUTPUTS_KEYS = {"path", "format"}
 MC_KEYS = {"n", "seed"}
 SWEEP_KEYS = {"start", "stop", "points", "scale"}
 SCALES = ("linear", "dB", "log")
+DB_AXES = ("eta_Ch", "rho")  # loss in dB, and rho, which is in dB already
 # sweep_rows evaluates every row in one batch, at about 6.5 KB per point
 MAX_SWEEP_POINTS = 1000
 
@@ -125,6 +126,8 @@ def _parse_scalar_or_sweep(key: str, value) -> float | Sweep:
         scale = value.get("scale", "linear")
         if scale not in SCALES:
             raise InvalidArgument(f"unknown sweep scale {scale!r} under {key!r}")
+        if scale == "dB" and key not in DB_AXES:
+            raise InvalidArgument(f"scale dB applies only to {' and '.join(DB_AXES)}, not {key!r}")
         return Sweep(
             start=_number(f"{key}.start", value["start"]),
             stop=_number(f"{key}.stop", value["stop"]),

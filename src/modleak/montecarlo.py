@@ -5,10 +5,10 @@ state (`security.reduced_state`), re-derives the protocol parameters with
 moment estimators, and closes the loop by comparing the key rate at the
 estimated point against the true one.  Eve's record is the leakage-mode
 output, measured with perfect efficiency.
-The draws stream into per-sub-batch sufficient statistics (`sample_moments`),
-the only sampling path: no outcome array is kept, so memory does not grow
-with the sample count.  `OutcomeMoments` holds them as one array, the whole
-batch first, and the sampler alone enforces the MIN_SAMPLES floor.
+`sample_moments`, the only sampling path, draws the per-sub-batch statistics
+that the estimator reads (Bartlett's decomposition), never an outcome, so its
+cost does not depend on the sample count.  `OutcomeMoments` holds them as one
+array, the whole batch first; the sampler alone bounds the sample count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ RNG_ALGORITHM = "PCG64"
 
 N_SUBBATCHES = 10
 MIN_SAMPLES = 1_000
-BLOCK_ROWS = 1 << 16
+MAX_SAMPLES = 2**53  # the largest n whose counts are exact as float64
 
 
 def _subbatch_sizes(n: int) -> list[int]:
@@ -81,44 +81,35 @@ class EstimateReport:
     clamped: bool = False
 
 
-def _blocks(rng: np.random.Generator, sizes: list[int], width: int):
-    """Standard normals for consecutive sub-batches of the given sizes, as
-    (sub-batch index, block) pairs of at most BLOCK_ROWS rows.
-
-    Each block is drawn into one reused buffer and is valid only until the
-    next is drawn.  The generator fills row by row, so the blocks in order
-    are bitwise the rows of one standard_normal((sum(sizes), width)) call.
-    """
-    buf = np.empty((min(BLOCK_ROWS, max(sizes)), width))
-    for i, size in enumerate(sizes):
-        for start in range(0, size, BLOCK_ROWS):
-            yield i, rng.standard_normal(out=buf[: min(BLOCK_ROWS, size - start)])
-
-
 def sample_moments(
     state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
 ) -> OutcomeMoments:
     """Sufficient statistics of n i.i.d. heterodyne outcomes of the given modes,
-    streamed: memory does not grow with n.
+    drawn directly, at a cost that does not depend on n.
 
-    Outcome covariance is (gamma + 1)/2: the measured vacuum has unit
-    variance in outcome units.  Its Cholesky factor C on the columns
-    (x_1, p_1, ..., x_M, p_M) of M measured modes interleaves the Cholesky
-    factors of the x and p blocks.  The outcomes are the rows of
-    default_rng(seed).standard_normal((n, 2M)) @ C^T (PCG64), drawn block by
-    block.  Per sub-batch it keeps the count m, s = z.sum(0) and G = z.T @ z
-    of the standard normals z; their sums over the sub-batches give the whole
-    batch's.  Each is mapped into outcome units as the centred Gram matrix
-    C (G - s s^T/m) C^T, the whole batch's first.  n must be at least
-    MIN_SAMPLES, so no sub-batch holds fewer than MIN_SAMPLES / N_SUBBATCHES
-    outcomes.
+    Outcome covariance is (gamma + 1)/2: the measured vacuum has unit variance
+    in outcome units.  Its Cholesky factor C on the columns (x_1, p_1, ...,
+    x_M, p_M) of M measured modes interleaves those of the x and p blocks.
+    In standard units a sub-batch of m outcomes has mean ~ N(0, I/m) and,
+    independently, centred Gram ~ Wishart(m - 1, I) = A A^T (Bartlett), with A
+    lower triangular, N(0, 1) below the diagonal and A_jj^2 ~ chi^2(m - 1 - j).
+    Seed contract: default_rng(seed) (PCG64) draws the 10 sub-batch means as
+    standard_normal((10, 2M)) / sqrt(m), then the entries below A's diagonal
+    as standard_normal((10, M(2M - 1))) in np.tril_indices order, then
+    chisquare(m - 1 - j) of shape (10, 2M).  The whole batch's Gram is the
+    sub-batch Grams' sum plus sum_i m_i (mean_i - mean)(mean_i - mean)^T; each
+    Gram G is returned as C G C^T.  n is at least MIN_SAMPLES and at most
+    MAX_SAMPLES (counts exact as float64), and Bartlett needs m - 1 >= 2M.
     """
-    if n < MIN_SAMPLES:
-        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
     reduced = g.partial_trace(state, measured_modes)
     width = 2 * reduced.n_modes
+    floor = max(MIN_SAMPLES, N_SUBBATCHES * (width + 1))  # m - 1 >= 2M for Bartlett
+    if n < floor:
+        raise InvalidArgument(f"need at least {floor} samples, got {n}")
     try:
         blocks = np.linalg.cholesky(0.5 * (reduced.data + np.eye(reduced.n_modes)))
     except np.linalg.LinAlgError as exc:
@@ -126,19 +117,20 @@ def sample_moments(
     chol = np.zeros((width, width))
     chol[0::2, 0::2], chol[1::2, 1::2] = blocks
     sizes = _subbatch_sizes(n)
-    sums = np.zeros((N_SUBBATCHES, width))
-    grams = np.zeros((N_SUBBATCHES, width, width))
-    ones = np.ones(BLOCK_ROWS)  # ones @ z is z.sum(0) as one BLAS pass
-    for i, z in _blocks(np.random.default_rng(seed), sizes, width):
-        sums[i] += ones[: len(z)] @ z
-        grams[i] += z.T @ z
+    rng = np.random.default_rng(seed)
+    m = np.array(sizes)[:, None]
+    means = rng.standard_normal((N_SUBBATCHES, width)) / np.sqrt(m)
+    below = np.tril_indices(width, -1)
+    diag = np.arange(width)
+    bartlett = np.zeros((N_SUBBATCHES, width, width))
+    bartlett[:, below[0], below[1]] = rng.standard_normal((N_SUBBATCHES, len(below[0])))
+    bartlett[:, diag, diag] = np.sqrt(rng.chisquare(m - 1 - diag))
+    grams = bartlett @ bartlett.transpose(0, 2, 1)
+    spread = means - (m * means).sum(axis=0) / n
+    whole = grams.sum(axis=0) + (m * spread).T @ spread
     # the whole batch first, then its sub-batches
-    counts = (n, *sizes)
-    sums = np.concatenate([sums.sum(axis=0, keepdims=True), sums])
-    grams = np.concatenate([grams.sum(axis=0, keepdims=True), grams])
-    z_mean = sums / np.array(counts)[:, None]
-    centred = chol @ (grams - sums[:, :, None] * z_mean[:, None, :]) @ chol.T
-    return OutcomeMoments(reduced.modes, counts, centred)
+    centred = chol @ np.concatenate([whole[None], grams]) @ chol.T
+    return OutcomeMoments(reduced.modes, (n, *sizes), centred)
 
 
 def _moment_estimates(
@@ -285,8 +277,10 @@ def end_to_end_consistency(
     beyond the propagated statistical tolerance in either direction, which is
     the dangerous failure mode for the legitimate parties.
     """
-    # Eve's record is L wherever the purification has it: leakage or noise on L
-    measured = ["A", "B"] + (["L"] if p.k > 0.0 or p.eps_l > 0.0 else [])
+    # Eve's record is L wherever the purification has it: leakage or noise on L;
+    # the blind estimate never reads it
+    has_l = (p.k > 0.0 or p.eps_l > 0.0) and not assume_no_leakage
+    measured = ["A", "B"] + (["L"] if has_l else [])
     est = estimate_params(
         sample_moments(sec.reduced_state(p), measured, n, seed),
         blind_v_m=p.v_m if assume_no_leakage else None,

@@ -174,6 +174,28 @@ class TestSweep:
         rows = json.loads(result.output)["rows"]
         rates = [r["R_RR"] for r in rows]
         assert all(a > b for a, b in zip(rates, rates[1:]))
+        losses = np.linspace(0.5, 6.0, 4)
+        points = [
+            sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=10.0 ** (-db / 10.0), eps_ch=0.02, beta=0.96)
+            for db in losses
+        ]
+        assert [r["sweep_var"] for r in rows] == list(losses)
+        assert rates == [rep.r_rr for rep in sec.key_rates(points)]
+
+    def test_db_scale_on_other_axes_exits_1(self, runner, tmp_path):
+        doc = {"protocol": dict(BASE_PROTOCOL, V_M={"start": 1, "stop": 20, "points": 3, "scale": "dB"})}
+        result = runner.invoke(cli.main, ["sweep", "--config", write_cfg(tmp_path, doc)])
+        assert_one_error(result, "scale dB applies only to eta_Ch and rho, not 'V_M'")
+
+    def test_rho_db_sweep_is_its_linear_sweep(self, runner, tmp_path):
+        protocol = {k: v for k, v in BASE_PROTOCOL.items() if k != "k"}
+        outputs = []
+        for extra in ({}, {"scale": "dB"}):
+            rho = {"start": -6, "stop": 6, "points": 3, **extra}
+            path = write_cfg(tmp_path, {"protocol": protocol, "modulator": {"rho": rho}})
+            outputs.append(runner.invoke(cli.main, ["sweep", "--config", path]))
+        assert outputs[0].exit_code == outputs[1].exit_code == 0
+        assert outputs[0].stdout == outputs[1].stdout
 
     def test_rho_sweep_k_symmetric(self, runner, tmp_path):
         protocol = {k: v for k, v in BASE_PROTOCOL.items() if k != "k"}
@@ -264,6 +286,11 @@ class TestMc:
         path = write_cfg(tmp_path, self.mc_doc(n=100))
         result = runner.invoke(cli.main, ["mc", "--config", path])
         assert_one_error(result, "at least 1000 samples, got 100")
+
+    def test_sample_count_ceiling(self, runner, tmp_path):
+        path = write_cfg(tmp_path, self.mc_doc(n=1e30))
+        result = runner.invoke(cli.main, ["mc", "--config", path])
+        assert_one_error(result, "at most 2**53 samples")
 
     @pytest.mark.parametrize(
         "doc, args",

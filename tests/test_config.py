@@ -175,6 +175,26 @@ class TestSweepAxis:
             cfg.params_at(-4000.0)
 
 
+    @pytest.mark.parametrize("axis", ["V_M", "k", "eps_Ch", "beta"])
+    def test_db_scale_only_on_loss_and_rho(self, axis):
+        raw = {"protocol": dict(BASE["protocol"])}
+        raw["protocol"][axis] = {"start": 1.0, "stop": 20.0, "points": 3, "scale": "dB"}
+        with pytest.raises(InvalidArgument, match=f"scale dB applies only to eta_Ch and rho, not '{axis}'"):
+            cfgmod.parse_config(raw)
+
+    def test_rho_db_sweep_is_linear_in_db(self):
+        raw = {"protocol": {"V_M": 5.0}, "modulator": {"rho": {"start": -6, "stop": 6, "points": 5}}}
+        linear = cfgmod.parse_config(raw)
+        raw["modulator"]["rho"]["scale"] = "dB"
+        db = cfgmod.parse_config(raw)
+        name, sweep = db.sweep_axis
+        assert name == "rho"
+        assert np.array_equal(sweep.values(), linear.sweep_axis[1].values())
+        assert [db.params_at(v) for v in sweep.values()] == [
+            linear.params_at(v) for v in sweep.values()
+        ]
+
+
 class TestModulatorBlock:
     def test_rho_sets_k(self):
         raw = dict(BASE, modulator={"rho": 10.0 * np.log10(0.5), "k_floor": 0.0})

@@ -60,6 +60,49 @@ class TestSample:
         with pytest.raises(InvalidArgument, match="seed"):
             mc.sample_moments(g.vacuum(("a",)), ["a"], 2_000, seed=-3)
 
+    def test_rejects_counts_not_exact_as_float64(self):
+        assert mc.sample_moments(g.vacuum(("a",)), ["a"], 2**53, seed=0).counts[0] == 2**53
+        with pytest.raises(InvalidArgument, match="at most 2\\*\\*53 samples"):
+            mc.sample_moments(g.vacuum(("a",)), ["a"], 2**53 + 1, seed=0)
+
+    def test_sub_batches_must_outnumber_the_columns(self):
+        # Bartlett's decomposition needs m - 1 >= 2M outcomes in every sub-batch
+        modes = [f"m{i}" for i in range(60)]
+        with pytest.raises(InvalidArgument, match="at least 1210 samples, got 1000"):
+            mc.sample_moments(g.vacuum(tuple(modes)), modes, 1_000, seed=0)
+        moments = mc.sample_moments(g.vacuum(tuple(modes)), modes, 20_000, seed=0)
+        assert moments.grams.shape == (11, 120, 120)
+
+    def test_gram_matrices_are_wishart(self):
+        # mean (count - 1) Sigma; the whole batch's fails without its between-sub-batch term
+        state, measured, n, seeds = sec.reduced_state(POINT), ["A", "B", "L"], 1_000, 2_000
+        cov = 0.5 * (interleave(g.partial_trace(state, measured).data) + np.eye(6))
+        draws = [mc.sample_moments(state, measured, n, seed) for seed in range(seeds)]
+        assert {m.counts for m in draws} == {(n, *mc._subbatch_sizes(n))}
+        grams = np.stack([m.grams for m in draws])
+        dof = np.array(draws[0].counts)[:, None, None] - 1.0
+        var = dof * (cov**2 + np.outer(np.diag(cov), np.diag(cov)))
+        assert np.all(np.abs(grams.mean(axis=0) - dof * cov) < 4.0 * np.sqrt(var / seeds))
+        np.testing.assert_allclose(grams.var(axis=0, ddof=1), var, rtol=0.15)
+
+    def test_estimates_match_the_full_array_oracle_in_distribution(self):
+        state, measured, n, seeds = sec.reduced_state(POINT), ["A", "B", "L"], 20_000, 300
+        gamma = interleave(g.partial_trace(state, measured).data)
+
+        def drawn(seed):
+            est = mc.estimate_params(mc.sample_moments(state, measured, n, seed))
+            return [getattr(est, f) for f in TestStreamedMoments.ESTIMATE_FIELDS]
+
+        def oracle(seed):
+            r = heterodyne_draws(gamma, n, seed)
+            return mc_estimate(r[:, 0:2], r[:, 2:4], r[:, 4:6])
+
+        got = np.array([drawn(seed) for seed in range(seeds)])
+        expected = np.array([oracle(seeds + seed) for seed in range(seeds)])
+        se = np.sqrt((got.var(axis=0, ddof=1) + expected.var(axis=0, ddof=1)) / seeds)
+        assert np.all(np.abs(got.mean(axis=0) - expected.mean(axis=0)) < 4.0 * se)
+        np.testing.assert_allclose(got.std(axis=0, ddof=1), expected.std(axis=0, ddof=1), rtol=0.25)
+
 
 class TestEstimateParams:
     def _batch(self, p, n, seed):
@@ -114,26 +157,15 @@ class TestStreamedMoments:
         records = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(measured)}
         blind_v_m = POINT.v_m if blind else None
         expected = mc_estimate(records["A"], records["B"], records.get("L"), blind_v_m, blind)
-        moments = mc.sample_moments(state, list(measured), n, seed=n)
-        est = mc.estimate_params(moments, blind_v_m=blind_v_m)
+        # the oracle's own statistics: the whole batch, then its np.array_split sub-batches
+        batches = [draws, *np.array_split(draws, mc.N_SUBBATCHES)]
+        counts = tuple(len(b) for b in batches)
+        assert counts == (n, *mc._subbatch_sizes(n))
+        grams = np.stack([(b - b.mean(axis=0)).T @ (b - b.mean(axis=0)) for b in batches])
+        est = mc.estimate_params(mc.OutcomeMoments(measured, counts, grams), blind_v_m=blind_v_m)
         got = [getattr(est, f) for f in self.ESTIMATE_FIELDS]
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
         assert est.n == n
-        assert moments.counts == (n, *mc._subbatch_sizes(n))
-        centred = draws - draws.mean(axis=0)
-        gram = centred.T @ centred
-        np.testing.assert_allclose(moments.grams[0], gram, rtol=0.0, atol=1e-14 * np.abs(gram).max())
-
-    @pytest.mark.parametrize("n, block_rows", [(1_000_003, mc.BLOCK_ROWS), (20_003, 1_000)])
-    def test_blocks_are_one_draw(self, monkeypatch, n, block_rows):
-        monkeypatch.setattr(mc, "BLOCK_ROWS", block_rows)
-        sizes = mc._subbatch_sizes(n)
-        assert sizes == [len(i) for i in np.array_split(np.arange(n), mc.N_SUBBATCHES)]
-        blocks = [(i, z.copy()) for i, z in mc._blocks(np.random.default_rng(5), sizes, 6)]
-        assert max(len(z) for _, z in blocks) <= block_rows
-        assert [sum(len(z) for j, z in blocks if j == i) for i in range(10)] == sizes
-        whole = np.random.default_rng(5).standard_normal((n, 6))
-        assert np.array_equal(np.concatenate([z for _, z in blocks]), whole)
 
     def test_non_finite_statistics_rejected(self):
         moments = mc.sample_moments(g.epr_source(4.0, ("a", "b")), ["a", "b"], 2_000, seed=1)
@@ -182,8 +214,11 @@ class TestEndToEndConsistency:
         r2 = mc.end_to_end_consistency(POINT, 100_000, seed=21)
         assert r1 == r2
 
-    @pytest.mark.parametrize("k, measured", [(0.0, ["A", "B"]), (0.3, ["A", "B", "L"])])
-    def test_samples_the_reduced_state(self, monkeypatch, k, measured):
+    @pytest.mark.parametrize(
+        "k, blind, measured",
+        [(0.0, False, ["A", "B"]), (0.3, False, ["A", "B", "L"]), (0.3, True, ["A", "B"])],
+    )
+    def test_samples_the_reduced_state(self, monkeypatch, k, blind, measured):
         def refuse(p):
             raise AssertionError("the closure must not build the purification")
 
@@ -196,8 +231,16 @@ class TestEndToEndConsistency:
 
         monkeypatch.setattr(sec, "build_scheme", refuse)
         monkeypatch.setattr(mc, "sample_moments", recorded)
-        mc.end_to_end_consistency(dataclasses.replace(POINT, k=k), 5_000, seed=3)
+        p = dataclasses.replace(POINT, k=k)
+        mc.end_to_end_consistency(p, 5_000, seed=3, assume_no_leakage=blind)
         assert draws == [(sec.REDUCED_MODES, measured)]
+
+    def test_closure_at_huge_n_is_finite(self):
+        # the draw's cost does not depend on n
+        rep = mc.end_to_end_consistency(POINT, 10**15, seed=5)
+        fields = dataclasses.astuple(rep.estimate) + dataclasses.astuple(rep)[1:7]
+        assert all(np.isfinite(fields))
+        assert rep.estimate.n == 10**15
 
     def test_evaluates_each_point_once(self, evaluated_points):
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
