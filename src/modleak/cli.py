@@ -89,10 +89,11 @@ def _check_optimize(optimize_vm: bool, direction: str):
         raise InvalidArgument("--optimize-vm requires --direction dr or rr")
 
 
-def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool):
-    """Search for the point to report: p, or p at its optimal V_M."""
+def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool, searches: int):
+    """Search for the point to report: p, or p at its optimal V_M, found by one
+    of `searches` V_M searches that share their rounds."""
     if optimize_vm:
-        p = dataclasses.replace(p, v_m=(yield from sec.search_vm(p, direction)).v_m)
+        p = dataclasses.replace(p, v_m=(yield from sec.search_vm(p, direction, searches)).v_m)
     return p
 
 
@@ -123,7 +124,7 @@ def keyrate(config_path, direction, optimize_vm, out):
     cfg = _load(config_path)
 
     def search(p):
-        p = yield from _search_optimum(p, direction, optimize_vm)
+        p = yield from _search_optimum(p, direction, optimize_vm, 1)
         [report] = yield [p]
         return p, report
 
@@ -142,11 +143,13 @@ def keyrate(config_path, direction, optimize_vm, out):
     sys.exit(0 if positive else EXIT_NO_SECURITY)
 
 
-def _search_row(p: sec.ProtocolParams, direction: str, optimize_vm: bool, with_eta_max: bool):
-    """Search for one sweep row: its point, the k = 0 twin and, on request,
-    the loss margins of both in both directions.  The margins come first, so
-    their first round asks for p and p0 with their 60 dB ends."""
-    p = yield from _search_optimum(p, direction, optimize_vm)
+def _search_row(
+    p: sec.ProtocolParams, direction: str, optimize_vm: bool, with_eta_max: bool, rows: int
+):
+    """Search for one of `rows` sweep rows: its point, the k = 0 twin and, on
+    request, the loss margins of both in both directions.  The margins come
+    first, so their first round asks for p and p0 with their 60 dB ends."""
+    p = yield from _search_optimum(p, direction, optimize_vm, rows)
     p0 = dataclasses.replace(p, k=0.0)
     margins = None
     if with_eta_max:
@@ -166,7 +169,9 @@ def sweep_rows(
     """Evaluate every sweep point; shared by the CLI and the test suite.
 
     All rows are searched in lockstep, so each round of every row's V_M
-    search and loss-margin searches is one batched pass of `sec.drive`.
+    search and loss-margin searches is one batched pass of `sec.drive`; the
+    V_M searches' golden rounds carry `sec.golden_depth(rows)` steps, for the
+    number of rows.
     """
     axis = cfg.sweep_axis
     if axis is None:
@@ -175,7 +180,7 @@ def sweep_rows(
     _, sweep = axis
     values = [float(value) for value in sweep.values()]
     searches = [
-        _search_row(cfg.params_at(value), direction, optimize_vm, with_eta_max)
+        _search_row(cfg.params_at(value), direction, optimize_vm, with_eta_max, len(values))
         for value in values
     ]
     rows = []

@@ -10,6 +10,7 @@ are a hard error: silent typos in physics parameters are unacceptable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,11 +188,23 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, with YAML 1.2's floats: its YAML 1.1 floats need a
+    dot and a signed exponent, so 1e6, 1e-3 and 1.0e6 would be strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str) -> RunConfig:
     """Read and parse a YAML config file; a file that is not YAML is InvalidArgument."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
         # ValueError: bytes that are not UTF-8, or a date such as 2001-13-45
         except (yaml.YAMLError, ValueError) as exc:
             reason = " ".join(str(exc).split())  # YAML errors span several lines

@@ -41,6 +41,11 @@ GOLDEN_R = 0.61803399
 GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
+# Cap on the golden-section points that the V_M searches sharing a round ask
+# for in it.  A round costs about 700 us fixed and 40 us per further point, so
+# a walked step at depth d costs about (700 + 40 rows (2^d - 1)) / d us: least
+# at d = 4 (15 points) for one search, d = 3 (14) for two and d = 1 for 21.
+SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
 # root accuracy well inside the 0.01 dB reporting tolerance, so that small
@@ -101,6 +106,12 @@ class ProtocolParams:
             raise InvalidArgument("eps_ch > 0 requires eta_ch < 1 (purifier undefined)")
         if self.eta_d == 1.0 and self.eps_d > 0.0:
             raise InvalidArgument("eps_d > 0 requires eta_d < 1 (purifier undefined)")
+        # drive hashes each point several times a round, so hash the fields once;
+        # until this line the instance dict holds exactly the fields, in order
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -387,19 +398,67 @@ def _rates(points: list[ProtocolParams], direction: str):
     return [report.rate(direction) for report in (yield from _round(points))]
 
 
-def search_vm(p: ProtocolParams, direction: str):
+def _golden_step(bracket, right: bool):
+    """One golden-section step from bracket (x0, x1, x2, x3), as scipy.optimize.golden
+    takes it: the new bracket and its new point.  `right` is f(x2) > f(x1)."""
+    x0, x1, x2, x3 = bracket
+    if right:
+        u = GOLDEN_R * x2 + GOLDEN_C * x3
+        return (x1, x2, u, x3), u
+    u = GOLDEN_R * x1 + GOLDEN_C * x0
+    return (x0, u, x1, x2), u
+
+
+def _golden_converged(bracket) -> bool:
+    x0, x1, x2, x3 = bracket
+    return abs(x3 - x0) <= GOLDEN_TOL * (abs(x1) + abs(x2))
+
+
+def _golden_tree(bracket, depth: int, steps: int) -> list:
+    """The new points of the next `depth` golden-section steps from `bracket`,
+    on both outcomes of each comparison; a branch ends where the search would
+    stop, at convergence or after `steps` more steps."""
+    if depth == 0 or steps == 0 or _golden_converged(bracket):
+        return []
+    points = []
+    for right in (True, False):
+        branch, u = _golden_step(bracket, right)
+        points += [u, *_golden_tree(branch, depth - 1, steps - 1)]
+    return points
+
+
+def golden_depth(searches: int) -> int:
+    """Golden-section steps carried by each round of `searches` V_M searches that
+    share their rounds: the largest d >= 1 with searches (2^d - 1) <= SPECULATED_POINTS."""
+    depth = 1
+    while searches * (2 ** (depth + 1) - 1) <= SPECULATED_POINTS:
+        depth += 1
+    return depth
+
+
+def search_vm(p: ProtocolParams, direction: str, searches: int):
     """Search behind `optimize_vm`: the 40-point grid in one round, then golden section.
 
     The golden-section steps and stopping rule, x3 - x0 <= 1e-3 (|x1| + |x2|)
     on u = log(V_M), are those of scipy.optimize.golden, so optima inside the
-    grid stay where that search put them.
+    grid stay where that search put them.  The next step's point depends on
+    one comparison only, so each golden round carries d steps: the walked
+    step's point and the 2^d - 2 points of the next d - 1 steps on either
+    outcome, none past the stopping rule.  The first asks for [x1, x2] and
+    the next d - 1 steps' tree.  The walk then takes the real comparisons
+    through those values, so it visits exactly the points of the one-step
+    search.  d is `golden_depth(searches)`, for `searches` V_M searches
+    sharing each round.
     """
     grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
     rates = np.array((yield from _rates([replace(p, v_m=v) for v in grid], direction)))
     best = int(np.argmax(rates))
+    depth = golden_depth(searches)
+    values: dict[float, float] = {}
 
-    def at(u):
-        return replace(p, v_m=float(np.exp(u)))
+    def ask(us):
+        points = [replace(p, v_m=float(np.exp(u))) for u in us]
+        values.update(zip(us, (yield from _rates(points, direction))))
 
     x0 = np.log(grid[max(best - 1, 0)])
     x3 = np.log(grid[min(best + 1, len(grid) - 1)])
@@ -410,18 +469,18 @@ def search_vm(p: ProtocolParams, direction: str):
         x1, x2 = mid, mid + GOLDEN_C * (x3 - mid)
     else:
         x1, x2 = mid - GOLDEN_C * (mid - x0), mid
-    f1, f2 = yield from _rates([at(x1), at(x2)], direction)
-    for _ in range(GOLDEN_MAXITER):
-        if abs(x3 - x0) <= GOLDEN_TOL * (abs(x1) + abs(x2)):
+    bracket = (x0, x1, x2, x3)
+    yield from ask([x1, x2, *_golden_tree(bracket, depth - 1, GOLDEN_MAXITER)])
+    f1, f2 = values[x1], values[x2]
+    for steps in range(GOLDEN_MAXITER, 0, -1):
+        if _golden_converged(bracket):
             break
-        if f2 > f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = GOLDEN_R * x1 + GOLDEN_C * x3
-            [f2] = yield from _rates([at(x2)], direction)
-        else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = GOLDEN_R * x2 + GOLDEN_C * x0
-            [f1] = yield from _rates([at(x1)], direction)
+        right = f2 > f1
+        bracket, u = _golden_step(bracket, right)
+        if u not in values:
+            yield from ask([u, *_golden_tree(bracket, depth - 1, steps - 1)])
+        f1, f2 = (f2, values[u]) if right else (values[u], f1)
+    _, x1, x2, _ = bracket
     # ties break toward smaller V_M
     u_opt, r_opt = (x1, f1) if f1 > f2 else (x2, f2)
     if r_opt < rates[best]:
@@ -435,9 +494,10 @@ def optimize_vm(p: ProtocolParams, direction: str) -> OptimalVm:
     Log-spaced bracketing grid over [0.01, 100] SNU followed by a
     golden-section refinement on log(V_M) between the best grid point's
     neighbours, or between an end point and its neighbour; ties break toward
-    smaller V_M.
+    smaller V_M.  The search runs alone, so each golden round carries
+    `golden_depth(1)` = 4 steps.
     """
-    return drive(search_vm(p, direction))
+    return drive(search_vm(p, direction, 1))
 
 
 def _signbit(x: float) -> bool:

@@ -85,6 +85,47 @@ def iq_output_lines(mu1, mu2, delta1, delta2, n=1 << 12):
     return spec[1], spec[-1], spec[0]
 
 
+def golden_walk(rates, bracket=(0.01, 100.0), grid_points=40):
+    """The V_M search one golden-section step per round, as scipy.optimize.golden
+    steps: a log grid over `bracket`, then golden section on u = log(V_M)
+    between the best grid point's neighbours, or between an end point and its
+    neighbour, until x3 - x0 <= 1e-3 (|x1| + |x2|).
+
+    `rates(v_ms)` returns the key fractions at a list of V_M; each call is one
+    round.  Returns (v_m, rate) of the optimum, ties broken toward smaller V_M.
+    """
+    golden_r = 0.61803399
+    golden_c = 1.0 - golden_r
+    grid = np.logspace(np.log10(bracket[0]), np.log10(bracket[1]), grid_points)
+    values = np.array(rates(list(grid)))
+    best = int(np.argmax(values))
+    x0 = np.log(grid[max(best - 1, 0)])
+    x3 = np.log(grid[min(best + 1, grid_points - 1)])
+    mid = np.log(grid[best])
+    if best in (0, grid_points - 1):
+        x1, x2 = golden_r * x0 + golden_c * x3, golden_c * x0 + golden_r * x3
+    elif x3 - mid > mid - x0:
+        x1, x2 = mid, mid + golden_c * (x3 - mid)
+    else:
+        x1, x2 = mid - golden_c * (mid - x0), mid
+    f1, f2 = rates([float(np.exp(x1)), float(np.exp(x2))])
+    for _ in range(5000):
+        if abs(x3 - x0) <= 1e-3 * (abs(x1) + abs(x2)):
+            break
+        if f2 > f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = golden_r * x1 + golden_c * x3
+            [f2] = rates([float(np.exp(x2))])
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = golden_r * x2 + golden_c * x0
+            [f1] = rates([float(np.exp(x1))])
+    u_opt, r_opt = (x1, f1) if f1 > f2 else (x2, f2)
+    if r_opt < values[best]:
+        return float(grid[best]), float(values[best])
+    return float(np.exp(u_opt)), r_opt
+
+
 def heterodyne_draws(gamma, n, seed):
     """n raw heterodyne records of the modes of covariance matrix gamma, one
     row of (x_1, p_1, ..., x_N, p_N) outcomes each: standard normals from

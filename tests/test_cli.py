@@ -494,6 +494,40 @@ class TestSweepRowsHelper:
             for q in (p, p0):
                 assert dataclasses.replace(q, eta_ch=q.eta_ch * loss) in batch
 
+    @pytest.mark.parametrize("x", [0.8, 2.5, 4.0, 5.5, 6.0])
+    def test_two_row_sweep_takes_at_most_18_rounds(self, evaluated_batches, x):
+        from modleak.config import parse_config
+
+        # the benchmark's item; with one golden step per round it took 21-24 rounds
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -x, "stop": x, "points": 2}},
+            }
+        )
+        assert sec.golden_depth(2) == 3
+        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        assert len(evaluated_batches) <= 18
+
+    def test_21_row_sweep_keeps_one_step_rounds(self, evaluated_batches):
+        from modleak.config import parse_config
+
+        # criterion 6's sweep, optimised: golden_depth(21) = 1, so its rounds are
+        # those of one golden step per round, batch for batch
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.99, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {
+                    "rho": {"start": -10.0, "stop": 10.0, "points": 21},
+                    "k_floor": 0.0631,
+                },
+            }
+        )
+        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        sizes = [720, 34, 18, 18, 18, 18, 18, 18, 18, 20, 28, 36]
+        sizes += [42, 42, 42, 42, 40, 38, 35, 32, 31, 20, 10, 2]
+        assert [len(batch) for batch in evaluated_batches] == sizes
+
     def test_lockstep_rows_equal_public_calls(self):
         from modleak.config import parse_config
 

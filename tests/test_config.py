@@ -239,3 +239,37 @@ class TestRoundTrip:
         again = cfgmod.parse_config(yaml.safe_load(cfgmod.dump_config(cfg)))
         assert again == cfg
         assert cfgmod.dump_config(again) == cfgmod.dump_config(cfg)
+
+
+class TestLoadConfig:
+    @pytest.mark.parametrize(
+        "text, field, value",
+        [
+            ("protocol: {V_M: 1e3}\n", "v_m", 1000.0),
+            ("protocol: {V_M: 5, eta_Ch: 0.9, eps_Ch: 2e-2}\n", "eps_ch", 0.02),
+            ("protocol: {V_M: 5, block_size: 1.0e6}\n", "block_size", 10**6),
+        ],
+    )
+    def test_reads_yaml_1_2_floats(self, tmp_path, text, field, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert getattr(cfgmod.load_config(str(path)).params_at(), field) == value
+
+    def test_reads_sample_count_in_exponent_form(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("protocol: {V_M: 5}\nmc: {n: 1e6, seed: 1}\n", encoding="utf-8")
+        n = cfgmod.load_config(str(path)).mc["n"]
+        assert n == 10**6 and isinstance(n, int)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('protocol: {V_M: 5}\nmc: {n: "1e6", seed: 1}\n', "mc.n must be a finite integer"),
+            ("protocol: {V_M: '1e3'}\n", "must be a number"),
+        ],
+    )
+    def test_quoted_numbers_stay_strings(self, tmp_path, text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidArgument, match=message):
+            cfgmod.load_config(str(path))

@@ -7,8 +7,9 @@ import pytest
 from modleak import gaussian as g
 from modleak import security as sec
 from modleak.errors import InvalidArgument, UnphysicalState
+from modleak.modulator import rho_to_k
 
-from oracles import eq4_matrix, interleave, no_switching_rates, reduced_model_rates
+from oracles import eq4_matrix, golden_walk, interleave, no_switching_rates, reduced_model_rates
 
 TABLE_POINT = sec.ProtocolParams(
     v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
@@ -77,6 +78,17 @@ class TestProtocolParams:
     def test_rejects_block_size_that_is_not_a_finite_integer(self, block_size):
         with pytest.raises(InvalidArgument, match="block_size must be a finite integer"):
             sec.ProtocolParams(v_m=5.0, block_size=block_size)
+
+    def test_equal_points_hash_equal(self):
+        names = ["v_m", "k", "eta_ch", "eps_ch", "eta_d", "eps_d", "eps_p1", "eps_p2", "eps_l"]
+        names += ["beta", "block_size"]
+        assert [f.name for f in dataclasses.fields(sec.ProtocolParams)] == names
+        p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02, block_size=10**7)
+        same = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02, block_size=1e7)
+        assert same == p and hash(same) == hash(p)
+        assert dataclasses.replace(p, v_m=4.0) != p
+        assert hash(dataclasses.replace(dataclasses.replace(p, v_m=4.0), v_m=5.0)) == hash(p)
+        assert {p: 1}[same] == 1
 
     def test_integral_block_size_is_stored_as_an_integer(self):
         p = sec.ProtocolParams(v_m=5.0, block_size=1e7)
@@ -457,6 +469,23 @@ class TestBrent:
         assert brent(lambda x: 60.0 - x, 0.0, 60.0, 1e-4) == 60.0
 
 
+def vm_rates(p: sec.ProtocolParams, direction: str, rounds: list):
+    """`golden_walk`'s evaluator at p, one `key_rates` call per round; appends
+    each round's V_M values and key fractions to `rounds`."""
+
+    def rates(v_ms):
+        reports = sec.key_rates([dataclasses.replace(p, v_m=v) for v in v_ms])
+        rounds.append((list(v_ms), [report.rate(direction) for report in reports]))
+        return rounds[-1][1]
+
+    return rates
+
+
+SWEEP_POINT = sec.ProtocolParams(v_m=5.0, eta_ch=0.9, eps_ch=0.02, beta=0.96)
+# in the |rho| 1.47-1.85 dB band the RR optimum lies between the last two grid points
+BAND_POINTS = [dataclasses.replace(SWEEP_POINT, k=rho_to_k(rho)) for rho in (1.5, 1.7, 1.84)]
+
+
 class TestOptimizeVm:
     def test_bracket_grid_is_unimodal_at_reference_family(self):
         p = sec.ProtocolParams(v_m=1.0, k=0.1, eta_ch=0.5, eps_ch=0.02, beta=0.96)
@@ -493,6 +522,63 @@ class TestOptimizeVm:
         p = sec.ProtocolParams(v_m=1.0, k=1.0, eta_ch=0.5, eps_ch=0.1, beta=0.96)
         opt = sec.optimize_vm(p, "dr")
         assert opt.rate <= 0.0
+
+    def test_golden_depth_from_the_searches_sharing_a_round(self):
+        # the largest d >= 1 with searches (2^d - 1) <= 16
+        depths = [sec.golden_depth(n) for n in (1, 2, 3, 5, 6, 21, 1000)]
+        assert depths == [4, 3, 2, 2, 1, 1, 1]
+
+    def test_equals_the_one_step_walk_bitwise(self, evaluated_batches):
+        grid = np.logspace(np.log10(0.01), np.log10(100.0), 40)
+        for p in BAND_POINTS:
+            assert grid[-2] < sec.optimize_vm(p, "rr").v_m < grid[-1]
+        bests = []
+        for p in BAND_POINTS + random_points(np.random.default_rng(31), 10):
+            for direction in ("dr", "rr"):
+                rounds = []
+                expected = sec.OptimalVm(*golden_walk(vm_rates(p, direction, rounds)))
+                bests.append(int(np.argmax(rounds[0][1])))
+                assert sec.optimize_vm(p, direction) == expected
+                # 2, 3 and 21 searches sharing each round: depth 3, 2 and 1
+                for searches in (2, 3, 21):
+                    evaluated_batches.clear()
+                    assert sec.drive(sec.search_vm(p, direction, searches)) == expected
+                # at depth 1 each round evaluates the walk's new points of that round
+                seen, fresh = set(), []
+                for v_ms, _ in rounds:
+                    fresh.append([v for v in v_ms if v not in seen])
+                    seen.update(v_ms)
+                evaluated = [[q.v_m for q in batch] for batch in evaluated_batches]
+                assert evaluated == [batch for batch in fresh if batch]
+        assert {0, len(grid) - 1} <= set(bests)
+        assert any(0 < best < len(grid) - 1 for best in bests)
+
+    def test_golden_tree_stops_where_the_search_stops(self):
+        top = np.log(4.0)
+        wide = (0.0, sec.GOLDEN_C * top, sec.GOLDEN_R * top, top)
+        for depth in range(5):
+            assert len(sec._golden_tree(wide, depth, sec.GOLDEN_MAXITER)) == 2 ** (depth + 1) - 2
+        assert len(sec._golden_tree(wide, 4, 1)) == 2
+        assert sec._golden_tree(wide, 4, 0) == []
+        # each branch ends once its bracket meets x3 - x0 <= 1e-3 (|x1| + |x2|)
+        narrow = tuple(np.log(3.0) + 1e-4 * np.array([0.0, 0.4, 0.6, 1.0]))
+        assert sec._golden_tree(narrow, 4, sec.GOLDEN_MAXITER) == []
+        near = tuple(np.log(3.0) + 3e-3 * np.array([0.0, 0.4, 0.6, 1.0]))
+        assert len(sec._golden_tree(near, 4, sec.GOLDEN_MAXITER)) == 2
+
+    def test_one_search_takes_fewer_rounds_than_the_walk(self, evaluated_batches):
+        points = [BAND_POINTS[0], sec.ProtocolParams(v_m=1.0, k=0.1, eta_ch=0.5, eps_ch=0.02)]
+        for p in points + random_points(np.random.default_rng(32), 2):
+            rounds = []
+            expected = sec.OptimalVm(*golden_walk(vm_rates(p, "rr", rounds)))
+            evaluated_batches.clear()
+            assert sec.optimize_vm(p, "rr") == expected
+            assert len(evaluated_batches) < len(rounds)
+            # after the grid, each round carries at most SPECULATED_POINTS points,
+            # among them every point that the walk asked for
+            assert max(len(batch) for batch in evaluated_batches[1:]) <= sec.SPECULATED_POINTS
+            asked = {q.v_m for batch in evaluated_batches for q in batch}
+            assert {v for v_ms, _ in rounds for v in v_ms} <= asked
 
 
 class TestMaxAdditionalLoss:
