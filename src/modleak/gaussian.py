@@ -210,11 +210,14 @@ def loss_excess_channel(
     return beamsplitter(joined, mode, labels[0], eta_ch)
 
 
-def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMatrix:
-    """Reduce to the requested modes, in the requested order."""
+def partial_trace(state: CovMatrix | list, keep: list[str] | tuple[str, ...]) -> CovMatrix:
+    """Reduce to the requested modes, in the requested order.  A list of states of one batch
+    shape gives one batch: each state reduced by its own labels, stacked on a new first axis."""
     keep = tuple(keep)
-    idx = np.array([state.index(m) for m in keep])
-    return CovMatrix(keep, state.data[..., idx[:, None], idx])
+    states = state if isinstance(state, list) else [state]
+    idx = [np.array([s.index(m) for m in keep]) for s in states]
+    blocks = np.stack([s.data[..., i[:, None], i] for s, i in zip(states, idx)])
+    return CovMatrix(keep, blocks if isinstance(state, list) else blocks[0])
 
 
 def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:

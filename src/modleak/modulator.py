@@ -22,6 +22,8 @@ DEFAULT_K_FLOOR = 10.0 ** (-24.0 / 20.0)
 RHO_CONVENTIONS = ("amplitude10", "amplitude20")
 DEFAULT_RHO_CONVENTION = "amplitude10"
 
+MAX_RHO_DB = 10.0 * np.log10(np.finfo(float).max)  # 3082.5 dB: the largest finite 10^(rho/10)
+
 LINEAR_REGIME_LIMIT = 0.2
 
 
@@ -93,21 +95,22 @@ def rho_to_k(
 ) -> float:
     """Leakage amplitude ratio k from the RF scaling factor rho (dB).
 
-    rho is 10*log10 of the peak RF voltage ratio between the two arms;
+    rho is 10*log10 of the peak RF voltage ratio r between the two arms;
     "amplitude20" reinterprets it as a 20*log10 voltage ratio instead.
     The ideal arm-imbalance model gives k = |1 - r| / (1 + r), floored by
-    the residual suppression limit k_floor.
+    the residual suppression limit k_floor.  It is evaluated as the same
+    function tanh(|rho| ln 10 / 20), or / 40 for "amplitude20": exactly even
+    in rho, with no cancellation in 1 - r near 0.  |rho| above MAX_RHO_DB,
+    twice that for "amplitude20", and NaN are out of range.
     """
     if not 0.0 <= k_floor < 1.0:
         raise InvalidArgument(f"k_floor must lie in [0, 1), got {k_floor}")
     if rho_convention not in RHO_CONVENTIONS:
         raise InvalidArgument(f"unknown rho convention {rho_convention!r}")
-    try:
-        r = 10.0 ** (rho_db / (10.0 if rho_convention == "amplitude10" else 20.0))
-    except OverflowError:
-        raise InvalidArgument(f"rho = {rho_db} dB is out of range") from None
-    k_ideal = abs(1.0 - r) / (1.0 + r)
-    return max(k_ideal, k_floor)
+    scale = 20.0 if rho_convention == "amplitude10" else 40.0
+    if not abs(rho_db) <= MAX_RHO_DB * scale / 20.0:  # false for NaN too
+        raise InvalidArgument(f"rho = {rho_db} dB is out of range")
+    return max(float(np.tanh(abs(rho_db) * np.log(10.0) / scale)), k_floor)
 
 
 def suppression_db(k: float) -> float | None:

@@ -136,8 +136,8 @@ def sample_moments(
 def _moment_estimates(
     counts: np.ndarray, grams: np.ndarray, a: int, b: int, e: int | None, blind_v_m: float | None
 ):
-    """Moment estimates (v_m, k, eta, eps) and clamp flags, arrays with one entry
-    per centred Gram matrix of `grams`, each of `counts` outcomes.  Moments are
+    """Moment estimates (v_m, k, eta, eps), eps unclamped, and clamp flags, arrays with
+    one entry per centred Gram matrix of `grams`, each of `counts` outcomes.  Moments are
     in SNU (outcome covariances doubled back to gamma units); variances divide
     by the count (ddof = 0, as np.var), covariances by the count - 1 (ddof = 1,
     as np.cov).  a, b and e are the x columns of Alice, Bob and Eve (None: no record)."""
@@ -165,7 +165,7 @@ def _moment_estimates(
         eta = c_ab**2 / (v_m * (2.0 + s))
     eps = v_b - 1.0 - eta * v_m
     clamped = (v_a < 1.0) | (eps < 0.0)
-    return v_m, k, eta, np.where(eps < 0.0, 0.0, eps), clamped
+    return v_m, k, eta, eps, clamped
 
 
 def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> EstimateReport:
@@ -176,7 +176,8 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
     record, or is 0 without one.  A number gives the leakage-blind estimate
     at that set V_M, with k = 0.  One call estimates from the whole batch's
     Gram matrix and from each sub-batch's; the standard errors come from the
-    spread of the 10 sub-batch estimates.
+    spread of the 10 sub-batch estimates.  Only the whole-batch eps is
+    clamped at 0: clamped sub-batch values would bias that spread low.
     """
     cols = (
         moments.column("A"),
@@ -194,7 +195,7 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
         v_m_hat=float(full[0]),
         k_hat=float(full[1]),
         eta_hat=float(full[2]),
-        eps_hat=float(full[3]),
+        eps_hat=float(max(full[3], 0.0)),
         se_v_m=float(se[0]),
         se_k=float(se[1]),
         se_eta=float(se[2]),

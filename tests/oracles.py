@@ -147,7 +147,7 @@ def mc_moments(alice, bob, eve):
 
 
 def mc_point_estimate(alice, bob, eve, v_m_known, assume_no_leakage):
-    """Moment estimate (v_m, k, eta, eps) from raw records, by mc_moments."""
+    """Moment estimate (v_m, k, eta, eps) from raw records, by mc_moments; eps unclamped."""
     v_a, v_b, c_ab, c_al = mc_moments(alice, bob, eve)
     s = max(v_a - 1.0, 1e-12)
     if assume_no_leakage:
@@ -160,13 +160,15 @@ def mc_point_estimate(alice, bob, eve, v_m_known, assume_no_leakage):
             k = np.sqrt(w / (1.0 - w))
         v_m = v_m_known if v_m_known is not None else s / (1.0 + k * k)
         eta = c_ab**2 / (v_m * (2.0 + s))
-    return v_m, k, eta, max(v_b - 1.0 - eta * v_m, 0.0)
+    return v_m, k, eta, v_b - 1.0 - eta * v_m
 
 
 def mc_estimate(alice, bob, eve, v_m_known=None, assume_no_leakage=False, n_sub=10):
-    """Full-batch estimate and the standard errors of its n_sub-way split
-    (np.array_split of the record indices), from raw records."""
-    full = mc_point_estimate(alice, bob, eve, v_m_known, assume_no_leakage)
+    """Full-batch estimate, its eps clamped at 0, and the standard errors of the
+    unclamped estimates of its n_sub-way split (np.array_split of the record
+    indices), from raw records."""
+    v_m, k, eta, eps = mc_point_estimate(alice, bob, eve, v_m_known, assume_no_leakage)
+    full = (v_m, k, eta, max(eps, 0.0))
     sub = np.array(
         [
             mc_point_estimate(

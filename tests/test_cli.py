@@ -513,7 +513,9 @@ class TestSweepRowsHelper:
         from modleak.config import parse_config
 
         # criterion 6's sweep, optimised: golden_depth(21) = 1, so its rounds are
-        # those of one golden step per round, batch for batch
+        # those of one golden step per round, batch for batch.  k is exactly even
+        # in rho, so each mirrored pair of rows is one search: 11 |rho| values,
+        # 885 points in 24 rounds
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.99, "eps_Ch": 0.02, "beta": 0.96},
@@ -523,10 +525,13 @@ class TestSweepRowsHelper:
                 },
             }
         )
-        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
-        sizes = [720, 34, 18, 18, 18, 18, 18, 18, 18, 20, 28, 36]
-        sizes += [42, 42, 42, 42, 40, 38, 35, 32, 31, 20, 10, 2]
+        rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        sizes = [440, 21, 11, 11, 11, 11, 11, 11, 11, 13, 19, 26]
+        sizes += [32, 32, 32, 32, 31, 30, 28, 25, 24, 15, 7, 1]
         assert [len(batch) for batch in evaluated_batches] == sizes
+        for row, mirror in zip(rows, rows[::-1]):
+            assert row["sweep_var"] == -mirror["sweep_var"]
+            assert {**row, "sweep_var": 0.0} == {**mirror, "sweep_var": 0.0}
 
     def test_lockstep_rows_equal_public_calls(self):
         from modleak.config import parse_config

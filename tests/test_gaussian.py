@@ -228,6 +228,28 @@ class TestPartialTrace:
         with pytest.raises(MissingMode):
             g.partial_trace(g.vacuum(("a",)), ["b"])
 
+    def test_list_of_states_stacks_each_reduction_bitwise(self):
+        points = [
+            sec.ProtocolParams(v_m=2.0, k=0.3, eta_ch=0.4, eps_ch=0.05),
+            sec.ProtocolParams(v_m=7.0, k=1.1, eta_ch=0.4, eps_ch=0.05, eps_l=0.2),
+        ]
+        singles = [sec.reduced_state(p) for p in points]
+        state = g.CovMatrix(singles[0].modes, np.stack([s.data for s in singles]))
+        states = [state, *(g.heterodyne_condition(state, x) for x in ("A", "B"))]
+        stacked = g.partial_trace(states, ["E2", "L", "E1"])
+        assert stacked.modes == ("E2", "L", "E1")
+        assert stacked.batch_shape == (3, 2)
+        for i, s in enumerate(states):
+            single = g.partial_trace(s, ["E2", "L", "E1"])
+            assert np.array_equal(stacked.data[i], single.data)
+            assert np.array_equal(stacked.spectrum[i], single.spectrum)
+
+    def test_mode_missing_from_any_listed_state(self):
+        state = g.epr_source(2.0, ("a", "b"))
+        for states in ([state, g.partial_trace(state, ["a"])], [g.vacuum(("a",)), state]):
+            with pytest.raises(MissingMode):
+                g.partial_trace(states, ["a", "b"])
+
 
 class TestHeterodyneCondition:
     def test_uncorrelated_mode_leaves_kept_block(self):

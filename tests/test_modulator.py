@@ -52,8 +52,31 @@ class TestRhoToK:
         assert mod.rho_to_k(0.0, k_floor=floor) == pytest.approx(0.0631, abs=1e-4)
 
     def test_even_in_rho(self):
-        for rho in np.linspace(0.1, 10.0, 25):
-            assert mod.rho_to_k(rho, 0.0) == pytest.approx(mod.rho_to_k(-rho, 0.0))
+        # bit for bit, so that a mirrored pair of sweep points is one point
+        grid = np.concatenate([np.linspace(0.0, 40.0, 4001), np.logspace(-12, 3, 301)])
+        for convention in mod.RHO_CONVENTIONS:
+            for rho in grid:
+                assert mod.rho_to_k(-rho, 0.0, convention) == mod.rho_to_k(rho, 0.0, convention)
+
+    def test_no_cancellation_near_balance(self):
+        # k ~ rho ln 10 / 20 to first order; 1 - r loses about 10 digits at 1e-6 dB
+        for rho in (1e-6, 1e-9, -1e-12):
+            k = mod.rho_to_k(rho, 0.0)
+            assert k == pytest.approx(abs(rho) * np.log(10.0) / 20.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("convention", mod.RHO_CONVENTIONS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_range_is_symmetric_and_finite(self, sign, convention):
+        edge = mod.MAX_RHO_DB * (1.0 if convention == "amplitude10" else 2.0)
+        assert mod.rho_to_k(sign * edge, 0.0, convention) == 1.0
+        for rho in (sign * 1.01 * edge, sign * np.inf, np.nan):
+            with pytest.raises(InvalidArgument, match="out of range"):
+                mod.rho_to_k(rho, 0.0, convention)
+
+    def test_amplitude20_keeps_its_wider_range(self):
+        assert mod.rho_to_k(-4000.0, 0.0, "amplitude20") == 1.0
+        with pytest.raises(InvalidArgument, match="out of range"):
+            mod.rho_to_k(-4000.0, 0.0)
 
     def test_bounded_by_one(self):
         for rho in np.linspace(-40.0, 40.0, 81):

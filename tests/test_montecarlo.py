@@ -133,6 +133,17 @@ class TestEstimateParams:
         assert large.se_v_m < small.se_v_m
         assert large.se_eta < small.se_eta
 
+    def test_eps_standard_error_is_calibrated_near_zero(self):
+        # criterion 7's aware point at n = 1e5: about 17% of the sub-batch eps estimates
+        # are negative.  Their unclamped spread puts the std of (eps_hat - eps_Ch) / se_eps
+        # near Student's t with 9 dof (1.134); clamped sub-batch values gave 1.36
+        state = sec.reduced_state(POINT)
+        z = []
+        for seed in range(2000):
+            est = mc.estimate_params(mc.sample_moments(state, ["A", "B", "L"], 100_000, seed))
+            z.append((est.eps_hat - POINT.eps_ch) / est.se_eps)
+        assert 1.05 <= np.std(z) <= 1.22
+
     def test_minimum_sample_count_enforced(self):
         with pytest.raises(InvalidArgument):
             self._batch(POINT, 500, seed=1)

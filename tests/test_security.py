@@ -323,8 +323,8 @@ class TestKeyRates:
         [state] = states
         assert state.modes == ("A", "B", "L", "E1", "E2")
         assert state.batch_shape == (len(points),)
-        # the state, E, the state given a and given b, and E given each
-        assert checked == [(len(points),)] * 6
+        # the state, the state given a and given b, then E, E|a and E|b in one batch
+        assert checked == [(len(points),)] * 3 + [(3, len(points))]
 
     def test_empty_call(self, evaluated_batches):
         assert sec.key_rates([]) == []
