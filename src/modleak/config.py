@@ -166,6 +166,8 @@ def parse_config(raw: dict) -> RunConfig:
     protocol = {k: _parse_scalar_or_sweep(k, v) for k, v in protocol_raw.items()}
 
     modulator = dict(_block(raw, "modulator", MODULATOR_KEYS))
+    if modulator and "rho" not in modulator:
+        raise InvalidArgument(f"modulator key(s) {sorted(modulator, key=str)} need modulator.rho")
     if "rho" in modulator:
         modulator["rho"] = _parse_scalar_or_sweep("rho", modulator["rho"])
     if "k_floor" in modulator:

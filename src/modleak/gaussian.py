@@ -210,35 +210,33 @@ def loss_excess_channel(
     return beamsplitter(joined, mode, labels[0], eta_ch)
 
 
-def partial_trace(state: CovMatrix | list, keep: list[str] | tuple[str, ...]) -> CovMatrix:
-    """Reduce to the requested modes, in the requested order.  A list of states of one batch
-    shape gives one batch: each state reduced by its own labels, stacked on a new first axis."""
-    keep = tuple(keep)
-    states = state if isinstance(state, list) else [state]
-    idx = [np.array([s.index(m) for m in keep]) for s in states]
-    blocks = np.stack([s.data[..., i[:, None], i] for s, i in zip(states, idx)])
-    return CovMatrix(keep, blocks if isinstance(state, list) else blocks[0])
+def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMatrix:
+    """Reduce to the requested modes, in the requested order."""
+    idx = np.array([state.index(m) for m in keep])
+    return CovMatrix(tuple(keep), state.data[..., idx[:, None], idx])
 
 
-def heterodyne_condition(state: CovMatrix, measured_mode: str) -> CovMatrix:
+def heterodyne_condition(state: CovMatrix, measured_mode: str | list[str]) -> CovMatrix:
     """State of the remaining modes after heterodyning one mode.
 
     Gaussian heterodyne conditioning is outcome independent: each block of
     the kept modes becomes its Schur complement K - c c^T / (m + 1), with m
     the measured mode's variance and c its correlations with the kept modes.
+    A list of modes gives one batch: each listed mode heterodyned on its own,
+    the modes not listed kept, the results stacked on a new first axis.
     """
-    m = state.index(measured_mode)
-    kept = [i for i in range(state.n_modes) if i != m]
-    if not kept:
-        raise InvalidArgument("cannot condition away the only mode")
-    idx = np.array(kept)
+    single = isinstance(measured_mode, str)
+    listed = [measured_mode] if single else measured_mode
+    m = np.array([state.index(x) for x in listed], dtype=int)
+    idx = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
     gk = state.data[..., idx[:, None], idx]
-    c = state.data[..., idx, m]
-    gm = state.data[..., m, m] + 1.0
+    # for M measured modes: correlations (M, ..., 2, kept) and variances (M, ..., 2)
+    c = np.moveaxis(state.data[..., idx[:, None], m], -1, 0)
+    gm = np.moveaxis(state.data[..., m, m], -1, 0) + 1.0
     if (np.abs(gm[..., 0] * gm[..., 1]) < 1e-14).any():
         raise NumericalError("singular measured block in heterodyne conditioning")
     cond = gk - c[..., :, None] * c[..., None, :] / gm[..., None, None]
-    return CovMatrix(tuple(state.modes[i] for i in kept), cond)
+    return CovMatrix(tuple(state.modes[i] for i in idx), cond[0] if single else cond)
 
 
 def symplectic_eigenvalues(state: CovMatrix) -> np.ndarray:

@@ -221,9 +221,7 @@ class ConsistencyReport:
 
 def _estimated_params(p: sec.ProtocolParams, est: EstimateReport) -> sec.ProtocolParams:
     eta = min(max(est.eta_hat, 1e-6), 1.0)
-    eps = max(est.eps_hat, 0.0)
-    if eta == 1.0:
-        eps = 0.0
+    eps = 0.0 if eta == 1.0 else est.eps_hat
     return replace(
         p,
         v_m=max(est.v_m_hat, 1e-6),

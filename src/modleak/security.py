@@ -2,11 +2,12 @@
 
 Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
 protocol's pure purification `build_scheme`, the model of record: Eve holds
-E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b).  Every search is
-a generator that yields lists of points and is sent their reports; `lockstep`
-runs many side by side.  `drive` is the one loop that evaluates: it sends each
-round's new points to `_evaluate` in one batched pass.  `key_rates` is `drive`
-run on a single round.
+E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b), with E|a and E|b
+from one heterodyne call.  Every search is a generator that yields lists of
+points and is sent their reports; `lockstep` runs many side by side.  `drive`
+is the one loop that evaluates: it sends each round's new points to
+`_evaluate` in one batched pass.  `key_rates` is `drive` run on a single
+round.
 """
 
 from __future__ import annotations
@@ -301,21 +302,20 @@ def finite_size_penalty(block_size):
 def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     """Reports for distinct points, from one batched reduced state.
 
-    The state is conditioned once on Alice's heterodyne outcome a and once
-    on Bob's b.  I_AB comes from B's diagonal before and after a; chi is
-    S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR), with Eve's three reductions
-    checked and their spectra taken as one batch: four checked states a pass.
+    I_AB is the heterodyne mutual information of the state's (A, B) block.
+    chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR), with E the state on
+    Eve's modes and E|a, E|b one batch from heterodyning A and B each on its
+    own: three checked states a pass.
     """
     batch = SimpleNamespace(
         **{f.name: np.array([getattr(q, f.name) for q in points]) for f in fields(ProtocolParams)}
     )
     state = reduced_state(batch)
-    given_a, given_b = (g.heterodyne_condition(state, x) for x in ("A", "B"))
-    # heterodyne-heterodyne I_AB (bits/symbol), x term plus p term
-    bob, bob_given_a = (s.data[..., :, s.index("B"), s.index("B")] for s in (state, given_a))
-    i_ab = (0.5 * np.log2((bob + 1.0) / (bob_given_a + 1.0))).sum(axis=-1)
-    eve = g.partial_trace([state, given_a, given_b], EVE_MODES)
-    s_e, s_e_a, s_e_b = g.von_neumann_entropy(eve)
+    # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: x term plus p term
+    v_a, v_b, c = (state.data[..., :, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
+    i_ab = (-0.5 * np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))).sum(axis=-1)
+    s_e = g.von_neumann_entropy(g.partial_trace(state, EVE_MODES))
+    s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, ["A", "B"]))
     chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
     # tiny negative residues from the spectrum are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):

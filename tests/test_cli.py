@@ -65,6 +65,11 @@ class TestKeyrate:
         assert result.exit_code == 1
         assert "bogus" in result.output
 
+    def test_floor_without_rho_exit_1(self, runner, tmp_path):
+        path = write_cfg(tmp_path, {"protocol": {"V_M": 5}, "modulator": {"k_floor": 0.5}})
+        result = runner.invoke(cli.main, ["keyrate", "--config", path])
+        assert_one_error(result, "k_floor", "modulator.rho")
+
     def test_optimize_needs_single_direction(self, runner, tmp_path):
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
         result = runner.invoke(cli.main, ["keyrate", "--config", path, "--optimize-vm"])

@@ -224,6 +224,19 @@ class TestModulatorBlock:
         with pytest.raises(InvalidArgument):
             cfgmod.parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "modulator",
+        [
+            {"k_floor": 0.5},
+            {"rho_convention": "amplitude20"},
+            {"k_floor": 0.1, "rho_convention": "amplitude10"},
+        ],
+    )
+    def test_floor_or_convention_without_rho_rejected(self, modulator):
+        raw = {"protocol": {"V_M": 5}, "modulator": modulator}
+        with pytest.raises(InvalidArgument, match="need modulator.rho"):
+            cfgmod.parse_config(raw)
+
 
 class TestRoundTrip:
     def test_dump_parse_idempotent(self):

@@ -228,28 +228,6 @@ class TestPartialTrace:
         with pytest.raises(MissingMode):
             g.partial_trace(g.vacuum(("a",)), ["b"])
 
-    def test_list_of_states_stacks_each_reduction_bitwise(self):
-        points = [
-            sec.ProtocolParams(v_m=2.0, k=0.3, eta_ch=0.4, eps_ch=0.05),
-            sec.ProtocolParams(v_m=7.0, k=1.1, eta_ch=0.4, eps_ch=0.05, eps_l=0.2),
-        ]
-        singles = [sec.reduced_state(p) for p in points]
-        state = g.CovMatrix(singles[0].modes, np.stack([s.data for s in singles]))
-        states = [state, *(g.heterodyne_condition(state, x) for x in ("A", "B"))]
-        stacked = g.partial_trace(states, ["E2", "L", "E1"])
-        assert stacked.modes == ("E2", "L", "E1")
-        assert stacked.batch_shape == (3, 2)
-        for i, s in enumerate(states):
-            single = g.partial_trace(s, ["E2", "L", "E1"])
-            assert np.array_equal(stacked.data[i], single.data)
-            assert np.array_equal(stacked.spectrum[i], single.spectrum)
-
-    def test_mode_missing_from_any_listed_state(self):
-        state = g.epr_source(2.0, ("a", "b"))
-        for states in ([state, g.partial_trace(state, ["a"])], [g.vacuum(("a",)), state]):
-            with pytest.raises(MissingMode):
-                g.partial_trace(states, ["a", "b"])
-
 
 class TestHeterodyneCondition:
     def test_uncorrelated_mode_leaves_kept_block(self):
@@ -265,6 +243,44 @@ class TestHeterodyneCondition:
     def test_measured_mode_removed(self):
         out = g.heterodyne_condition(g.epr_source(2.0, ("a", "b")), "a")
         assert out.modes == ("b",)
+
+    def batch(self) -> g.CovMatrix:
+        rng = np.random.default_rng(17)
+        blocks = np.stack([random_state(rng, 5, pure) for pure in (True, False, False)])
+        return g.CovMatrix(("a", "b", "c", "d", "e"), blocks)
+
+    def test_list_stacks_each_conditioning_bitwise(self):
+        state = self.batch()
+        for listed in (["a", "b"], ["e", "a", "c"], ["d"]):
+            unlisted = [m for m in state.modes if m not in listed]
+            out = g.heterodyne_condition(state, listed)
+            assert out.modes == tuple(unlisted)
+            assert out.batch_shape == (len(listed), 3)
+            for i, m in enumerate(listed):
+                single = g.partial_trace(g.heterodyne_condition(state, m), unlisted)
+                assert np.array_equal(out.data[i], single.data)
+                assert np.array_equal(out.spectrum[i], single.spectrum)
+
+    def test_list_with_unknown_mode(self):
+        with pytest.raises(MissingMode):
+            g.heterodyne_condition(self.batch(), ["a", "f"])
+
+    def test_list_of_every_mode(self):
+        state = self.batch()
+        with pytest.raises(InvalidArgument):
+            g.heterodyne_condition(state, list(state.modes))
+        with pytest.raises(InvalidArgument):
+            g.heterodyne_condition(g.vacuum(("a",)), "a")
+
+    def test_singular_block_of_any_listed_mode(self):
+        # no checked state has a variance of -1: write one in past the check
+        for j in (0, 2):
+            state = self.batch()
+            data = state.data.copy()
+            data[1, 0, j, j] = -1.0
+            object.__setattr__(state, "data", data)
+            with pytest.raises(NumericalError):
+                g.heterodyne_condition(state, ["a", "c"])
 
 
 class TestSpectraAndEntropy:

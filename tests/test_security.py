@@ -305,7 +305,7 @@ class TestKeyRates:
 
         def recorded_post_init(state):
             post_init(state)
-            checked.append(state.batch_shape)
+            checked.append((state.modes, state.batch_shape))
 
         def recorded_evaluate(group):
             evaluations.append(list(group))
@@ -323,8 +323,9 @@ class TestKeyRates:
         [state] = states
         assert state.modes == ("A", "B", "L", "E1", "E2")
         assert state.batch_shape == (len(points),)
-        # the state, the state given a and given b, then E, E|a and E|b in one batch
-        assert checked == [(len(points),)] * 3 + [(3, len(points))]
+        # the state, E, then E|a and E|b in one batch
+        eve, n = ("L", "E1", "E2"), len(points)
+        assert checked == [(state.modes, (n,)), (eve, (n,)), (eve, (2, n))]
 
     def test_empty_call(self, evaluated_batches):
         assert sec.key_rates([]) == []
