@@ -1,8 +1,9 @@
 """Command-line front end: keyrate, sweep, table1 and mc subcommands.
 
 The CLI is a thin shell over the library: every emitted number comes from
-the security or Monte-Carlo modules.  Exit codes: 0 success / positive key,
-1 usage or config error, 2 computed no-security.
+the security or Monte-Carlo modules, written to --out, else the config's
+outputs.path, else stdout.  Exit codes: 0 success / positive key, 1 usage,
+config or model error (such as an unphysical point), 2 computed no-security.
 """
 
 from __future__ import annotations
@@ -50,13 +51,6 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _load(config_path: str) -> RunConfig:
-    try:
-        return load_config(config_path)
-    except (ModleakError, OSError) as exc:
-        _fail(str(exc))
-
-
 def _metadata(cfg: RunConfig) -> dict:
     return {
         "loss_convention": "attenuation dB >= 0, eta_Ch = 10^(-loss/10)",
@@ -67,8 +61,10 @@ def _metadata(cfg: RunConfig) -> dict:
     }
 
 
-def _write(text: str, out: str | None):
-    """Echo text to stdout, or write exactly the same bytes to the file out."""
+def _write(text: str, cfg: RunConfig, out: str | None):
+    """Write text to the file out, else to the config's outputs.path, else to
+    stdout; a file gets exactly the bytes stdout would."""
+    out = out or cfg.outputs.get("path")
     if not out:
         click.echo(text, nl=False)
         return
@@ -81,7 +77,7 @@ def _write(text: str, out: str | None):
 
 def _emit_json(payload: dict, cfg: RunConfig, out: str | None):
     payload = {**payload, "metadata": _metadata(cfg)}
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg, out)
 
 
 def _check_optimize(optimize_vm: bool, direction: str):
@@ -98,15 +94,17 @@ def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool, se
 
 
 class _Group(click.Group):
-    """A command group whose usage errors take `_fail`: one `error:` line, exit 1."""
+    """A command group whose usage, config and model errors take `_fail`: exit 1."""
 
     def main(self, *args, standalone_mode: bool = True, **kwargs):
         try:
             return super().main(*args, standalone_mode=False, **kwargs)
-        except (click.ClickException, click.Abort) as exc:
+        except (click.ClickException, click.Abort, ModleakError, OSError) as exc:
             if not standalone_mode:
                 raise
-            _fail(exc.format_message() if isinstance(exc, click.ClickException) else "aborted")
+            if isinstance(exc, click.ClickException):
+                _fail(exc.format_message())
+            _fail("aborted" if isinstance(exc, click.Abort) else str(exc))
 
 
 @click.group(cls=_Group)
@@ -121,18 +119,15 @@ def main():
 @click.option("--out", type=click.Path(), default=None)
 def keyrate(config_path, direction, optimize_vm, out):
     """Key-rate report for a single parameter point (JSON)."""
-    cfg = _load(config_path)
+    cfg = load_config(config_path)
+    _check_optimize(optimize_vm, direction)
 
     def search(p):
         p = yield from _search_optimum(p, direction, optimize_vm, 1)
         [report] = yield [p]
         return p, report
 
-    try:
-        _check_optimize(optimize_vm, direction)
-        p, report = sec.drive(search(cfg.params_at()))
-    except ModleakError as exc:
-        _fail(str(exc))
+    p, report = sec.drive(search(cfg.params_at()))
     payload = {"params": dataclasses.asdict(p), "report": dataclasses.asdict(report)}
     _emit_json(payload, cfg, out)
     positive = {
@@ -220,19 +215,15 @@ def sweep_rows(
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 def sweep(config_path, direction, optimize_vm, with_eta_max, out, fmt):
     """Parameter sweep: one CSV (or JSON) row per sweep point."""
-    cfg = _load(config_path)
-    out = out or cfg.outputs.get("path")
+    cfg = load_config(config_path)
     fmt = fmt or cfg.outputs.get("format", "csv")
-    try:
-        rows = sweep_rows(cfg, direction, optimize_vm, with_eta_max)
-    except ModleakError as exc:
-        _fail(str(exc))
+    rows = sweep_rows(cfg, direction, optimize_vm, with_eta_max)
     if fmt == "json":
         _emit_json({"rows": rows}, cfg, out)
         return
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in rows]
-    _write("\n".join(lines) + "\n", out)
+    _write("\n".join(lines) + "\n", cfg, out)
 
 
 def table1_matrix(p: sec.ProtocolParams) -> dict:
@@ -252,13 +243,9 @@ def table1_matrix(p: sec.ProtocolParams) -> dict:
 @click.option("--out", type=click.Path(), default=None)
 def table1(config_path, out):
     """Trusted-noise viability matrix (4 infusion points x 2 directions)."""
-    cfg = _load(config_path)
-    try:
-        p = cfg.params_at()
-        result = table1_matrix(p)
-    except ModleakError as exc:
-        _fail(str(exc))
-    _emit_json({**result, "params": dataclasses.asdict(p)}, cfg, out)
+    cfg = load_config(config_path)
+    p = cfg.params_at()
+    _emit_json({**table1_matrix(p), "params": dataclasses.asdict(p)}, cfg, out)
 
 
 @main.command()
@@ -268,16 +255,13 @@ def table1(config_path, out):
 @click.option("--out", type=click.Path(), default=None)
 def mc(config_path, seed, assume_no_leakage, out):
     """Monte-Carlo re-estimation and key-rate consistency check."""
-    cfg = _load(config_path)
+    cfg = load_config(config_path)
     if "n" not in cfg.mc:
-        _fail("mc command needs an mc block with a sample count n")
+        raise InvalidArgument("mc command needs an mc block with a sample count n")
     seed = seed if seed is not None else cfg.mc.get("seed", 0)
-    try:
-        report = montecarlo.end_to_end_consistency(
-            cfg.params_at(), cfg.mc["n"], seed, assume_no_leakage=assume_no_leakage
-        )
-    except ModleakError as exc:
-        _fail(str(exc))
+    report = montecarlo.end_to_end_consistency(
+        cfg.params_at(), cfg.mc["n"], seed, assume_no_leakage=assume_no_leakage
+    )
     _emit_json(dataclasses.asdict(report), cfg, out)
     sys.exit(EXIT_NO_SECURITY if report.verdict == "overestimates key" else 0)
 

@@ -6,6 +6,7 @@ protocol field, the channel loss (via eta_Ch with scale dB) or the RF
 scaling rho may instead hold a sweep {start, stop, points, scale}; at most
 one swept field per run, and scale dB only on eta_Ch and rho.  Unknown keys
 are a hard error: silent typos in physics parameters are unacceptable.
+Every command writes to `outputs.path` unless given --out; `format` is sweep's.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ MC_KEYS = {"n", "seed"}
 SWEEP_KEYS = {"start", "stop", "points", "scale"}
 SCALES = ("linear", "dB", "log")
 DB_AXES = ("eta_Ch", "rho")  # loss in dB, and rho, which is in dB already
-# sweep_rows evaluates every row in one batch, at about 6.5 KB per point
+# sweep_rows evaluates every row in one batch, at a peak of about 1.9 KiB per point
 MAX_SWEEP_POINTS = 1000
 
 

@@ -221,9 +221,7 @@ def build_scheme(p: ProtocolParams) -> Scheme:
         untrusted += ["E1", "E2"]
 
     if p.eta_d < 1.0:
-        v_d = 1.0 + p.eps_d / (1.0 - p.eta_d)
-        state = g.tensor(state, g.epr_source(v_d, ("D1", "D2")))
-        state = g.beamsplitter(state, "B", "D1", p.eta_d)
+        state = g.loss_excess_channel(state, "B", p.eta_d, p.eps_d, ("D1", "D2"))
         trusted += ["D1", "D2"]
 
     return Scheme(state=state, trusted=tuple(trusted), untrusted=tuple(untrusted))

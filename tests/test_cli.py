@@ -369,6 +369,24 @@ class TestInputsAndOutputs:
         assert out.read_bytes() == echoed.stdout_bytes
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_outputs_path_holds_the_out_bytes_and_out_wins(self, runner, tmp_path, name):
+        """A config's outputs.path gets what --out would, which is what stdout would."""
+        command = self.COMMANDS[name]
+        configured, given = tmp_path / "configured", tmp_path / "given"
+        doc = dict(TestMetadata.DOCS[command[0]], outputs={"path": str(configured)})
+        args = [*command, "--config", write_cfg(tmp_path, doc)]
+        written = runner.invoke(cli.main, args)
+        assert written.exit_code in (0, cli.EXIT_NO_SECURITY), written.output
+        assert written.stdout_bytes == b""
+        configured_bytes = configured.read_bytes()
+        configured.unlink()
+        overridden = runner.invoke(cli.main, [*args, "--out", str(given)])
+        assert overridden.exit_code == written.exit_code
+        assert overridden.stdout_bytes == b""
+        assert not configured.exists()
+        assert given.read_bytes() == configured_bytes
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_unwritable_out_exits_1(self, runner, tmp_path, name):
         out = str(tmp_path / "missing" / "out")
         result = runner.invoke(cli.main, [*self.args(tmp_path, name), "--out", out])

@@ -134,12 +134,14 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("generated") / "config.yaml"
 
 
-# keyrate only: a generated sweep size or output path is never run
+# keyrate only, so a generated sweep size is never run; --out wins over a
+# generated outputs.path, so the report goes only to the test's own directory
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(doc=st.one_of(PLAUSIBLE_DOCS, ARBITRARY_DOCS))
 def test_keyrate_exits_0_1_or_2(config_path, doc):
     config_path.write_text(yaml.safe_dump(doc))
-    result = CliRunner().invoke(cli.main, ["keyrate", "--config", str(config_path)])
+    out = str(config_path.with_name("report.json"))
+    result = CliRunner().invoke(cli.main, ["keyrate", "--config", str(config_path), "--out", out])
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(
         result.exception
