@@ -89,7 +89,7 @@ def _search_optimum(p: sec.ProtocolParams, direction: str, optimize_vm: bool, se
     """Search for the point to report: p, or p at its optimal V_M, found by one
     of `searches` V_M searches that share their rounds."""
     if optimize_vm:
-        p = dataclasses.replace(p, v_m=(yield from sec.search_vm(p, direction, searches)).v_m)
+        p = p.replace(v_m=(yield from sec.search_vm(p, direction, searches)).v_m)
     return p
 
 
@@ -141,11 +141,11 @@ def keyrate(config_path, direction, optimize_vm, out):
 def _search_row(
     p: sec.ProtocolParams, direction: str, optimize_vm: bool, with_eta_max: bool, rows: int
 ):
-    """Search for one of `rows` sweep rows: its point, the k = 0 twin and, on
-    request, the loss margins of both in both directions.  The margins come
-    first, so their first round asks for p and p0 with their 60 dB ends."""
+    """Search for one of `rows` distinct sweep rows: its point, the k = 0 twin
+    and, on request, the loss margins of both in both directions.  The margins
+    come first, so their first round asks for p and p0 with their 60 dB ends."""
     p = yield from _search_optimum(p, direction, optimize_vm, rows)
-    p0 = dataclasses.replace(p, k=0.0)
+    p0 = p.replace(k=0.0)
     margins = None
     if with_eta_max:
         margins = yield from sec.lockstep(
@@ -163,10 +163,11 @@ def sweep_rows(
 ) -> list[dict]:
     """Evaluate every sweep point; shared by the CLI and the test suite.
 
-    All rows are searched in lockstep, so each round of every row's V_M
-    search and loss-margin searches is one batched pass of `sec.drive`; the
-    V_M searches' golden rounds carry `sec.golden_depth(rows)` steps, for the
-    number of rows.
+    Rows at the same point, such as the rows at rho and -rho, share one
+    search.  The distinct rows are searched in lockstep, so each round of
+    every V_M search and loss-margin search is one batched pass of
+    `sec.drive`; the V_M searches' golden rounds carry `sec.golden_depth(n)`
+    steps, for n distinct rows.
     """
     axis = cfg.sweep_axis
     if axis is None:
@@ -174,12 +175,15 @@ def sweep_rows(
     _check_optimize(optimize_vm, direction)
     _, sweep = axis
     values = [float(value) for value in sweep.values()]
+    points = [cfg.params_at(value) for value in values]
+    distinct = list(dict.fromkeys(points))
     searches = [
-        _search_row(cfg.params_at(value), direction, optimize_vm, with_eta_max, len(values))
-        for value in values
+        _search_row(p, direction, optimize_vm, with_eta_max, len(distinct)) for p in distinct
     ]
+    found = dict(zip(distinct, sec.drive(sec.lockstep(searches))))
     rows = []
-    for value, (p, report, twin, margins) in zip(values, sec.drive(sec.lockstep(searches))):
+    for value, point in zip(values, points):
+        p, report, twin, margins = found[point]
         row = {
             "sweep_var": value,
             "V_M": p.v_m,

@@ -216,18 +216,20 @@ def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMat
     return CovMatrix(tuple(keep), state.data[..., idx[:, None], idx])
 
 
-def heterodyne_condition(state: CovMatrix, measured_mode: str | list[str]) -> CovMatrix:
+def heterodyne_condition(state: CovMatrix, measured_mode: str | list[str | None]) -> CovMatrix:
     """State of the remaining modes after heterodyning one mode.
 
     Gaussian heterodyne conditioning is outcome independent: each block of
     the kept modes becomes its Schur complement K - c c^T / (m + 1), with m
     the measured mode's variance and c its correlations with the kept modes.
     A list of modes gives one batch: each listed mode heterodyned on its own,
-    the modes not listed kept, the results stacked on a new first axis.
+    the modes not listed kept, the results stacked on a new first axis.  A
+    None in the list measures nothing: its entry is the kept modes' block K,
+    bitwise that of `partial_trace` to them.
     """
     single = isinstance(measured_mode, str)
     listed = [measured_mode] if single else measured_mode
-    m = np.array([state.index(x) for x in listed], dtype=int)
+    m = [state.index(x) for x in listed if x is not None]
     idx = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
     gk = state.data[..., idx[:, None], idx]
     # for M measured modes: correlations (M, ..., 2, kept) and variances (M, ..., 2)
@@ -236,6 +238,9 @@ def heterodyne_condition(state: CovMatrix, measured_mode: str | list[str]) -> Co
     if (np.abs(gm[..., 0] * gm[..., 1]) < 1e-14).any():
         raise NumericalError("singular measured block in heterodyne conditioning")
     cond = gk - c[..., :, None] * c[..., None, :] / gm[..., None, None]
+    if len(m) < len(listed):
+        conditioned = iter(cond)
+        cond = np.stack([gk if x is None else next(conditioned) for x in listed])
     return CovMatrix(tuple(state.modes[i] for i in idx), cond[0] if single else cond)
 
 

@@ -41,6 +41,8 @@ class ModulatorConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite([self.mu1, self.mu2, self.delta1, self.delta2]).all():
+            raise InvalidArgument("modulation depths and bias deviations must be finite")
         if self.mu1 < 0.0 or self.mu2 < 0.0:
             raise InvalidArgument("modulation depths must be >= 0")
         if max(self.mu1, self.mu2) > LINEAR_REGIME_LIMIT:
@@ -75,8 +77,9 @@ class SidebandSpectrum:
     p_carrier: float
 
     def __post_init__(self):
-        if min(self.p_desired, self.p_suppressed, self.p_carrier) < 0.0:
-            raise InvalidArgument("spectral powers must be >= 0")
+        # false for NaN too
+        if not all(0.0 <= p < np.inf for p in (self.p_desired, self.p_suppressed, self.p_carrier)):
+            raise InvalidArgument("spectral powers must be finite and >= 0")
 
 
 def field_coefficients(cfg: ModulatorConfig) -> tuple[complex, complex, complex]:
@@ -115,8 +118,8 @@ def rho_to_k(
 
 def suppression_db(k: float) -> float | None:
     """Sideband suppression 20*log10(1/k) in dB; None for k = 0 (infinite)."""
-    if k < 0.0:
-        raise InvalidArgument(f"leakage ratio must be >= 0, got {k}")
+    if not 0.0 <= k < np.inf:  # false for NaN too
+        raise InvalidArgument(f"leakage ratio must be finite and >= 0, got {k}")
     if k == 0.0:
         return None
     return 20.0 * np.log10(1.0 / k)

@@ -13,7 +13,7 @@ array, the whole batch first; the sampler alone bounds the sample count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,8 +222,7 @@ class ConsistencyReport:
 def _estimated_params(p: sec.ProtocolParams, est: EstimateReport) -> sec.ProtocolParams:
     eta = min(max(est.eta_hat, 1e-6), 1.0)
     eps = 0.0 if eta == 1.0 else est.eps_hat
-    return replace(
-        p,
+    return p.replace(
         v_m=max(est.v_m_hat, 1e-6),
         k=max(est.k_hat, 0.0),
         eta_ch=eta,
@@ -248,7 +247,7 @@ def _bumped_points(
         if field == "eta_ch":
             value = min(value, 1.0 if p_est.eps_ch == 0.0 else 0.9999)
         try:
-            bumped[field] = replace(p_est, **{field: value})
+            bumped[field] = p_est.replace(**{field: value})
         except InvalidArgument:
             skipped.append(field)
     return bumped, tuple(skipped)

@@ -2,10 +2,10 @@
 
 Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
 protocol's pure purification `build_scheme`, the model of record: Eve holds
-E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b), with E|a and E|b
-from one heterodyne call.  Every search is a generator that yields lists of
-points and is sent their reports; `lockstep` runs many side by side.  `drive`
-is the one loop that evaluates: it sends each round's new points to
+E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b), with E, E|a and
+E|b from one heterodyne call.  Every search is a generator that yields lists
+of points and is sent their reports; `lockstep` runs many side by side.
+`drive` is the one loop that evaluates: it sends each round's new points to
 `_evaluate` in one batched pass.  `key_rates` is `drive` run on a single
 round.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,9 +43,11 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it.  A round costs about 700 us fixed and 40 us per further point, so
-# a walked step at depth d costs about (700 + 40 rows (2^d - 1)) / d us: least
-# at d = 4 (15 points) for one search, d = 3 (14) for two and d = 1 for 21.
+# for in it.  A round costs about 350 us fixed and 25 us per further point (on
+# a 2-core x86-64 with one BLAS thread), so for n searches a walked step at
+# depth d costs about (350 + 25 n (2^d - 1)) / d us: least at d = 3 (7 points)
+# for one search, with d = 4 (15) within 4%, at d = 3 (14) for two and at
+# d = 1 for 21.  16 keeps d = 4 for one search.
 SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
@@ -113,6 +115,24 @@ class ProtocolParams:
 
     def __hash__(self):
         return self._hash
+
+    def replace(self, **changes) -> ProtocolParams:
+        """This point with some fields changed: `dataclasses.replace` without its
+        per-field init, through the same `__post_init__` and its checks."""
+        unknown = changes.keys() - PARAM_FIELDS
+        if unknown:
+            raise TypeError(f"ProtocolParams has no field {min(unknown)!r}")
+        point = object.__new__(ProtocolParams)
+        values = vars(point)
+        values.update(vars(self))
+        # __post_init__ hashes the dict's values: the fields alone, in order
+        del values["_hash"]
+        values.update(changes)
+        point.__post_init__()
+        return point
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(ProtocolParams))
 
 
 @dataclass(frozen=True)
@@ -228,7 +248,6 @@ def build_scheme(p: ProtocolParams) -> Scheme:
 
 
 REDUCED_MODES = ("A", "B", "L", "E1", "E2")
-EVE_MODES = ("L", "E1", "E2")
 # the p block is S X S for the x block X, with S these signs of the modes
 _SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
 
@@ -301,19 +320,18 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     """Reports for distinct points, from one batched reduced state.
 
     I_AB is the heterodyne mutual information of the state's (A, B) block.
-    chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR), with E the state on
-    Eve's modes and E|a, E|b one batch from heterodyning A and B each on its
-    own: three checked states a pass.
+    chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on Eve's modes L, E1, E2:
+    E, E|a and E|b are one batch, from measuring nothing, A and B each on
+    its own.  That is two checked states a pass: the state and that batch.
     """
     batch = SimpleNamespace(
-        **{f.name: np.array([getattr(q, f.name) for q in points]) for f in fields(ProtocolParams)}
+        **{name: np.array([getattr(q, name) for q in points]) for name in PARAM_FIELDS}
     )
     state = reduced_state(batch)
     # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: x term plus p term
     v_a, v_b, c = (state.data[..., :, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
     i_ab = (-0.5 * np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))).sum(axis=-1)
-    s_e = g.von_neumann_entropy(g.partial_trace(state, EVE_MODES))
-    s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, ["A", "B"]))
+    s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, [None, "A", "B"]))
     chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
     # tiny negative residues from the spectrum are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
@@ -448,13 +466,13 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     sharing each round.
     """
     grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
-    rates = np.array((yield from _rates([replace(p, v_m=v) for v in grid], direction)))
+    rates = np.array((yield from _rates([p.replace(v_m=v) for v in grid], direction)))
     best = int(np.argmax(rates))
     depth = golden_depth(searches)
     values: dict[float, float] = {}
 
     def ask(us):
-        points = [replace(p, v_m=float(np.exp(u))) for u in us]
+        points = [p.replace(v_m=float(np.exp(u))) for u in us]
         values.update(zip(us, (yield from _rates(points, direction))))
 
     x0 = np.log(grid[max(best - 1, 0)])
@@ -556,7 +574,7 @@ def search_loss_margin(p: ProtocolParams, direction: str):
     then Brent's method, one round per step."""
 
     def at(a_db: float) -> ProtocolParams:
-        return replace(p, eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))
+        return p.replace(eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))
 
     def rate(a_db: float):
         return (yield from _rates([at(a_db)], direction))[0]
@@ -577,7 +595,7 @@ def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:
 
 def leakage_penalty(p: ProtocolParams, direction: str) -> float:
     """Rate advantage Eve gains from ignored leakage: R(k=0) - R(k)."""
-    twin, report = key_rates([replace(p, k=0.0), p])
+    twin, report = key_rates([p.replace(k=0.0), p])
     return twin.rate(direction) - report.rate(direction)
 
 
@@ -588,7 +606,7 @@ def noise_scans(p: ProtocolParams, noise_points=NOISE_POINTS) -> dict[str, dict[
         if point not in NOISE_FIELDS:
             raise InvalidArgument(f"noise point must be one of {NOISE_POINTS}")
     scans = {
-        point: {eps: replace(p, **{NOISE_FIELDS[point]: eps}) for eps in VIABILITY_GRID}
+        point: {eps: p.replace(**{NOISE_FIELDS[point]: eps}) for eps in VIABILITY_GRID}
         for point in noise_points
     }
     reports = iter(key_rates(q for scan in scans.values() for q in scan.values()))

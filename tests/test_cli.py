@@ -532,6 +532,27 @@ class TestSweepRowsHelper:
         cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
         assert len(evaluated_batches) <= 18
 
+    @pytest.mark.parametrize("x", [0.8, 4.0])
+    def test_mirrored_rows_are_one_search(self, evaluated_batches, x):
+        from modleak.config import parse_config
+
+        # rho and -rho give one point, so the benchmark's item is the search
+        # of one row, golden_depth(1) = 4 steps a round
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -x, "stop": x, "points": 2}},
+            }
+        )
+        rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        mirrored = [list(batch) for batch in evaluated_batches]
+        evaluated_batches.clear()
+        p, report, twin, margins = sec.drive(cli._search_row(cfg.params_at(x), "rr", True, True, 1))
+        assert mirrored == evaluated_batches
+        assert {**rows[0], "sweep_var": x} == rows[1]
+        assert (rows[1]["V_M"], rows[1]["R_RR"]) == (p.v_m, report.r_rr)
+        assert rows[1]["eta_max_RR_dB"] == margins[2].db
+
     def test_21_row_sweep_keeps_one_step_rounds(self, evaluated_batches):
         from modleak.config import parse_config
 

@@ -261,6 +261,25 @@ class TestHeterodyneCondition:
                 assert np.array_equal(out.data[i], single.data)
                 assert np.array_equal(out.spectrum[i], single.spectrum)
 
+    def test_none_entry_is_the_partial_trace_bitwise(self):
+        state = self.batch()
+        for listed in ([None, "a", "b"], ["e", None, "c"], ["d", None], [None]):
+            measured = [m for m in listed if m is not None]
+            unlisted = [m for m in state.modes if m not in measured]
+            out = g.heterodyne_condition(state, listed)
+            assert out.modes == tuple(unlisted)
+            assert out.batch_shape == (len(listed), 3)
+            reduced = g.partial_trace(state, unlisted)
+            for i in [i for i, m in enumerate(listed) if m is None]:
+                assert np.array_equal(out.data[i], reduced.data)
+                assert np.array_equal(np.signbit(out.data[i]), np.signbit(reduced.data))
+                assert np.array_equal(out.spectrum[i], reduced.spectrum)
+            if measured:
+                without = g.heterodyne_condition(state, measured)
+                kept = [i for i, m in enumerate(listed) if m is not None]
+                assert np.array_equal(out.data[kept], without.data)
+                assert np.array_equal(out.spectrum[kept], without.spectrum)
+
     def test_list_with_unknown_mode(self):
         with pytest.raises(MissingMode):
             g.heterodyne_condition(self.batch(), ["a", "f"])

@@ -31,6 +31,13 @@ class TestFieldCoefficients:
         with pytest.raises(InvalidArgument):
             mod.ModulatorConfig(mu1=-0.1, mu2=0.1)
 
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "delta1", "delta2"])
+    def test_non_finite_depth_or_bias_rejected(self, field):
+        for value in (np.nan, np.inf, -np.inf):
+            fields = {"mu1": 0.1, "mu2": 0.1, field: value}
+            with pytest.raises(InvalidArgument, match="must be finite"):
+                mod.ModulatorConfig(**fields)
+
     def test_large_depth_warns(self):
         with pytest.warns(UserWarning):
             mod.ModulatorConfig(mu1=0.3, mu2=0.3)
@@ -105,6 +112,11 @@ class TestSuppressionDb:
     def test_zero_leakage_is_distinguished(self):
         assert mod.suppression_db(0.0) is None
 
+    def test_non_finite_or_negative_leakage_rejected(self):
+        for k in (np.nan, np.inf, -np.inf, -0.1):
+            with pytest.raises(InvalidArgument):
+                mod.suppression_db(k)
+
     def test_monotone_in_abs_rho(self):
         rhos = np.linspace(0.2, 10.0, 40)
         sup = [mod.suppression_db(mod.rho_to_k(r, 0.0)) for r in rhos]
@@ -125,6 +137,17 @@ class TestSpectrum:
         a = mod.spectrum(mod.ModulatorConfig(mu1=0.06, mu2=0.1))
         b = mod.spectrum(mod.ModulatorConfig(mu1=0.1, mu2=0.06))
         assert a.p_suppressed == pytest.approx(b.p_suppressed)
+
+    def test_non_finite_or_negative_power_rejected(self):
+        for bad in (np.nan, np.inf, -1.0):
+            for powers in ((1.0, bad, 0.0), (1.0, 0.0, bad), (bad, 0.0, 0.0)):
+                with pytest.raises(InvalidArgument):
+                    mod.SidebandSpectrum(*powers)
+
+    def test_carrier_power_past_float_range_rejected(self):
+        # a finite carrier over a desired power of 2.5e-321 overflows to inf
+        with pytest.raises(InvalidArgument, match="finite"):
+            mod.spectrum(mod.ModulatorConfig(mu1=1e-160, mu2=1e-160, delta2=1.0))
 
     def test_degenerate_config(self):
         with pytest.raises(DegenerateConfig):

@@ -90,6 +90,40 @@ class TestProtocolParams:
         assert hash(dataclasses.replace(dataclasses.replace(p, v_m=4.0), v_m=5.0)) == hash(p)
         assert {p: 1}[same] == 1
 
+    @pytest.mark.parametrize(
+        "field, valid, invalid",
+        [
+            ("v_m", 7.5, 0.0),
+            ("k", 0.0, -0.1),
+            ("eta_ch", 0.3, 1.5),
+            ("eps_ch", 0.05, math.nan),
+            ("eta_d", 0.7, 0.0),
+            ("eps_d", 0.0, -1.0),
+            ("eps_p1", 0.2, math.inf),
+            ("eps_p2", 0.4, -0.2),
+            ("eps_l", 0.1, -math.inf),
+            ("beta", 1.0, 1.2),
+            ("block_size", 1e6, 2.5),
+        ],
+    )
+    def test_replace_is_dataclasses_replace(self, field, valid, invalid):
+        p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02, eta_d=0.8, eps_d=0.01)
+        new, expected = p.replace(**{field: valid}), dataclasses.replace(p, **{field: valid})
+        assert new == expected and hash(new) == hash(expected)
+        assert type(new) is sec.ProtocolParams and vars(new) == vars(expected)
+        assert p.replace() == p and hash(p.replace()) == hash(p)
+        with pytest.raises(InvalidArgument) as expected_error:
+            dataclasses.replace(p, **{field: invalid})
+        with pytest.raises(InvalidArgument) as error:
+            p.replace(**{field: invalid})
+        assert str(error.value) == str(expected_error.value)
+
+    def test_replace_rejects_unknown_fields(self):
+        p = sec.ProtocolParams(v_m=5.0)
+        for name in ("vm", "_hash"):
+            with pytest.raises(TypeError, match=name):
+                p.replace(**{name: 1.0})
+
     def test_integral_block_size_is_stored_as_an_integer(self):
         p = sec.ProtocolParams(v_m=5.0, block_size=1e7)
         assert p.block_size == 10**7 and isinstance(p.block_size, int)
@@ -323,9 +357,9 @@ class TestKeyRates:
         [state] = states
         assert state.modes == ("A", "B", "L", "E1", "E2")
         assert state.batch_shape == (len(points),)
-        # the state, E, then E|a and E|b in one batch
+        # the state, then E, E|a and E|b in one batch
         eve, n = ("L", "E1", "E2"), len(points)
-        assert checked == [(state.modes, (n,)), (eve, (n,)), (eve, (2, n))]
+        assert checked == [(state.modes, (n,)), (eve, (3, n))]
 
     def test_empty_call(self, evaluated_batches):
         assert sec.key_rates([]) == []
