@@ -3,8 +3,10 @@
 Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
 protocol's pure purification `build_scheme`, the model of record: Eve holds
 E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b), with E, E|a and
-E|b from one heterodyne call.  Every search is a generator that yields lists
-of points and is sent their reports; `lockstep` runs many side by side.
+E|b from one heterodyne call.  Each point's x block is computed in float
+arithmetic; numpy builds, checks and conditions the batch of states and
+takes their spectra.  Every search is a generator that yields lists of
+points and is sent their reports; `lockstep` runs many side by side.
 `drive` is the one loop that evaluates: it sends each round's new points to
 `_evaluate` in one batched pass.  `key_rates` is `drive` run on a single
 round.
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,11 +44,12 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it.  A round costs about 350 us fixed and 25 us per further point (on
-# a 2-core x86-64 with one BLAS thread), so for n searches a walked step at
-# depth d costs about (350 + 25 n (2^d - 1)) / d us: least at d = 3 (7 points)
-# for one search, with d = 4 (15) within 4%, at d = 3 (14) for two and at
-# d = 1 for 21.  16 keeps d = 4 for one search.
+# for in it.  A round costs about 230 us fixed and 25 us per further point (the
+# minimum of 40 timed 30-round searches, on a 2-core x86-64 with one BLAS
+# thread), so for n searches a walked step at depth d costs about
+# (230 + 25 n (2^d - 1)) / d us: least at d = 3 (7 points) for one search, with
+# d = 4 (15) 12% above it, at d = 2 (6) for two, with d = 3 (14) within 2%,
+# and at d = 1 from 10 searches.  16 keeps d = 4 for one search.
 SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
@@ -248,65 +250,69 @@ def build_scheme(p: ProtocolParams) -> Scheme:
 
 
 REDUCED_MODES = ("A", "B", "L", "E1", "E2")
-# the p block is S X S for the x block X, with S these signs of the modes
+# the p block is S X S for the x block X, with S the signs +, -, -, -, + of the
+# modes: each state is X times these (2, 5, 5) signs, 1 for X and S_i S_j for P
 _SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
+_BLOCK_SIGNS = np.stack([np.ones((5, 5)), np.outer(_SIGNS, _SIGNS)])
 
 
-def reduced_state(p) -> g.CovMatrix:
+def _x_block(p: ProtocolParams) -> tuple[float, ...]:
+    """The 25 entries, row by row, of the x block of `reduced_state(p)`, in float
+    arithmetic: an overflow gives inf or NaN entries, which `CovMatrix` rejects."""
+    eta_ch, eps_ch, eta_d = p.eta_ch, p.eps_ch, p.eta_d
+    k2 = p.k * p.k
+    t, r = math.sqrt(1.0 / (1.0 + k2)), math.sqrt(k2 / (1.0 + k2))
+    e, d = math.sqrt(eta_ch), math.sqrt(eta_d)
+    v_s = 1.0 + (1.0 + k2) * p.v_m
+    c_s = math.sqrt(v_s * v_s - 1.0)
+    # B and L after the leakage beamsplitter, with the trusted noise on each
+    b0, l0 = v_s + p.eps_p1, 1.0 + p.eps_l
+    bb = t * t * b0 + r * r * l0 + p.eps_p2
+    bl = t * r * (l0 - b0)
+    # with f = sqrt(1 - eta_ch): fc = f c, fs = f s and uv = (1 - e) v_e, so that
+    # E1 = -fc B + alpha V1 - beta V2 and E2 = fs B + beta V1 + delta V2 on the x
+    # quadratures, for B before the channel and two vacua V1, V2
+    fc, fs = math.sqrt(1.0 - eta_ch + 0.5 * eps_ch), math.sqrt(0.5 * eps_ch)
+    uv = (1.0 - eta_ch + eps_ch) / (1.0 + e)
+    alpha, beta, delta = 1.0 - fc * fc / (1.0 + e), fc * fs / (1.0 + e), 1.0 + fs * fs / (1.0 + e)
+    x_ab, x_al, x_ae1, x_ae2 = d * e * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s
+    x_bb = eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d
+    x_bl = d * e * bl
+    x_be1, x_be2 = d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb)
+    x_ll, x_le1, x_le2 = r * r * b0 + t * t * l0, -fc * bl, fs * bl
+    x_e1e1 = fc * fc * bb + alpha * alpha + beta * beta
+    x_e1e2 = -fc * fs * (bb + uv / (1.0 + e))
+    x_e2e2 = fs * fs * bb + beta * beta + delta * delta
+    return (
+        v_s, x_ab, x_al, x_ae1, x_ae2,
+        x_ab, x_bb, x_bl, x_be1, x_be2,
+        x_al, x_bl, x_ll, x_le1, x_le2,
+        x_ae1, x_be1, x_le1, x_e1e1, x_e1e2,
+        x_ae2, x_be2, x_le2, x_e1e2, x_e2e2,
+    )
+
+
+def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
     """The state of the modes A, B, L, E1, E2 of `build_scheme(p)`, in closed form,
-    with Eve's channel modes E1, E2 in their unsqueezed frame.
+    with Eve's channel modes E1, E2 in their unsqueezed frame; a list of points
+    gives their batch.
 
     Trusted noise adds eps_p1 and eps_p2 to B and eps_l to L.  The channel
     mixes B with E1 of an EPR pair E1/E2 of variance v_e = 1 + eps_ch / (1 - eta_ch);
     the detector attenuates B by eta_d and adds (1 - eta_d) + eps_d.  Unused
-    L, E1 and E2 are vacua.  Fields of `p` may be arrays of one length: a batch.
+    L, E1 and E2 are vacua.
 
     E1 and E2 are then mapped to c E1 - s E2 and c E2 - s E1 on the x
     quadratures (+s on the p quadratures), with c^2 = (v_e + 1) / 2 and
     s^2 = (v_e - 1) / 2: the inverse of the squeezer that made the pair.  It
     acts on Eve's modes alone, so no entropy of E changes, given a or b or
     not, but no entry grows with v_e, whose size would cost the spectra of E
-    digits.  The x block X is written entry by entry and the p block is
-    S X S, with S the signs +, -, -, -, + of the modes.
+    digits.  Each point's x block X is computed in float arithmetic
+    (`_x_block`) and the p block is S X S, with S the signs +, -, -, -, + of
+    the modes; numpy builds and checks the states.
     """
-    a, b, l, e1, e2 = range(5)
-    k2 = p.k * p.k
-    t, r = np.sqrt(1.0 / (1.0 + k2)), np.sqrt(k2 / (1.0 + k2))
-    e, d = np.sqrt(p.eta_ch), np.sqrt(p.eta_d)
-    v_s = 1.0 + (1.0 + k2) * p.v_m
-    c_s = np.sqrt(v_s * v_s - 1.0)
-    # B and L after the leakage beamsplitter, with the trusted noise on each
-    b0, l0 = v_s + p.eps_p1, 1.0 + p.eps_l
-    bb = t * t * b0 + r * r * l0 + p.eps_p2
-    bl = t * r * (l0 - b0)
-    b_out = p.eta_d * (p.eta_ch * bb + (1.0 - p.eta_ch) + p.eps_ch) + (1.0 - p.eta_d) + p.eps_d
-    # with f = sqrt(1 - eta_ch): fc = f c, fs = f s and uv = (1 - e) v_e, so that
-    # E1 = -fc B + alpha V1 - beta V2 and E2 = fs B + beta V1 + delta V2 on the x
-    # quadratures, for B before the channel and two vacua V1, V2
-    fc, fs = np.sqrt(1.0 - p.eta_ch + 0.5 * p.eps_ch), np.sqrt(0.5 * p.eps_ch)
-    uv = (1.0 - p.eta_ch + p.eps_ch) / (1.0 + e)
-    alpha, beta, delta = 1.0 - fc * fc / (1.0 + e), fc * fs / (1.0 + e), 1.0 + fs * fs / (1.0 + e)
-    x_entries = {
-        (a, a): v_s,
-        (a, b): d * e * t * c_s,
-        (a, l): -r * c_s,
-        (a, e1): -fc * t * c_s,
-        (a, e2): fs * t * c_s,
-        (b, b): b_out,
-        (b, l): d * e * bl,
-        (b, e1): d * fc * (1.0 - uv - e * bb),
-        (b, e2): d * fs * (1.0 + uv + e * bb),
-        (l, l): r * r * b0 + t * t * l0,
-        (l, e1): -fc * bl,
-        (l, e2): fs * bl,
-        (e1, e1): fc * fc * bb + alpha * alpha + beta * beta,
-        (e1, e2): -fc * fs * (bb + uv / (1.0 + e)),
-        (e2, e2): fs * fs * bb + beta * beta + delta * delta,
-    }
-    x = np.zeros(np.shape(v_s) + (5, 5))
-    for (i, j), value in x_entries.items():
-        x[..., i, j] = x[..., j, i] = value
-    return g.CovMatrix(REDUCED_MODES, np.stack([x, _SIGNS[:, None] * x * _SIGNS], axis=-3))
+    x = np.array([_x_block(q) for q in p] if isinstance(p, list) else _x_block(p))
+    return g.CovMatrix(REDUCED_MODES, x.reshape(x.shape[:-1] + (1, 5, 5)) * _BLOCK_SIGNS)
 
 
 def finite_size_penalty(block_size):
@@ -324,10 +330,7 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     E, E|a and E|b are one batch, from measuring nothing, A and B each on
     its own.  That is two checked states a pass: the state and that batch.
     """
-    batch = SimpleNamespace(
-        **{name: np.array([getattr(q, name) for q in points]) for name in PARAM_FIELDS}
-    )
-    state = reduced_state(batch)
+    state = reduced_state(points)
     # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: x term plus p term
     v_a, v_b, c = (state.data[..., :, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
     i_ab = (-0.5 * np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))).sum(axis=-1)
@@ -337,8 +340,9 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
         raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
     chi_dr, chi_rr = np.maximum(chi_dr, 0.0), np.maximum(chi_rr, 0.0)
-    delta = finite_size_penalty(batch.block_size)
-    r_dr, r_rr = (batch.beta * i_ab - chi - delta for chi in (chi_dr, chi_rr))
+    delta = finite_size_penalty([q.block_size for q in points])
+    beta = np.array([q.beta for q in points])
+    r_dr, r_rr = (beta * i_ab - chi - delta for chi in (chi_dr, chi_rr))
     clamped = (np.maximum(r, 0.0) for r in (r_dr, r_rr))
     columns = (i_ab, chi_dr, chi_rr, r_dr, r_rr, *clamped, delta)
     return [KeyRateReport(*row) for row in zip(*(c.tolist() for c in columns))]
@@ -466,7 +470,8 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     sharing each round.
     """
     grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
-    rates = np.array((yield from _rates([p.replace(v_m=v) for v in grid], direction)))
+    # plain floats, not numpy scalars, for the float arithmetic of `_x_block`
+    rates = np.array((yield from _rates([p.replace(v_m=v) for v in grid.tolist()], direction)))
     best = int(np.argmax(rates))
     depth = golden_depth(searches)
     values: dict[float, float] = {}

@@ -616,6 +616,21 @@ class TestSweepRowsHelper:
         assert flags == {"ok", "no-positive-key"}
 
 
+@pytest.mark.parametrize("overflowing", [{"V_M": 1e200}, {"k": 1e200}])
+def test_overflowing_point_prints_one_error_line(tmp_path, overflowing):
+    # the command as run from a shell, whose default warning filter would
+    # print any floating-point warning before the error line
+    src = str(Path(modleak.__file__).resolve().parents[1])
+    path = write_cfg(tmp_path, {"protocol": dict(BASE_PROTOCOL, **overflowing)})
+    code = f"import sys; sys.path.insert(0, {src!r}); from modleak import cli; cli.main()"
+    result = subprocess.run(
+        [sys.executable, "-c", code, "keyrate", "--config", path], capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: covariance matrix has non-finite entries\n"
+    assert result.stdout == ""
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     src = str(Path(modleak.__file__).resolve().parents[1])
     code = (
