@@ -23,10 +23,6 @@ import numpy as np
 from . import gaussian as g
 from .errors import InvalidArgument, NumericalError
 
-# Strongly unbalanced coupling standing in for the eta -> 1 limit of the
-# trusted-noise infusion beamsplitters.  Results must be stable to +-5e-4.
-ETA_P = 0.999
-
 # Collective-attack security parameter entering the finite-size penalty.
 FINITE_SIZE_EPS = 1e-10
 
@@ -187,19 +183,20 @@ def _noise_mode_labels(tag: str) -> list[str]:
 def _couple_trusted_noise(state: g.CovMatrix, target: str, eps, tag: str) -> g.CovMatrix:
     """Infuse trusted noise eps into `target` with no net attenuation.
 
-    A phase-insensitive amplifier of gain 1/eta followed by an unbalanced
-    tap of transmittance eta leaves the signal quadratures unchanged while
-    adding (1 - eta)(V_idler + V_tap) of noise from two trusted EPR
-    ancillas.  Choosing both ancilla variances as eps / (2 (1 - eta)) makes
-    the injected noise exactly eps for any coupling transmittance, so the
-    reduced state of the remaining modes does not depend on eta at all.
+    A phase-insensitive amplifier of gain 1/eta followed by a tap of
+    transmittance eta leaves the signal quadratures unchanged while adding
+    (1 - eta)(V_idler + V_tap) of noise from two trusted EPR ancillas of
+    variance v.  With v = max(1, eps) and eta = 1 - eps / (2 v) that noise
+    is exactly eps, and the reduced state of the other modes is the same
+    for any such choice.  For eps <= 1 (the documented domain) the ancillas
+    are vacua, exactly 1 and never rounded below it, the tap transmittance
+    is at least 0.5 and the gain at most 2, so the global state stays well
+    conditioned.
 
     Appends modes `{tag}a`/`{tag}b` (amplifier idler pair) and
     `{tag}c`/`{tag}d` (tap pair); all four stay with the trusted parties.
     """
-    # below eps = 2 (1 - ETA_P) the ancillas are vacua (v = 1 exactly, never
-    # rounded below it) and the coupling moves toward eta = 1 instead
-    v = np.maximum(1.0, eps / (2.0 * (1.0 - ETA_P)))
+    v = max(1.0, eps)
     eta = 1.0 - eps / (2.0 * v)
     labels = _noise_mode_labels(tag)
     state = g.tensor(state, g.epr_source(v, (labels[0], labels[1])))

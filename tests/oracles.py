@@ -181,6 +181,14 @@ def mc_estimate(alice, bob, eve, v_m_known=None, assume_no_leakage=False, n_sub=
     return np.concatenate([full, se])
 
 
+def mp_entropy_g(nu):
+    """g(nu) in bits at mpmath's working precision; 0 for nu <= 1."""
+    b = (mp.mpf(nu) - 1) / 2
+    if b <= 0:
+        return mp.mpf(0)
+    return (b + 1) * mp.log(b + 1, 2) - b * mp.log(b, 2)
+
+
 def _mp_symplectic_entropy(gamma):
     """Entropy (bits) of an mpmath covariance matrix from the eigenvalues +-i nu of Omega gamma."""
     n = gamma.rows // 2
@@ -188,12 +196,7 @@ def _mp_symplectic_entropy(gamma):
     for i in range(n):
         omega[2 * i, 2 * i + 1], omega[2 * i + 1, 2 * i] = 1, -1
     ev = sorted(abs(mp.im(lam)) for lam in mp.eig(omega * gamma, left=False, right=False))
-    total = mp.mpf(0)
-    for nu in ev[::2]:
-        if nu > 1:
-            a, b = (nu + 1) / 2, (nu - 1) / 2
-            total += a * mp.log(a, 2) - b * mp.log(b, 2)
-    return total
+    return sum((mp_entropy_g(nu) for nu in ev[::2]), mp.mpf(0))
 
 
 def _mp_sub(gamma, modes):

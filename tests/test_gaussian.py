@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.linalg import expm
 
 from modleak import gaussian as g
 from modleak import security as sec
 from modleak.errors import InvalidArgument, MissingMode, NumericalError, UnphysicalState
 
-from oracles import interleave, symplectic_spectrum
+from oracles import interleave, mp_entropy_g, symplectic_spectrum
 
 
 def random_state(rng, n: int, pure: bool) -> np.ndarray:
@@ -312,7 +313,7 @@ class TestSpectraAndEntropy:
         assert g.symplectic_eigenvalues(reduced)[0] == pytest.approx(6.0)
 
     def test_pure_state_zero_entropy(self):
-        assert g.von_neumann_entropy(g.epr_source(9.0, ("a", "b"))) == pytest.approx(0.0, abs=1e-6)
+        assert g.von_neumann_entropy(g.epr_source(9.0, ("a", "b"))) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_entropy_value(self):
         # g(3) = 2 log2(2) - 1 log2(1) = 2 bits
@@ -324,6 +325,15 @@ class TestSpectraAndEntropy:
         sa = g.von_neumann_entropy(g.partial_trace(state, ["a"]))
         sb = g.von_neumann_entropy(g.partial_trace(state, ["b"]))
         assert sa == pytest.approx(sb)
+
+    def test_entropy_is_continuous_just_above_one(self):
+        # no purity cut: a mode with nu - 1 near 1e-9 keeps its entropy
+        nu = 1.0 + np.array([1e-15, 1e-12, 0.9e-9, 1e-9, 1.1e-9, 1e-6])
+        values = g.entropy_g(nu)
+        with mp.workdps(50):
+            expected = [float(mp_entropy_g(float(x))) for x in nu]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
+        assert np.all(np.diff(values) > 0.0)
 
     def test_entropy_rejects_unphysical_eigenvalue(self):
         with pytest.raises(UnphysicalState):
