@@ -50,8 +50,12 @@ SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
 # root accuracy well inside the 0.01 dB reporting tolerance, so that small
-# loss-margin differences between nearby leakage values keep their sign
+# loss-margin differences between nearby leakage values keep their sign.  The
+# search runs on the transmittance factor t = 10^(-a/10), where a step dt moves
+# a by 10 / ln 10 * dt / t dB, so it derives its relative tolerance on t,
+# LOSS_ROOT_RTOL, from this accuracy
 LOSS_ROOT_XTOL_DB = 1e-4
+LOSS_ROOT_RTOL = LOSS_ROOT_XTOL_DB * math.log(10.0) / 10.0
 # scipy.optimize.brentq's default relative tolerance and iteration cap
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
@@ -521,8 +525,10 @@ def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0.0
 
 
-def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float):
-    """Root of f on [xa, xb] by Brent's method, step for step as scipy.optimize.brentq.
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float = BRENT_RTOL):
+    """Root of f on [xa, xb] by Brent's method, step for step as scipy.optimize.brentq
+    with the same xtol and rtol: it stops once the root is bracketed within
+    xtol + rtol |x| of its estimate x.
 
     A search like any other: `f(x)` is a one-round search that returns
     f(x), so each new x is one round.  The return value is the root.
@@ -543,7 +549,7 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -573,21 +579,27 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float):
 
 def search_loss_margin(p: ProtocolParams, direction: str):
     """Search behind `max_additional_loss`: both ends of [0, 60] dB in one round,
-    then Brent's method, one round per step."""
+    then Brent's method, one round per step.
 
-    def at(a_db: float) -> ProtocolParams:
-        return p.replace(eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))
+    Brent runs on the transmittance factor t = 10^(-a/10) over [1e-6, 1], the
+    point at t being p with eta_ch * t, and the root is reported as -10 log10(t)
+    dB.  R is nearly linear in t but nearly flat in a near 60 dB, where Brent's
+    first secant on a would land and fall back to bisection.  The relative
+    tolerance LOSS_ROOT_RTOL on t keeps the root within LOSS_ROOT_XTOL_DB.
+    """
 
-    def rate(a_db: float):
-        return (yield from _rates([at(a_db)], direction))[0]
+    def rate(t: float):
+        return (yield from _rates([p.replace(eta_ch=p.eta_ch * t)], direction))[0]
 
-    f0, f1 = yield from _rates([at(0.0), at(MAX_ADDITIONAL_LOSS_DB)], direction)
+    t_end = 10.0 ** (-MAX_ADDITIONAL_LOSS_DB / 10.0)
+    f0, f1 = yield from _rates([p, p.replace(eta_ch=p.eta_ch * t_end)], direction)
     if f0 <= 0.0:
         return LossMargin(db=0.0, flag="no-positive-key")
     if f1 > 0.0:
         return LossMargin(db=MAX_ADDITIONAL_LOSS_DB, flag="saturated")
-    a_db = yield from _brentq(rate, 0.0, MAX_ADDITIONAL_LOSS_DB, f0, f1, LOSS_ROOT_XTOL_DB)
-    return LossMargin(db=float(a_db), flag="ok")
+    t = yield from _brentq(rate, t_end, 1.0, f1, f0, 0.0, LOSS_ROOT_RTOL)
+    # 0.0 - x, not -x, so that a root at t = 1 reads 0.0 dB, not -0.0
+    return LossMargin(db=0.0 - 10.0 * math.log10(t), flag="ok")
 
 
 def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:

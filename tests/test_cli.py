@@ -559,7 +559,8 @@ class TestSweepRowsHelper:
         # criterion 6's sweep, optimised: golden_depth(21) = 1, so its rounds are
         # those of one golden step per round, batch for batch.  k is exactly even
         # in rho, so each mirrored pair of rows is one search: 11 |rho| values,
-        # 885 points in 24 rounds
+        # 792 points in 21 rounds, the margins' Brent steps on the transmittance
+        # factor t
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.99, "eps_Ch": 0.02, "beta": 0.96},
@@ -571,7 +572,7 @@ class TestSweepRowsHelper:
         )
         rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
         sizes = [440, 21, 11, 11, 11, 11, 11, 11, 11, 13, 19, 26]
-        sizes += [32, 32, 32, 32, 31, 30, 28, 25, 24, 15, 7, 1]
+        sizes += [32, 32, 30, 26, 24, 22, 16, 10, 4]
         assert [len(batch) for batch in evaluated_batches] == sizes
         for row, mirror in zip(rows, rows[::-1]):
             assert row["sweep_var"] == -mirror["sweep_var"]

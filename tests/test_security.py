@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from modleak import gaussian as g
 from modleak import security as sec
@@ -491,7 +492,7 @@ class TestLockstep:
         assert sec.drive(sec.lockstep([])) == []
 
 
-def brent(f, a: float, b: float, xtol: float) -> float:
+def brent(f, a: float, b: float, xtol: float, rtol: float = sec.BRENT_RTOL) -> float:
     """sec._brentq on a plain function: each step returns f(x) without yielding."""
 
     def step(x):
@@ -499,34 +500,59 @@ def brent(f, a: float, b: float, xtol: float) -> float:
         return f(x)
 
     try:
-        next(sec._brentq(step, a, b, f(a), f(b), xtol))
+        next(sec._brentq(step, a, b, f(a), f(b), xtol, rtol))
     except StopIteration as stop:
         return stop.value
     raise AssertionError("a search without rounds yielded")
 
 
+# functions of an added loss x in dB with one root c in (0, 60) dB, and scale s
+BRENT_FAMILIES = (
+    lambda c, s: lambda x: math.exp(-x / s) - math.exp(-c / s),
+    lambda c, s: lambda x: (c - x) * (1.0 + x * x / s),
+    lambda c, s: lambda x: math.tanh((c - x) / s) + 1e-3 * math.sin(x),
+    lambda c, s: lambda x: math.log1p(c) - math.log1p(x) - 1e-6 * s,
+    lambda c, s: lambda x: (x - c) ** 3 + s * (x - c),
+    lambda c, s: lambda x: math.cos(x / (2.0 * 60.0)) - math.cos(c / (2.0 * 60.0)),
+)
+
+
+def brent_problems(seed: int):
+    """The functions of BRENT_FAMILIES over 150 seeded (c, s) whose values at
+    0 and 60 dB differ in sign."""
+    rng = np.random.default_rng(seed)
+    for _ in range(150):
+        c, s = rng.uniform(0.5, 59.5), rng.uniform(0.1, 30.0)
+        for family in BRENT_FAMILIES:
+            f = family(c, s)
+            if f(0.0) * f(60.0) < 0.0:
+                yield f
+
+
 class TestBrent:
     @pytest.mark.parametrize("xtol", [1e-4, 2e-12])
     def test_matches_scipy_brentq_bitwise(self, xtol):
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(23)
-        families = (
-            lambda c, s: lambda x: math.exp(-x / s) - math.exp(-c / s),
-            lambda c, s: lambda x: (c - x) * (1.0 + x * x / s),
-            lambda c, s: lambda x: math.tanh((c - x) / s) + 1e-3 * math.sin(x),
-            lambda c, s: lambda x: math.log1p(c) - math.log1p(x) - 1e-6 * s,
-            lambda c, s: lambda x: (x - c) ** 3 + s * (x - c),
-            lambda c, s: lambda x: math.cos(x / (2.0 * 60.0)) - math.cos(c / (2.0 * 60.0)),
-        )
         roots = 0
-        for _ in range(150):
-            c, s = rng.uniform(0.5, 59.5), rng.uniform(0.1, 30.0)
-            for family in families:
-                f = family(c, s)
-                if f(0.0) * f(60.0) >= 0.0:
-                    continue
-                assert brent(f, 0.0, 60.0, xtol) == optimize.brentq(f, 0.0, 60.0, xtol=xtol)
-                roots += 1
+        for f in brent_problems(23):
+            assert brent(f, 0.0, 60.0, xtol) == optimize.brentq(f, 0.0, 60.0, xtol=xtol)
+            roots += 1
+        assert roots > 800
+
+    def test_rtol_matches_scipy_brentq_bitwise_on_transmittance(self):
+        # the loss-margin search's problem: each function of the loss in dB as a
+        # function of t = 10^(-x/10) on [1e-6, 1], with xtol 0 and rtol
+        # LOSS_ROOT_RTOL.  scipy rejects xtol = 0; 5e-324 adds nothing to
+        # rtol |t| >= 2.3e-11, so scipy's tolerance is exactly rtol |t|
+        rtol = sec.LOSS_ROOT_RTOL
+        roots = 0
+        for f in brent_problems(29):
+
+            def ft(t, f=f):
+                return f(-10.0 * math.log10(t))
+
+            expected = optimize.brentq(ft, 1e-6, 1.0, xtol=5e-324, rtol=rtol)
+            assert brent(ft, 1e-6, 1.0, 0.0, rtol) == expected
+            roots += 1
         assert roots > 800
 
     def test_returns_an_end_with_a_zero(self):
@@ -679,6 +705,41 @@ class TestMaxAdditionalLoss:
         assert sec.max_additional_loss(p, "rr").flag == "ok"
         assert len(evaluated_points) > 2
         assert len(set(evaluated_points)) == len(evaluated_points)
+
+    def test_root_within_its_tolerance_in_db(self):
+        # whatever the search variable, R > 0 at the margin minus
+        # LOSS_ROOT_XTOL_DB and R < 0 at the margin plus it
+        rng = np.random.default_rng(31)
+        points = []
+        for _ in range(30):
+            p = sec.ProtocolParams(
+                v_m=rng.uniform(1.0, 10.0),
+                k=rng.uniform(0.01, 0.5),
+                eta_ch=rng.uniform(0.6, 0.99),
+                eps_ch=rng.uniform(0.0, 0.03),
+                beta=rng.uniform(0.95, 1.0),
+            )
+            points += [p, p.replace(k=0.0)]
+        searches = [sec.search_loss_margin(p, d) for p in points for d in ("dr", "rr")]
+        margins = iter(sec.drive(sec.lockstep(searches)))
+        checked = []
+        for p in points:
+            margin_dr, margin_rr = next(margins), next(margins)
+            if margin_dr.flag == margin_rr.flag == "ok":
+                checked += [(p, "dr", margin_dr.db), (p, "rr", margin_rr.db)]
+        assert {p.k > 0.0 for p, _, _ in checked} == {True, False}
+        assert len(checked) >= 40
+        tol = sec.LOSS_ROOT_XTOL_DB
+        shifted = [
+            p.replace(eta_ch=p.eta_ch * 10.0 ** (-a_db / 10.0))
+            for p, _, db in checked
+            for a_db in (db - tol, db + tol)
+        ]
+        reports = iter(sec.key_rates(shifted))
+        for p, direction, db in checked:
+            inside, outside = next(reports), next(reports)
+            assert inside.rate(direction) > 0.0, (p, direction, db)
+            assert outside.rate(direction) < 0.0, (p, direction, db)
 
     def test_ignorance_margin_nonnegative(self):
         for k in (0.1, 0.3, 0.6):
