@@ -7,7 +7,6 @@ from .gaussian import (
     heterodyne_condition,
     loss_excess_channel,
     partial_trace,
-    symplectic_eigenvalues,
     tensor,
     vacuum,
     von_neumann_entropy,

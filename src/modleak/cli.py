@@ -173,7 +173,9 @@ def sweep_rows(
     if axis is None:
         raise ModleakError("sweep requires exactly one sweep axis in the config")
     _check_optimize(optimize_vm, direction)
-    _, sweep = axis
+    name, sweep = axis
+    if optimize_vm and name == "V_M":
+        raise InvalidArgument("--optimize-vm sets V_M, so a sweep of V_M would not sweep it")
     values = [float(value) for value in sweep.values()]
     points = [cfg.params_at(value) for value in values]
     distinct = list(dict.fromkeys(points))

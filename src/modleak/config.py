@@ -4,8 +4,10 @@ A config is a single YAML file with a `protocol` block (one ProtocolParams
 set), and optional `modulator`, `outputs` and `mc` blocks.  Any scalar
 protocol field, the channel loss (via eta_Ch with scale dB) or the RF
 scaling rho may instead hold a sweep {start, stop, points, scale}; at most
-one swept field per run, and scale dB only on eta_Ch and rho.  Unknown keys
-are a hard error: silent typos in physics parameters are unacceptable.
+one swept field per run, and scale dB only on eta_Ch and rho.  A fixed rho
+sets k, so it overrides a fixed k and rejects a sweep of k.  Unknown keys
+and a key given twice are a hard error: silent typos in physics parameters
+are unacceptable.
 Every command writes to `outputs.path` unless given --out; `format` is sweep's.
 """
 
@@ -188,12 +190,32 @@ def parse_config(raw: dict) -> RunConfig:
 
     cfg = RunConfig(protocol=protocol, modulator=modulator, outputs=outputs, mc=mc)
     cfg.sweep_axis  # validates single-axis constraint eagerly
+    if isinstance(protocol.get("k"), Sweep) and "rho" in modulator:
+        raise InvalidArgument("modulator.rho sets k, so a sweep of k would not sweep it")
     return cfg
 
 
 class _Loader(yaml.SafeLoader):
     """PyYAML's safe loader, with YAML 1.2's floats: its YAML 1.1 floats need a
-    dot and a signed exponent, so 1e6, 1e-3 and 1.0e6 would be strings."""
+    dot and a signed exponent, so 1e6, 1e-3 and 1.0e6 would be strings.  A key
+    given twice in one mapping is an error, where PyYAML keeps the last; a key
+    may still override one brought in by a `<<` merge."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # merge keys may repeat, and PyYAML itself rejects a list or mapping key
+            merge = key_node.tag == "tag:yaml.org,2002:merge"
+            if merge or not isinstance(key_node, yaml.ScalarNode):
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(

@@ -13,6 +13,12 @@ The state builders (`vacuum`, `epr_source`, `tensor`, the two-mode ops and
 are given.  `CovMatrix`, `partial_trace`, `heterodyne_condition` and the
 entropies also take a batch of states with the same labels: blocks with a
 leading batch shape, (..., 2, N, N).  A single state is the batch of shape ().
+
+Every state is checked when it is built, and the check leaves the state's
+symplectic spectrum in `CovMatrix.spectrum`, the one place to read it.
+`heterodyne_condition(state, measured)` is the one conditioning rule: the
+marginal of the modes not listed, then that marginal conditioned on each
+listed mode on its own, as one batch.
 """
 
 from __future__ import annotations
@@ -96,20 +102,11 @@ class CovMatrix:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.data.shape[:-3]
-
     def index(self, mode: str) -> int:
         try:
             return self.modes.index(mode)
         except ValueError:
             raise MissingMode(mode) from None
-
-    def variance(self, mode: str) -> float | np.ndarray:
-        """Mean of the x and p variances of one mode."""
-        i = self.index(mode)
-        return 0.5 * (self.data[..., 0, i, i] + self.data[..., 1, i, i])
 
 
 def vacuum(labels: tuple[str, ...]) -> CovMatrix:
@@ -216,41 +213,25 @@ def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMat
     return CovMatrix(tuple(keep), state.data[..., idx[:, None], idx])
 
 
-def heterodyne_condition(state: CovMatrix, measured_mode: str | list[str | None]) -> CovMatrix:
-    """State of the remaining modes after heterodyning one mode.
+def heterodyne_condition(state: CovMatrix, measured: list[str]) -> CovMatrix:
+    """The modes not listed, then that state after heterodyning each listed mode
+    on its own: a batch of len(measured) + 1 states on a new first axis.
 
-    Gaussian heterodyne conditioning is outcome independent: each block of
-    the kept modes becomes its Schur complement K - c c^T / (m + 1), with m
-    the measured mode's variance and c its correlations with the kept modes.
-    A list of modes gives one batch: each listed mode heterodyned on its own,
-    the modes not listed kept, the results stacked on a new first axis.  A
-    None in the list measures nothing: its entry is the kept modes' block K,
-    bitwise that of `partial_trace` to them.
+    Entry 0 is the marginal K of the modes not listed, bitwise their
+    `partial_trace`.  Gaussian heterodyne conditioning is outcome independent:
+    entry i + 1 is, in each block, the Schur complement K - c c^T / (m + 1),
+    with m the variance of `measured[i]` and c its correlations with the
+    modes not listed.
     """
-    single = isinstance(measured_mode, str)
-    listed = [measured_mode] if single else measured_mode
-    m = [state.index(x) for x in listed if x is not None]
-    idx = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
-    gk = state.data[..., idx[:, None], idx]
-    # for M measured modes: correlations (M, ..., 2, kept) and variances (M, ..., 2)
-    c = np.moveaxis(state.data[..., idx[:, None], m], -1, 0)
-    gm = np.moveaxis(state.data[..., m, m], -1, 0) + 1.0
-    if (np.abs(gm[..., 0] * gm[..., 1]) < 1e-14).any():
-        raise NumericalError("singular measured block in heterodyne conditioning")
-    cond = gk - c[..., :, None] * c[..., None, :] / gm[..., None, None]
-    if len(m) < len(listed):
-        conditioned = iter(cond)
-        cond = np.stack([gk if x is None else next(conditioned) for x in listed])
-    return CovMatrix(tuple(state.modes[i] for i in idx), cond[0] if single else cond)
-
-
-def symplectic_eigenvalues(state: CovMatrix) -> np.ndarray:
-    """Symplectic spectrum, one value per mode, descending (read-only).
-
-    It is the spectrum computed when the state was built: the singular
-    values of Lp^T Lx for the Cholesky factors of the x and p blocks.
-    """
-    return state.spectrum
+    m = [state.index(x) for x in measured]
+    keep = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
+    gk = state.data[..., keep[:, None], keep]
+    out = np.empty((len(m) + 1,) + gk.shape)
+    out[0] = gk
+    for i, j in enumerate(m, 1):
+        c = state.data[..., keep, j]
+        out[i] = gk - c[..., :, None] * c[..., None, :] / (state.data[..., j, j, None, None] + 1.0)
+    return CovMatrix(tuple(state.modes[i] for i in keep), out)
 
 
 def entropy_g(nu):

@@ -328,14 +328,15 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
 
     I_AB is the heterodyne mutual information of the state's (A, B) block.
     chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on Eve's modes L, E1, E2:
-    E, E|a and E|b are one batch, from measuring nothing, A and B each on
-    its own.  That is two checked states a pass: the state and that batch.
+    `heterodyne_condition(state, ["A", "B"])` gives E, E|a and E|b as one
+    batch, her marginal and then it given a heterodyne of A, and of B.  That
+    is two checked states a pass: the state and that batch.
     """
     state = reduced_state(points)
     # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: x term plus p term
     v_a, v_b, c = (state.data[..., :, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
     i_ab = (-0.5 * np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))).sum(axis=-1)
-    s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, [None, "A", "B"]))
+    s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, ["A", "B"]))
     chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
     # tiny negative residues from the spectrum are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):

@@ -192,6 +192,28 @@ class TestSweep:
         result = runner.invoke(cli.main, ["sweep", "--config", write_cfg(tmp_path, doc)])
         assert_one_error(result, "scale dB applies only to eta_Ch and rho, not 'V_M'")
 
+    @pytest.mark.parametrize(
+        "doc, args, fragment",
+        [
+            (
+                {"protocol": dict(BASE_PROTOCOL, k={"start": 0, "stop": 0.5, "points": 3}),
+                 "modulator": {"rho": -2}},
+                [],
+                "modulator.rho sets k",
+            ),
+            (
+                {"protocol": dict(BASE_PROTOCOL, V_M={"start": 1, "stop": 10, "points": 3})},
+                ["--optimize-vm", "--direction", "rr"],
+                "--optimize-vm sets V_M",
+            ),
+        ],
+        ids=["k-under-rho", "V_M-with-optimize-vm"],
+    )
+    def test_overridden_sweep_axis_exits_1(self, runner, tmp_path, doc, args, fragment):
+        # the sweep would not sweep: every row would be at the same point
+        result = runner.invoke(cli.main, ["sweep", "--config", write_cfg(tmp_path, doc), *args])
+        assert_one_error(result, fragment)
+
     def test_rho_db_sweep_is_its_linear_sweep(self, runner, tmp_path):
         protocol = {k: v for k, v in BASE_PROTOCOL.items() if k != "k"}
         outputs = []

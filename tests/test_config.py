@@ -143,6 +143,15 @@ class TestSweepAxis:
         with pytest.raises(InvalidArgument):
             cfgmod.parse_config(raw)
 
+    def test_k_sweep_under_fixed_rho_rejected(self):
+        # rho sets k, so every row would be at the same k
+        raw = {
+            "protocol": dict(BASE["protocol"], k={"start": 0, "stop": 0.5, "points": 3}),
+            "modulator": {"rho": -2},
+        }
+        with pytest.raises(InvalidArgument, match="modulator.rho sets k"):
+            cfgmod.parse_config(raw)
+
     @pytest.mark.parametrize(
         "sweep",
         [
@@ -286,3 +295,22 @@ class TestLoadConfig:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidArgument, match=message):
             cfgmod.load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("protocol:\n  V_M: 5\n  eta_Ch: 0.9\n  eta_Ch: 0.5\n", "'eta_Ch'"),
+            ("protocol: {V_M: 5, eta_Ch: 0.9}\nprotocol: {V_M: 6}\n", "'protocol'"),
+        ],
+        ids=["field", "block"],
+    )
+    def test_repeated_key_is_an_error(self, tmp_path, text, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidArgument, match=f"duplicate key {key}"):
+            cfgmod.load_config(str(path))
+
+    def test_key_may_override_a_merged_key(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("protocol:\n  <<: {V_M: 5, eta_Ch: 0.9}\n  eta_Ch: 0.5\n", encoding="utf-8")
+        assert cfgmod.load_config(str(path)).params_at().eta_ch == 0.5

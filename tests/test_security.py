@@ -29,12 +29,12 @@ def purification_rates(p: sec.ProtocolParams) -> tuple[float, float, float]:
     gamma_ab = g.partial_trace(scheme.state, ["A", "B"])
     # B's x and p variances, before and after a
     bob = gamma_ab.data[:, 1, 1]
-    bob_cond = g.heterodyne_condition(gamma_ab, "A").data[:, 0, 0]
+    bob_cond = g.heterodyne_condition(gamma_ab, ["A"]).data[1, :, 0, 0]
     i_ab = sum(0.5 * np.log2((bob[q] + 1.0) / (bob_cond[q] + 1.0)) for q in (0, 1))
     trusted = g.partial_trace(scheme.state, scheme.trusted)
     s_t = g.von_neumann_entropy(trusted)
     chi_dr, chi_rr = (
-        s_t - g.von_neumann_entropy(g.heterodyne_condition(trusted, x)) for x in ("A", "B")
+        s_t - g.von_neumann_entropy(g.heterodyne_condition(trusted, [x]))[1] for x in ("A", "B")
     )
     return float(i_ab), float(chi_dr), float(chi_rr)
 
@@ -338,7 +338,7 @@ class TestKeyRates:
 
         def recorded_post_init(state):
             post_init(state)
-            checked.append((state.modes, state.batch_shape))
+            checked.append((state.modes, state.data.shape[:-3]))
 
         def recorded_evaluate(group):
             evaluations.append(list(group))
@@ -355,7 +355,7 @@ class TestKeyRates:
         assert evaluations == [points]
         [state] = states
         assert state.modes == ("A", "B", "L", "E1", "E2")
-        assert state.batch_shape == (len(points),)
+        assert state.data.shape[:-3] == (len(points),)
         # the state, then E, E|a and E|b in one batch
         eve, n = ("L", "E1", "E2"), len(points)
         assert checked == [(state.modes, (n,)), (eve, (3, n))]
@@ -442,10 +442,10 @@ class TestReducedState:
 
     def test_batch_is_its_points(self):
         batch = sec.reduced_state(self.POINTS)
-        assert batch.batch_shape == (len(self.POINTS),)
+        assert batch.data.shape[:-3] == (len(self.POINTS),)
         for q, data, spectrum in zip(self.POINTS, batch.data, batch.spectrum):
             single = sec.reduced_state(q)
-            assert single.batch_shape == ()
+            assert single.data.shape[:-3] == ()
             assert single.data.tobytes() == data.tobytes()
             assert single.spectrum.tobytes() == spectrum.tobytes()
 
