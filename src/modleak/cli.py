@@ -75,8 +75,8 @@ def _write(text: str, cfg: RunConfig, out: str | None):
         _fail(f"cannot write {out}: {exc.strerror}")
 
 
-def _emit_json(payload: dict, cfg: RunConfig, out: str | None):
-    payload = {**payload, "metadata": _metadata(cfg)}
+def _emit_json(payload: dict, cfg: RunConfig, out: str | None, **metadata):
+    payload = {**payload, "metadata": {**_metadata(cfg), **metadata}}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg, out)
 
 
@@ -169,6 +169,15 @@ def sweep_rows(
     `sec.drive`; the V_M searches' golden rounds carry `sec.golden_depth(n)`
     steps, for n distinct rows.
     """
+    return _sweep(cfg, direction, optimize_vm, with_eta_max)[0]
+
+
+def _sweep(
+    cfg: RunConfig, direction: str, optimize_vm: bool, with_eta_max: bool
+) -> tuple[list[dict], list[dict]]:
+    """The rows of `sweep_rows`, and one flag entry for each loss margin that is
+    not ok: its sweep_var, direction, point ("k" for the row's point, "twin"
+    for its k = 0 twin), that point's k and the margin's flag."""
     axis = cfg.sweep_axis
     if axis is None:
         raise ModleakError("sweep requires exactly one sweep axis in the config")
@@ -183,7 +192,7 @@ def sweep_rows(
         _search_row(p, direction, optimize_vm, with_eta_max, len(distinct)) for p in distinct
     ]
     found = dict(zip(distinct, sec.drive(sec.lockstep(searches))))
-    rows = []
+    rows, flags = [], []
     for value, point in zip(values, points):
         p, report, twin, margins = found[point]
         row = {
@@ -208,8 +217,22 @@ def sweep_rows(
             for tag, (margin, margin0) in zip(("DR", "RR"), (margins[:2], margins[2:])):
                 row[f"eta_max_{tag}_dB"] = margin.db
                 row[f"d_eta_{tag}_dB"] = margin0.db - margin.db
+                for where, k, m in (("k", p.k, margin), ("twin", 0.0, margin0)):
+                    if m.flag != "ok":
+                        flags.append(
+                            {"sweep_var": value, "direction": tag, "point": where, "k": k,
+                             "flag": m.flag}
+                        )
         rows.append(row)
-    return rows
+    return rows, flags
+
+
+def _margin_warning(flag: dict) -> str:
+    where = f"k = {_fmt(flag['k'])}" if flag["point"] == "k" else "its k = 0 twin"
+    return (
+        f"warning: sweep_var {_fmt(flag['sweep_var'])}: {flag['direction']} loss margin "
+        f"at {where} is {flag['flag']}"
+    )
 
 
 @main.command()
@@ -220,12 +243,18 @@ def sweep_rows(
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 def sweep(config_path, direction, optimize_vm, with_eta_max, out, fmt):
-    """Parameter sweep: one CSV (or JSON) row per sweep point."""
+    """Parameter sweep: one CSV (or JSON) row per sweep point.
+
+    Each loss margin that is not ok gets one warning line on stderr; JSON
+    output also lists them in metadata.margin_flags.
+    """
     cfg = load_config(config_path)
     fmt = fmt or cfg.outputs.get("format", "csv")
-    rows = sweep_rows(cfg, direction, optimize_vm, with_eta_max)
+    rows, flags = _sweep(cfg, direction, optimize_vm, with_eta_max)
+    for flag in flags:
+        click.echo(_margin_warning(flag), err=True)
     if fmt == "json":
-        _emit_json({"rows": rows}, cfg, out)
+        _emit_json({"rows": rows}, cfg, out, margin_flags=flags)
         return
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(_fmt(row[c]) for c in SWEEP_COLUMNS) for row in rows]

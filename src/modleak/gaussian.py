@@ -4,15 +4,21 @@ All states are zero-mean and expressed in shot-noise units (SNU), i.e. the
 vacuum quadrature variance is 1, with modes addressed by opaque string
 labels.  Every operation here is phase insensitive (EPR sources,
 beamsplitters, two-mode squeezers, lossy channels, partial traces and
-heterodyne conditioning), so no state has an x-p cross entry: a state of N
-modes is its x block X and its p block P, real symmetric N x N matrices
-stacked as one (2, N, N) array.
+heterodyne conditioning), so no state has an x-p cross entry, and its p
+block is P = S X S for its x block X and one sign s_i = +-1 per mode, S
+their diagonal: an EPR pair correlates x by +c and p by -c.  A state of N
+modes is X, a real symmetric N x N matrix, and its N signs.
 
 The state builders (`vacuum`, `epr_source`, `tensor`, the two-mode ops and
 `loss_excess_channel`) take scalars and build one state from the labels they
-are given.  `CovMatrix`, `partial_trace`, `heterodyne_condition` and the
-entropies also take a batch of states with the same labels: blocks with a
-leading batch shape, (..., 2, N, N).  A single state is the batch of shape ().
+are given.  A beamsplitter keeps P = S X S when its two modes have equal
+signs, and a two-mode squeezer when they have opposite ones; otherwise the
+op flips the signs of the second mode's correlation component, which does
+not change the state, and it cannot when the first mode is in that
+component.  `CovMatrix`, `partial_trace`, `heterodyne_condition` and the
+entropies also take a batch of states with the same labels and signs: x
+blocks with a leading batch shape, (..., N, N).  A single state is the batch
+of shape ().
 
 Every state is checked when it is built, and the check leaves the state's
 symplectic spectrum in `CovMatrix.spectrum`, the one place to read it.
@@ -38,36 +44,41 @@ def _transpose(mat: np.ndarray) -> np.ndarray:
     return mat.swapaxes(-1, -2)
 
 
-def _spectrum(blocks: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of each state in a batch of (X, P) blocks, descending.
+def _spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of each state in a batch of x blocks with signs, descending.
 
-    They are the square roots of the eigenvalues of X P (Williamson).  With
-    X = Lx Lx^T and P = Lp Lp^T (Cholesky), X P is similar to
-    (Lp^T Lx)(Lp^T Lx)^T, so they are the singular values of Lp^T Lx.  A
-    block that is not positive definite cannot belong to a covariance matrix.
+    They are the square roots of the eigenvalues of X P = (X S)^2
+    (Williamson).  With X = L L^T (Cholesky), X S is similar to the
+    symmetric L^T S L, so they are the absolute eigenvalues of L^T S L, with
+    absolute rounding of about eps |X| and nothing squared.  A block that is
+    not positive definite cannot belong to a covariance matrix, and P is
+    positive definite exactly when X is.
     """
     try:
-        chol = np.linalg.cholesky(blocks)
+        chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         raise UnphysicalState("covariance matrix is not positive definite") from None
     try:
-        return np.linalg.svd(_transpose(chol[..., 1, :, :]) @ chol[..., 0, :, :], compute_uv=False)
+        eigs = np.linalg.eigvalsh(_transpose(chol) @ (signs[:, None] * chol))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value solver failed: {exc}") from exc
+        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    return np.sort(np.abs(eigs), axis=-1)[..., ::-1]
 
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Gaussian state, or batch of states: ordered mode labels plus (..., 2, N, N) blocks.
+    """Gaussian state, or batch of states: ordered mode labels, (..., N, N) x
+    blocks and one sign per mode.
 
-    `data[..., 0, :, :]` is the x block and `data[..., 1, :, :]` the p block.
-    Every state of the batch is checked for symmetry and physicality at
-    construction.  The check computes the symplectic spectrum, (..., N), and
-    keeps it read-only in `spectrum`.
+    The p block is S X S, with S the diagonal of `signs`; `data` stacks the
+    two blocks as (..., 2, N, N).  Every state of the batch is checked for
+    symmetry and physicality at construction.  The check computes the
+    symplectic spectrum, (..., N), and keeps it read-only in `spectrum`.
     """
 
     modes: tuple[str, ...]
-    data: np.ndarray
+    x: np.ndarray
+    signs: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -76,11 +87,16 @@ class CovMatrix:
             raise InvalidArgument("a state needs at least one mode")
         if len(set(self.modes)) != len(self.modes):
             raise InvalidArgument(f"duplicate mode labels: {self.modes}")
-        mat = np.asarray(self.data, dtype=float)
         n = len(self.modes)
-        if mat.shape[-3:] != (2, n, n):
+        signs = np.array(self.signs, dtype=float)
+        if signs.shape != (n,) or not set(signs.tolist()) <= {1.0, -1.0}:
+            raise InvalidArgument(f"signs {signs} are not one +1 or -1 for each of {n} modes")
+        signs.setflags(write=False)
+        object.__setattr__(self, "signs", signs)
+        mat = np.asarray(self.x, dtype=float)
+        if mat.shape[-2:] != (n, n):
             raise InvalidArgument(f"block shape {mat.shape} does not match {n} modes")
-        state_axes = (-3, -2, -1)
+        state_axes = (-2, -1)
         scale = np.abs(mat).max(axis=state_axes, initial=1.0)
         # a NaN or inf entry makes the scale non-finite; test it before inf - inf can warn
         if not (scale < np.inf).all():
@@ -89,8 +105,8 @@ class CovMatrix:
             raise InvalidArgument("covariance matrix is not symmetric")
         mat = 0.5 * (mat + _transpose(mat))
         mat.setflags(write=False)
-        object.__setattr__(self, "data", mat)
-        nus = _spectrum(mat)
+        object.__setattr__(self, "x", mat)
+        nus = _spectrum(mat, signs)
         nus.setflags(write=False)
         object.__setattr__(self, "spectrum", nus)
         if (nus[..., -1] < 1.0 - PHYSICALITY_TOL).any():
@@ -102,6 +118,13 @@ class CovMatrix:
     def n_modes(self) -> int:
         return len(self.modes)
 
+    @property
+    def data(self) -> np.ndarray:
+        """The x and p blocks, read-only, (..., 2, N, N): X and S X S."""
+        blocks = np.stack((self.x, self.x * np.outer(self.signs, self.signs)), axis=-3)
+        blocks.setflags(write=False)
+        return blocks
+
     def index(self, mode: str) -> int:
         try:
             return self.modes.index(mode)
@@ -111,20 +134,20 @@ class CovMatrix:
 
 def vacuum(labels: tuple[str, ...]) -> CovMatrix:
     """Vacuum state (identity covariance matrix) of the labelled modes."""
-    return CovMatrix(labels, np.array([np.eye(len(labels))] * 2))
+    return CovMatrix(labels, np.eye(len(labels)), np.ones(len(labels)))
 
 
 def epr_source(V: float, labels: tuple[str, str]) -> CovMatrix:
     """Two-mode squeezed vacuum with quadrature variance V per mode.
 
     Cross correlations are +sqrt(V^2 - 1) between the x and -sqrt(V^2 - 1)
-    between the p quadratures; the state is pure for any V >= 1 and reduces
-    to two decoupled vacua at V = 1.
+    between the p quadratures, so the signs are +1, -1; the state is pure
+    for any V >= 1 and reduces to two decoupled vacua at V = 1.
     """
     if not V >= 1.0:
         raise InvalidArgument(f"EPR variance must be >= 1 SNU, got {V}")
     c = np.sqrt(V * V - 1.0)
-    return CovMatrix(labels, np.array([[[V, c], [c, V]], [[V, -c], [-c, V]]]))
+    return CovMatrix(labels, np.array([[V, c], [c, V]]), np.array([1.0, -1.0]))
 
 
 def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
@@ -133,37 +156,66 @@ def tensor(a: CovMatrix, b: CovMatrix) -> CovMatrix:
     if overlap:
         raise InvalidArgument(f"mode labels collide: {overlap}")
     na, nb = a.n_modes, b.n_modes
-    mat = np.zeros((2, na + nb, na + nb))
-    mat[:, :na, :na] = a.data
-    mat[:, na:, na:] = b.data
-    return CovMatrix(a.modes + b.modes, mat)
+    mat = np.zeros((na + nb, na + nb))
+    mat[:na, :na] = a.x
+    mat[na:, na:] = b.x
+    return CovMatrix(a.modes + b.modes, mat, np.concatenate((a.signs, b.signs)))
 
 
-def _embed_two_mode(state: CovMatrix, mode_a: str, mode_b: str, s: np.ndarray) -> CovMatrix:
-    """Apply a two-mode symplectic, given as its 2x2 on the x and on the p
-    quadratures of (a, b), shape (2, 2, 2), to the full state.
+def _fitted_signs(state: CovMatrix, i: int, j: int, product: float) -> np.ndarray:
+    """The state's signs with s_i s_j = product: as they are, or with the signs
+    of j's correlation component flipped, which leaves P = S X S unchanged.
 
-    Only the rows and columns of a and b change: X -> Sx X Sx^T and
-    P -> Sp P Sp^T with Sx, Sp the identity outside them.
+    The component is the set of modes that a chain of nonzero x entries
+    links to j.  A state with i in it has no signs that fit.
+    """
+    signs = state.signs
+    if signs[i] * signs[j] == product:
+        return signs
+    linked = (state.x != 0.0).reshape(-1, state.n_modes, state.n_modes).any(axis=0)
+    component = linked[j]
+    while True:
+        grown = linked[component].any(axis=0)
+        if (grown == component).all():
+            break
+        component = grown
+    if component[i]:
+        raise InvalidArgument(
+            f"modes {state.modes[i]} and {state.modes[j]} are correlated with sign product "
+            f"{-product:+g}; this phase-insensitive op needs {product:+g}"
+        )
+    return np.where(component, -signs, signs)
+
+
+def _embed_two_mode(
+    state: CovMatrix, mode_a: str, mode_b: str, s: np.ndarray, product: float
+) -> CovMatrix:
+    """Apply a two-mode symplectic, given as its 2x2 on the x quadratures of
+    (a, b), to the full state, whose signs must have s_a s_b = product.
+
+    Only the rows and columns of a and b change: X -> Sx X Sx^T with Sx the
+    identity outside them, and P = S X S follows.
     """
     idx = [state.index(mode_a), state.index(mode_b)]
     if idx[0] == idx[1]:
         raise InvalidArgument("two-mode operation needs two distinct modes")
-    mat = state.data.copy()
+    signs = _fitted_signs(state, idx[0], idx[1], product)
+    mat = state.x.copy()
     mat[..., idx, :] = s @ mat[..., idx, :]
-    mat[..., :, idx] = mat[..., :, idx] @ _transpose(s)
-    return CovMatrix(state.modes, mat)
+    mat[..., :, idx] = mat[..., :, idx] @ s.T
+    return CovMatrix(state.modes, mat, signs)
 
 
 def beamsplitter(state: CovMatrix, mode_a: str, mode_b: str, T: float) -> CovMatrix:
     """Mix two modes on a beamsplitter with transmittance T.
 
-    Convention: a -> sqrt(T) a + sqrt(1-T) b, b -> -sqrt(1-T) a + sqrt(T) b.
+    Convention: a -> sqrt(T) a + sqrt(1-T) b, b -> -sqrt(1-T) a + sqrt(T) b,
+    the same on both quadratures, so the two modes need equal signs.
     """
     if not 0.0 <= T <= 1.0:
         raise InvalidArgument(f"transmittance must lie in [0, 1], got {T}")
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    return _embed_two_mode(state, mode_a, mode_b, np.array([[[t, r], [-r, t]]] * 2))
+    return _embed_two_mode(state, mode_a, mode_b, np.array([[t, r], [-r, t]]), 1.0)
 
 
 def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain: float) -> CovMatrix:
@@ -172,12 +224,13 @@ def two_mode_squeezer(state: CovMatrix, mode_a: str, mode_b: str, gain: float) -
     Convention: x_a -> sqrt(G) x_a + sqrt(G-1) x_b with the conjugate sign on
     the p quadratures, i.e. the two-mode squeezing symplectic
     [[sqrt(G), sqrt(G-1)], [sqrt(G-1), sqrt(G)]] on the x quadratures and
-    [[sqrt(G), -sqrt(G-1)], [-sqrt(G-1), sqrt(G)]] on the p quadratures.
+    [[sqrt(G), -sqrt(G-1)], [-sqrt(G-1), sqrt(G)]] on the p quadratures, so
+    the two modes need opposite signs.
     """
     if not gain >= 1.0:
         raise InvalidArgument(f"amplifier gain must be >= 1, got {gain}")
     c, s = np.sqrt(gain), np.sqrt(gain - 1.0)
-    return _embed_two_mode(state, mode_a, mode_b, np.array([[[c, s], [s, c]], [[c, -s], [-s, c]]]))
+    return _embed_two_mode(state, mode_a, mode_b, np.array([[c, s], [s, c]]), -1.0)
 
 
 def loss_excess_channel(
@@ -209,8 +262,8 @@ def loss_excess_channel(
 
 def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMatrix:
     """Reduce to the requested modes, in the requested order."""
-    idx = np.array([state.index(m) for m in keep])
-    return CovMatrix(tuple(keep), state.data[..., idx[:, None], idx])
+    idx = np.array([state.index(m) for m in keep], dtype=int)
+    return CovMatrix(tuple(keep), state.x[..., idx[:, None], idx], state.signs[idx])
 
 
 def heterodyne_condition(state: CovMatrix, measured: list[str]) -> CovMatrix:
@@ -219,19 +272,20 @@ def heterodyne_condition(state: CovMatrix, measured: list[str]) -> CovMatrix:
 
     Entry 0 is the marginal K of the modes not listed, bitwise their
     `partial_trace`.  Gaussian heterodyne conditioning is outcome independent:
-    entry i + 1 is, in each block, the Schur complement K - c c^T / (m + 1),
+    entry i + 1 is the Schur complement K - c c^T / (m + 1) of the x block,
     with m the variance of `measured[i]` and c its correlations with the
-    modes not listed.
+    modes not listed.  The p block's is S (K - c c^T / (m + 1)) S, so the
+    signs of the modes not listed carry over.
     """
     m = [state.index(x) for x in measured]
     keep = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
-    gk = state.data[..., keep[:, None], keep]
+    gk = state.x[..., keep[:, None], keep]
     out = np.empty((len(m) + 1,) + gk.shape)
     out[0] = gk
     for i, j in enumerate(m, 1):
-        c = state.data[..., keep, j]
-        out[i] = gk - c[..., :, None] * c[..., None, :] / (state.data[..., j, j, None, None] + 1.0)
-    return CovMatrix(tuple(state.modes[i] for i in keep), out)
+        c = state.x[..., keep, j]
+        out[i] = gk - c[..., :, None] * c[..., None, :] / (state.x[..., j, j, None, None] + 1.0)
+    return CovMatrix(tuple(state.modes[i] for i in keep), out, state.signs[keep])
 
 
 def entropy_g(nu):

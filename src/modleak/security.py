@@ -251,10 +251,9 @@ def build_scheme(p: ProtocolParams) -> Scheme:
 
 
 REDUCED_MODES = ("A", "B", "L", "E1", "E2")
-# the p block is S X S for the x block X, with S the signs +, -, -, -, + of the
-# modes: each state is X times these (2, 5, 5) signs, 1 for X and S_i S_j for P
+# the signs of the modes A, B, L, E1, E2 in `build_scheme(p)`: the p block is S X S
 _SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
-_BLOCK_SIGNS = np.stack([np.ones((5, 5)), np.outer(_SIGNS, _SIGNS)])
+_SIGNS.setflags(write=False)
 
 
 def _x_block(p: ProtocolParams) -> tuple[float, ...]:
@@ -309,11 +308,12 @@ def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
     acts on Eve's modes alone, so no entropy of E changes, given a or b or
     not, but no entry grows with v_e, whose size would cost the spectra of E
     digits.  Each point's x block X is computed in float arithmetic
-    (`_x_block`) and the p block is S X S, with S the signs +, -, -, -, + of
-    the modes; numpy builds and checks the states.
+    (`_x_block`); the signs +, -, -, -, + of the modes, those of
+    `build_scheme(p)`, give the p block S X S.  numpy builds and checks the
+    states.
     """
     x = np.array([_x_block(q) for q in p] if isinstance(p, list) else _x_block(p))
-    return g.CovMatrix(REDUCED_MODES, x.reshape(x.shape[:-1] + (1, 5, 5)) * _BLOCK_SIGNS)
+    return g.CovMatrix(REDUCED_MODES, x.reshape(x.shape[:-1] + (5, 5)), _SIGNS)
 
 
 def finite_size_penalty(block_size):
@@ -333,9 +333,10 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     is two checked states a pass: the state and that batch.
     """
     state = reduced_state(points)
-    # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: x term plus p term
-    v_a, v_b, c = (state.data[..., :, i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
-    i_ab = (-0.5 * np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))).sum(axis=-1)
+    # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: the x
+    # term and the equal p term, -0.5 log2(...) each
+    v_a, v_b, c = (state.x[..., i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
+    i_ab = -np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))
     s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, ["A", "B"]))
     chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
     # tiny negative residues from the spectrum are numerical zero

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import modleak
 from modleak import cli
 from modleak import security as sec
+from modleak.config import parse_config
 
 BASE_PROTOCOL = {"V_M": 5.0, "k": 0.3, "eta_Ch": 0.6, "eps_Ch": 0.02, "beta": 0.96}
 
@@ -43,7 +44,7 @@ class TestKeyrate:
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
         result = runner.invoke(cli.main, ["keyrate", "--config", path, "--direction", "rr"])
         assert result.exit_code == 0, result.output
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         report = sec.key_rate(sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.6, eps_ch=0.02, beta=0.96))
         assert payload["report"]["r_rr"] == pytest.approx(report.r_rr)
         assert payload["report"]["i_ab"] == pytest.approx(report.i_ab)
@@ -83,7 +84,7 @@ class TestKeyrate:
             ["keyrate", "--config", path, "--direction", "rr", "--optimize-vm"],
         )
         assert result.exit_code == 0
-        assert json.loads(result.output)["report"]["r_rr"] > 0.0
+        assert json.loads(result.stdout)["report"]["r_rr"] > 0.0
 
     @pytest.mark.parametrize("field", ["V_M", "k", "eps_Ch", "eps_P1", "block_size"])
     def test_non_finite_value_exits_1(self, runner, tmp_path, field):
@@ -102,8 +103,8 @@ class TestKeyrate:
         opt = runner.invoke(
             cli.main, ["keyrate", "--config", path, "--direction", "rr", "--optimize-vm"]
         )
-        r0 = json.loads(base.output)["report"]["r_rr"]
-        r1 = json.loads(opt.output)["report"]["r_rr"]
+        r0 = json.loads(base.stdout)["report"]["r_rr"]
+        r1 = json.loads(opt.stdout)["report"]["r_rr"]
         assert r1 >= r0 - 1e-12
 
 
@@ -135,16 +136,75 @@ class TestSweep:
     def test_eta_max_columns_filled_on_request(self, runner, tmp_path):
         path = write_cfg(tmp_path, self.sweep_doc())
         result = runner.invoke(cli.main, ["sweep", "--config", path, "--with-eta-max"])
-        rows = result.output.strip().split("\n")[1:]
+        rows = result.stdout.strip().split("\n")[1:]
         for row in rows:
             cells = row.split(",")
             assert cells[12] != "" and cells[15] != ""
             assert float(cells[15]) >= -1e-9
 
+    MARGIN_CASES = {
+        # rho = +-6 dB at the benchmark's sweep point: no DR key at k
+        "benchmark-point": (0.96, 0.02, [("DR", "k", "no-positive-key")]),
+        # with beta 1 and no channel noise, RR keys outlast 60 dB of loss
+        "noiseless": (
+            1.0,
+            0.0,
+            [("DR", "k", "no-positive-key"), ("RR", "k", "saturated"), ("RR", "twin", "saturated")],
+        ),
+    }
+
+    def margin_doc(self, beta=0.96, eps=0.02):
+        return {
+            "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": eps, "beta": beta},
+            "modulator": {"rho": {"start": -6, "stop": 6, "points": 2}},
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", MARGIN_CASES)
+    def test_margin_flags_warn_on_stderr(self, runner, tmp_path, fmt, case):
+        beta, eps, flagged = self.MARGIN_CASES[case]
+        path = write_cfg(tmp_path, self.margin_doc(beta, eps))
+        argv = ["sweep", "--config", path, "--with-eta-max", "--format", fmt]
+        result = runner.invoke(cli.main, argv)
+        assert result.exit_code == 0, result.output
+        if fmt == "json":
+            payload = json.loads(result.stdout)
+            rows = payload["rows"]
+        else:
+            header, *lines = result.stdout.strip().split("\n")
+            assert header == ",".join(cli.SWEEP_COLUMNS)
+            rows = [dict(zip(cli.SWEEP_COLUMNS, map(float, line.split(",")))) for line in lines]
+        assert [row["eta_max_DR_dB"] for row in rows] == [0.0, 0.0]
+        k = rows[0]["k"]
+        assert result.stderr.splitlines() == [
+            f"warning: sweep_var {x:g}: {direction} loss margin at "
+            + (f"k = {k:.9g}" if point == "k" else "its k = 0 twin")
+            + f" is {flag}"
+            for x in (-6.0, 6.0)
+            for direction, point, flag in flagged
+        ]
+        if fmt == "json":
+            assert payload["metadata"]["margin_flags"] == [
+                {"sweep_var": x, "direction": direction, "point": point,
+                 "k": k if point == "k" else 0.0, "flag": flag}
+                for x in (-6.0, 6.0)
+                for direction, point, flag in flagged
+            ]
+
+    def test_margin_flags_leave_rows_unchanged(self, runner, tmp_path):
+        rows = cli.sweep_rows(parse_config(self.margin_doc()), with_eta_max=True)
+        assert [list(row) for row in rows] == [cli.SWEEP_COLUMNS] * 2
+        assert all(isinstance(value, float) for row in rows for value in row.values())
+        # no margins, no flags
+        path = write_cfg(tmp_path, self.margin_doc())
+        result = runner.invoke(cli.main, ["sweep", "--config", path, "--format", "json"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert json.loads(result.stdout)["metadata"]["margin_flags"] == []
+
     def test_json_format(self, runner, tmp_path):
         path = write_cfg(tmp_path, self.sweep_doc())
         result = runner.invoke(cli.main, ["sweep", "--config", path, "--format", "json"])
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["k"] == 0.0
 
@@ -176,7 +236,7 @@ class TestSweep:
         }
         path = write_cfg(tmp_path, doc)
         result = runner.invoke(cli.main, ["sweep", "--config", path, "--format", "json"])
-        rows = json.loads(result.output)["rows"]
+        rows = json.loads(result.stdout)["rows"]
         rates = [r["R_RR"] for r in rows]
         assert all(a > b for a, b in zip(rates, rates[1:]))
         losses = np.linspace(0.5, 6.0, 4)
@@ -232,7 +292,7 @@ class TestSweep:
         }
         path = write_cfg(tmp_path, doc)
         result = runner.invoke(cli.main, ["sweep", "--config", path, "--format", "json"])
-        ks = [r["k"] for r in json.loads(result.output)["rows"]]
+        ks = [r["k"] for r in json.loads(result.stdout)["rows"]]
         assert np.allclose(ks, ks[::-1])
         assert ks[3] == 0.0
 
@@ -247,7 +307,7 @@ class TestTable1:
         path = write_cfg(tmp_path, doc)
         result = runner.invoke(cli.main, ["table1", "--config", path])
         assert result.exit_code == 0, result.output
-        payload = json.loads(result.output)
+        payload = json.loads(result.stdout)
         assert set(payload["matrix"]) == {"P1", "P2", "L", "D"}
         for point in payload["matrix"]:
             for direction in ("dr", "rr"):
@@ -302,7 +362,7 @@ class TestMc:
         path = write_cfg(tmp_path, self.mc_doc(k=0.5, n=200_000, seed=7))
         result = runner.invoke(cli.main, ["mc", "--config", path, "--assume-no-leakage"])
         assert result.exit_code == cli.EXIT_NO_SECURITY
-        assert json.loads(result.output)["verdict"] == "overestimates key"
+        assert json.loads(result.stdout)["verdict"] == "overestimates key"
 
     def test_missing_mc_block(self, runner, tmp_path):
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
@@ -357,7 +417,7 @@ class TestMetadata:
             args += ["--format", "json"]
         result = runner.invoke(cli.main, args)
         assert result.exit_code in (0, cli.EXIT_NO_SECURITY), result.output
-        metadata = json.loads(result.output)["metadata"]
+        metadata = json.loads(result.stdout)["metadata"]
         assert metadata["modleak_version"] == modleak.__version__
         assert parse_config(metadata["config"]) == parse_config(doc)
         assert metadata["rng_algorithm"] == "PCG64"

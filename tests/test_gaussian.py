@@ -10,23 +10,29 @@ from modleak.errors import InvalidArgument, MissingMode, NumericalError, Unphysi
 from oracles import interleave, mp_entropy_g, symplectic_spectrum
 
 
-def random_state(rng, n: int, pure: bool) -> np.ndarray:
-    """Blocks X = M D M^T and P = M^-T D M^-1, D = diag(nu), for M = exp(A) with a
-    random A: the symplectic M (+) M^-T applied to thermal modes of spectrum nu."""
-    m = expm(rng.normal(size=(n, n)) * (0.4 / np.sqrt(n)))
-    m_inv = np.linalg.inv(m)
-    d = np.diag(np.ones(n) if pure else rng.uniform(1.0, 6.0, n))
-    return np.stack([m @ d @ m.T, m_inv.T @ d @ m_inv])
+def random_state(rng, signs: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The x block X = M D M^T, D = diag(nu), for M = exp(K S) with a random
+    antisymmetric K and S = diag(signs).  M S M^T = S, so M on the x and
+    S M S = M^-T on the p quadratures is a symplectic, and X with these signs
+    is it applied to thermal modes of spectrum nu."""
+    n = len(signs)
+    k = rng.normal(size=(n, n)) * (0.4 / np.sqrt(n))
+    m = expm((k - k.T) * signs)
+    return m @ np.diag(nu) @ m.T
+
+
+def random_signs(rng, n: int) -> np.ndarray:
+    return rng.choice([-1.0, 1.0], n)
 
 
 def thermal(v: float) -> np.ndarray:
-    """Blocks of one thermal mode of quadrature variance v."""
-    return np.full((2, 1, 1), v)
+    """The x block of one thermal mode of quadrature variance v."""
+    return np.full((1, 1), v)
 
 
-def identities(n: int) -> np.ndarray:
-    """Blocks of the n-mode vacuum."""
-    return np.array([np.eye(n)] * 2)
+def one_mode(x: np.ndarray) -> g.CovMatrix:
+    """States of one mode "a" with x blocks x, (..., 1, 1)."""
+    return g.CovMatrix(("a",), x, [1.0])
 
 
 def variances(state: g.CovMatrix, mode: str) -> np.ndarray:
@@ -80,38 +86,55 @@ class TestConstructors:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a", "a"), identities(2))
+            g.CovMatrix(("a", "a"), np.eye(2), [1.0, 1.0])
 
-    @pytest.mark.parametrize("block", [0, 1])
-    def test_asymmetric_matrix_rejected(self, block):
-        mat = identities(2)
-        mat[block, 0, 1] = 1e-6
+    def test_asymmetric_matrix_rejected(self):
+        mat = np.eye(2)
+        mat[0, 1] = 1e-6
         with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a", "b"), mat)
+            g.CovMatrix(("a", "b"), mat, [1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "signs", [[1.0], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan], [[1.0, -1.0]], [1.0, -1.0, 1.0]]
+    )
+    def test_bad_signs_rejected(self, signs):
+        with pytest.raises(InvalidArgument):
+            g.CovMatrix(("a", "b"), np.eye(2), signs)
 
     def test_unphysical_matrix_rejected(self):
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a",), thermal(0.5))
+            one_mode(thermal(0.5))
 
-    def test_non_positive_definite_matrix_rejected(self):
+    @pytest.mark.parametrize("diagonal", [-1.0, 0.0])
+    def test_non_positive_definite_matrix_rejected(self, diagonal):
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a",), np.array([[[2.0]], [[-1.0]]]))
+            one_mode(thermal(diagonal))
+        with pytest.raises(UnphysicalState):
+            g.CovMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, -1.0])
 
     def test_block_shape_must_match_modes(self):
         with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a",), np.eye(2))
+            one_mode(np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_matrix_rejected(self, bad):
-        one_mode = thermal(1.0)
-        one_mode[1, 0, 0] = bad
         with pytest.raises(NumericalError):
-            g.CovMatrix(("a",), one_mode)
+            one_mode(thermal(bad))
         batch = np.stack([thermal(1.0), thermal(3.0), thermal(1.0)])
-        batch[1, 0, 0, 0] = bad
+        batch[1, 0, 0] = bad
         with pytest.raises(NumericalError):
-            g.CovMatrix(("a",), batch)
+            one_mode(batch)
+
+    def test_data_stacks_x_and_the_signed_p_block_bitwise(self):
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+        x = np.stack([random_state(np.random.default_rng(i), signs, np.ones(4)) for i in (1, 2)])
+        state = g.CovMatrix(("a", "b", "c", "d"), x, signs)
+        data = state.data
+        assert data.shape == (2, 2, 4, 4) and not data.flags.writeable
+        assert not state.x.flags.writeable and not state.signs.flags.writeable
+        assert data[..., 0, :, :].tobytes() == state.x.tobytes()
+        assert data[..., 1, :, :].tobytes() == (np.diag(signs) @ state.x @ np.diag(signs)).tobytes()
 
 
 class TestBeamsplitter:
@@ -221,6 +244,75 @@ class TestLossExcessChannel:
             g.loss_excess_channel(g.vacuum(("a",)), "a", 0.0, 0.0, ("e", "f"))
 
 
+class TestSigns:
+    """Beamsplitters need equal signs on their two modes, two-mode squeezers opposite ones."""
+
+    def two_pairs(self) -> g.CovMatrix:
+        return g.tensor(g.epr_source(3.0, ("a", "b")), g.epr_source(2.0, ("c", "d")))
+
+    def test_builders_signs(self):
+        assert g.vacuum(("a", "b")).signs.tolist() == [1.0, 1.0]
+        assert self.two_pairs().signs.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    def test_fitting_signs_are_kept(self):
+        state = self.two_pairs()
+        assert g.beamsplitter(state, "b", "d", 0.3).signs.tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert g.two_mode_squeezer(state, "a", "d", 1.5).signs.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize(
+        "op, mode_a, mode_b, signs",
+        [
+            (g.beamsplitter, "b", "c", [1.0, -1.0, -1.0, 1.0]),
+            (g.beamsplitter, "c", "b", [-1.0, 1.0, 1.0, -1.0]),
+            (g.two_mode_squeezer, "a", "c", [1.0, -1.0, -1.0, 1.0]),
+        ],
+    )
+    def test_flip_across_components(self, op, mode_a, mode_b, signs):
+        # the second mode's pair flips its signs, which leaves its state unchanged
+        state = self.two_pairs()
+        out = op(state, mode_a, mode_b, 1.0)
+        assert out.signs.tolist() == signs
+        np.testing.assert_array_equal(out.data, state.data)
+        np.testing.assert_array_equal(out.spectrum, state.spectrum)
+
+    def test_flip_takes_the_whole_component(self):
+        state = g.tensor(self.two_pairs(), g.vacuum(("e",)))
+        state = g.beamsplitter(state, "b", "c", 0.4)
+        # a, b, c and d are now one component, e its own
+        out = g.two_mode_squeezer(state, "e", "a", 2.0)
+        assert out.signs.tolist() == [-1.0, 1.0, 1.0, -1.0, 1.0]
+        out = g.two_mode_squeezer(state, "a", "e", 2.0)
+        assert out.signs.tolist() == [1.0, -1.0, -1.0, 1.0, -1.0]
+
+    def test_no_fit_inside_one_component(self):
+        pair = g.epr_source(3.0, ("a", "b"))
+        with pytest.raises(InvalidArgument, match="correlated"):
+            g.beamsplitter(pair, "a", "b", 0.5)
+        mixed = g.beamsplitter(self.two_pairs(), "b", "c", 0.4)
+        with pytest.raises(InvalidArgument, match="correlated"):
+            g.two_mode_squeezer(mixed, "d", "a", 1.5)
+        with pytest.raises(InvalidArgument, match="correlated"):
+            g.beamsplitter(mixed, "a", "c", 0.5)
+
+    def test_purification_signs_are_the_reduced_states(self):
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            p = sec.ProtocolParams(
+                v_m=rng.uniform(0.1, 50.0),
+                k=rng.uniform(0.05, 1.0),
+                eta_ch=rng.uniform(0.1, 0.99),
+                eps_ch=rng.uniform(0.0, 0.2),
+                eta_d=rng.uniform(0.5, 0.99),
+                eps_d=rng.uniform(0.0, 0.2),
+                eps_p1=rng.uniform(0.01, 2.0),
+                eps_p2=rng.uniform(0.01, 2.0),
+                eps_l=rng.uniform(0.01, 2.0),
+            )
+            scheme = sec.build_scheme(p)
+            reduced = g.partial_trace(scheme.state, sec.REDUCED_MODES)
+            np.testing.assert_array_equal(reduced.signs, sec._SIGNS)
+
+
 class TestPartialTrace:
     def test_keep_all_is_identity(self):
         state = g.epr_source(2.0, ("a", "b"))
@@ -234,6 +326,10 @@ class TestPartialTrace:
     def test_unknown_label(self):
         with pytest.raises(MissingMode):
             g.partial_trace(g.vacuum(("a",)), ["b"])
+
+    def test_keep_nothing(self):
+        with pytest.raises(InvalidArgument):
+            g.partial_trace(g.epr_source(2.0, ("a", "b")), [])
 
 
 class TestHeterodyneCondition:
@@ -253,8 +349,10 @@ class TestHeterodyneCondition:
 
     def batch(self) -> g.CovMatrix:
         rng = np.random.default_rng(17)
-        blocks = np.stack([random_state(rng, 5, pure) for pure in (True, False, False)])
-        return g.CovMatrix(("a", "b", "c", "d", "e"), blocks)
+        signs = random_signs(rng, 5)
+        spectra = (np.ones(5), rng.uniform(1.0, 6.0, 5), rng.uniform(1.0, 6.0, 5))
+        blocks = np.stack([random_state(rng, signs, nu) for nu in spectra])
+        return g.CovMatrix(("a", "b", "c", "d", "e"), blocks, signs)
 
     def test_marginal_then_each_conditioning_bitwise(self):
         state = self.batch()
@@ -262,14 +360,15 @@ class TestHeterodyneCondition:
             unlisted = [m for m in state.modes if m not in listed]
             out = g.heterodyne_condition(state, listed)
             assert out.modes == tuple(unlisted)
-            assert out.data.shape[:-3] == (len(listed) + 1, 3)
+            assert out.x.shape[:-2] == (len(listed) + 1, 3)
             reduced = g.partial_trace(state, unlisted)
-            assert np.array_equal(out.data[0], reduced.data)
-            assert np.array_equal(np.signbit(out.data[0]), np.signbit(reduced.data))
+            assert np.array_equal(out.signs, reduced.signs)
+            assert np.array_equal(out.x[0], reduced.x)
+            assert np.array_equal(np.signbit(out.x[0]), np.signbit(reduced.x))
             assert np.array_equal(out.spectrum[0], reduced.spectrum)
             for i, m in enumerate(listed, 1):
                 single = g.partial_trace(g.heterodyne_condition(state, [m]), unlisted)
-                assert np.array_equal(out.data[i], single.data[1])
+                assert np.array_equal(out.x[i], single.x[1])
                 assert np.array_equal(out.spectrum[i], single.spectrum[1])
 
     def test_list_with_unknown_mode(self):
@@ -286,7 +385,7 @@ class TestHeterodyneCondition:
 
 class TestSpectraAndEntropy:
     def test_thermal_eigenvalue(self):
-        state = g.CovMatrix(("a",), thermal(4.0))
+        state = one_mode(thermal(4.0))
         assert state.spectrum[0] == pytest.approx(4.0)
 
     def test_reduced_epr_eigenvalue(self):
@@ -298,7 +397,7 @@ class TestSpectraAndEntropy:
 
     def test_thermal_entropy_value(self):
         # g(3) = 2 log2(2) - 1 log2(1) = 2 bits
-        state = g.CovMatrix(("a",), thermal(3.0))
+        state = one_mode(thermal(3.0))
         assert g.von_neumann_entropy(state) == pytest.approx(2.0)
 
     def test_epr_reductions_have_equal_entropy(self):
@@ -322,20 +421,31 @@ class TestSpectraAndEntropy:
 
     def test_spectrum_is_kept_from_construction(self):
         state = g.epr_source(3.0, ("a", "b"))
-        np.testing.assert_array_equal(state.spectrum, g._spectrum(state.data))
+        np.testing.assert_array_equal(state.spectrum, g._spectrum(state.x, state.signs))
         assert not state.spectrum.flags.writeable
 
     def test_matches_oracle_on_random_states(self):
+        # pure, thermal and hot states, with variances up to about 1e6
         rng = np.random.default_rng(13)
         for n in range(1, 20):
-            for pure in (False, True):
-                labels = tuple(f"m{i}" for i in range(n))
-                state = g.CovMatrix(labels, random_state(rng, n, pure))
-                np.testing.assert_allclose(
-                    state.spectrum,
-                    symplectic_spectrum(interleave(state.data)),
-                    rtol=1e-9,
-                )
+            for scale in (0.0, 1.0, 2e5):
+                labels, signs = tuple(f"m{i}" for i in range(n)), random_signs(rng, n)
+                nu = 1.0 + scale * rng.uniform(0.0, 5.0, n)
+                state = g.CovMatrix(labels, random_state(rng, signs, nu), signs)
+                oracle = symplectic_spectrum(interleave(state.data))
+                np.testing.assert_allclose(state.spectrum, oracle, rtol=1e-12)
+                np.testing.assert_allclose(state.spectrum, np.sort(nu)[::-1], rtol=1e-12)
+
+    def test_rounding_scales_with_the_state(self):
+        # spectra spread from 1 to 1e6: the error is a few eps |X|, with nothing squared
+        rng = np.random.default_rng(26)
+        for n in range(2, 20):
+            labels, signs = tuple(f"m{i}" for i in range(n)), random_signs(rng, n)
+            nu = 10.0 ** rng.uniform(0.0, 6.0, n)
+            state = g.CovMatrix(labels, random_state(rng, signs, nu), signs)
+            oracle = symplectic_spectrum(interleave(state.data))
+            bound = 50.0 * np.finfo(float).eps * np.abs(state.x).max()
+            np.testing.assert_allclose(state.spectrum, oracle, rtol=0.0, atol=bound)
 
     def test_matches_oracle_on_full_noise_schemes(self):
         rng = np.random.default_rng(14)
@@ -382,11 +492,13 @@ def dense_two_mode(blocks: np.ndarray, idx: list[int], s4: np.ndarray) -> np.nda
 class TestTwoModeUpdate:
     """The row-and-column update of two-mode ops against the dense product."""
 
-    def state(self):
-        return g.CovMatrix(("a", "b", "c", "d"), random_state(np.random.default_rng(15), 4, False))
+    def state(self, signs):
+        rng = np.random.default_rng(15)
+        x = random_state(rng, np.array(signs), rng.uniform(1.0, 6.0, 4))
+        return g.CovMatrix(("a", "b", "c", "d"), x, signs)
 
     def test_beamsplitter(self):
-        state, T = self.state(), 0.3
+        state, T = self.state([1.0, -1.0, 1.0, -1.0]), 0.3
         t, r = np.sqrt(T), np.sqrt(1.0 - T)
         s4 = np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
         np.testing.assert_allclose(
@@ -397,7 +509,7 @@ class TestTwoModeUpdate:
         )
 
     def test_two_mode_squeezer(self):
-        state, gain = self.state(), 1.7
+        state, gain = self.state([1.0, -1.0, 1.0, 1.0]), 1.7
         c, s, sz = np.sqrt(gain), np.sqrt(gain - 1.0), np.diag([1.0, -1.0])
         s4 = np.block([[c * np.eye(2), s * sz], [s * sz, c * np.eye(2)]])
         np.testing.assert_allclose(
@@ -420,7 +532,7 @@ class TestBatches:
         def build(i):
             state = g.tensor(g.epr_source(v1[i], ("a", "b")), g.epr_source(v2[i], ("c", "d")))
             state = g.beamsplitter(state, "b", "c", t[i])
-            state = g.two_mode_squeezer(state, "d", "a", gain[i])
+            state = g.two_mode_squeezer(state, "d", "b", gain[i])
             return g.loss_excess_channel(state, "b", eta[i], eps[i], ("e", "f"))
 
         def reduce(state):
@@ -428,39 +540,41 @@ class TestBatches:
             return state, kept, g.heterodyne_condition(kept, ["b"])
 
         singles = [build(i) for i in range(7)]
-        stacked = g.CovMatrix(singles[0].modes, np.stack([s.data for s in singles]))
+        signs = singles[0].signs
+        assert all(np.array_equal(s.signs, signs) for s in singles)
+        stacked = g.CovMatrix(singles[0].modes, np.stack([s.x for s in singles]), signs)
         batched = reduce(stacked)
         for i in range(7):
             for single, batch in zip(reduce(singles[i]), batched):
                 # the conditioned states keep their entry axis in front of the points'
-                lead = single.data.shape[:-3]
-                assert batch.data.shape[:-3] == lead + (7,)
-                np.testing.assert_array_equal(single.data, batch.data[..., i, :, :, :])
+                lead = single.x.shape[:-2]
+                assert batch.x.shape[:-2] == lead + (7,)
+                np.testing.assert_array_equal(single.signs, batch.signs)
+                np.testing.assert_array_equal(single.x, batch.x[..., i, :, :])
                 np.testing.assert_array_equal(single.spectrum, batch.spectrum[..., i, :])
                 np.testing.assert_array_equal(
                     g.von_neumann_entropy(single), g.von_neumann_entropy(batch)[..., i]
                 )
 
     def test_checks_every_state(self):
-        good = identities(2)
-        indefinite_p, skew_x, skew_p = good.copy(), good.copy(), good.copy()
-        indefinite_p[1, 0, 0] = -1.0
-        skew_x[0, 0, 1] = skew_p[1, 1, 0] = 1e-6
+        good, signs = np.eye(2), [1.0, -1.0]
+        indefinite, skew = good.copy(), good.copy()
+        indefinite[1, 1] = -1.0
+        skew[0, 1] = 1e-6
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a", "b"), np.stack([good, 0.5 * good, good]))
+            g.CovMatrix(("a", "b"), np.stack([good, 0.5 * good, good]), signs)
         with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a", "b"), np.stack([good, indefinite_p]))
-        for skew in (skew_x, skew_p):
-            with pytest.raises(InvalidArgument):
-                g.CovMatrix(("a", "b"), np.stack([good, skew]))
+            g.CovMatrix(("a", "b"), np.stack([good, indefinite]), signs)
+        with pytest.raises(InvalidArgument):
+            g.CovMatrix(("a", "b"), np.stack([good, skew]), signs)
 
     def test_failing_state_raises_its_own_error(self):
-        bad = identities(2)
-        bad[1, 0, 0] = np.nan
+        bad = np.eye(2)
+        bad[1, 0] = np.nan
         with pytest.raises(NumericalError):
-            g.CovMatrix(("a", "b"), bad)
+            g.CovMatrix(("a", "b"), bad, [1.0, 1.0])
         with pytest.raises(NumericalError):
-            g.CovMatrix(("a", "b"), np.stack([identities(2), bad, 2.0 * identities(2)]))
+            g.CovMatrix(("a", "b"), np.stack([np.eye(2), bad, 2.0 * np.eye(2)]), [1.0, 1.0])
 
 
 class TestRandomizedInvariants:
@@ -484,7 +598,7 @@ class TestRandomizedInvariants:
         for _ in range(10):
             state = g.tensor(
                 g.epr_source(rng.uniform(1.0, 20.0), ("a", "b")),
-                g.CovMatrix(("m",), thermal(rng.uniform(1.0, 5.0))),
+                g.CovMatrix(("m",), thermal(rng.uniform(1.0, 5.0)), [1.0]),
             )
             out = g.heterodyne_condition(state, ["m"])
             assert np.allclose(out.data[1], g.partial_trace(state, ["a", "b"]).data)
