@@ -63,7 +63,8 @@ class Sweep:
         if self.scale == "log":
             if self.start <= 0 or self.stop <= 0:
                 raise InvalidArgument("log sweep requires positive bounds")
-            return np.logspace(np.log10(self.start), np.log10(self.stop), self.points)
+            # geomspace, unlike logspace, returns both bounds exactly
+            return np.geomspace(self.start, self.stop, self.points)
         # dB axes are linearly spaced in dB
         return np.linspace(self.start, self.stop, self.points)
 

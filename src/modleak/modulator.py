@@ -49,7 +49,8 @@ class ModulatorConfig:
             warnings.warn(
                 "modulation depth above 0.2 rad: linear (small-signal) "
                 "sideband model degrades",
-                stacklevel=2,
+                # 3: past the dataclass-generated __init__, at the caller
+                stacklevel=3,
             )
 
     @property

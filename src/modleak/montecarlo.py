@@ -100,7 +100,9 @@ def sample_moments(
     sub-batch Grams' sum plus sum_i m_i (mean_i - mean)(mean_i - mean)^T; each
     Gram G is returned as C G C^T.  n is at least MIN_SAMPLES and at most
     MAX_SAMPLES (counts exact as float64), and Bartlett needs m - 1 >= 2M.
+    n and seed may be integral floats such as 1e6.
     """
+    n, seed = sec.as_integer("n", n), sec.as_integer("seed", seed)
     if n > MAX_SAMPLES:
         raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
     if seed < 0:

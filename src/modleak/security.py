@@ -50,10 +50,11 @@ SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
 # root accuracy well inside the 0.01 dB reporting tolerance, so that small
-# loss-margin differences between nearby leakage values keep their sign.  The
-# search runs on the transmittance factor t = 10^(-a/10), where a step dt moves
-# a by 10 / ln 10 * dt / t dB, so it derives its relative tolerance on t,
-# LOSS_ROOT_RTOL, from this accuracy
+# loss-margin differences between nearby leakage values keep their sign.  A
+# step dt of the transmittance factor t = 10^(-a/10) moves a by
+# 10 / ln 10 * dt / t dB, so LOSS_ROOT_RTOL, the relative tolerance on t, is
+# derived from this accuracy; the search runs on u = t^2 with relative
+# tolerance 2 LOSS_ROOT_RTOL, since du / u = 2 dt / t
 LOSS_ROOT_XTOL_DB = 1e-4
 LOSS_ROOT_RTOL = LOSS_ROOT_XTOL_DB * math.log(10.0) / 10.0
 # scipy.optimize.brentq's default relative tolerance and iteration cap
@@ -583,15 +584,18 @@ def search_loss_margin(p: ProtocolParams, direction: str):
     """Search behind `max_additional_loss`: both ends of [0, 60] dB in one round,
     then Brent's method, one round per step.
 
-    Brent runs on the transmittance factor t = 10^(-a/10) over [1e-6, 1], the
-    point at t being p with eta_ch * t, and the root is reported as -10 log10(t)
-    dB.  R is nearly linear in t but nearly flat in a near 60 dB, where Brent's
-    first secant on a would land and fall back to bisection.  The relative
-    tolerance LOSS_ROOT_RTOL on t keeps the root within LOSS_ROOT_XTOL_DB.
+    Brent runs on u = t^2, the square of the transmittance factor
+    t = 10^(-a/10), over [1e-12, 1], the point at u being p with
+    eta_ch * sqrt(u), and the root is reported as -10 log10(sqrt(u)) dB.  In a,
+    R is nearly flat near 60 dB, where Brent's first secant would land and fall
+    back to bisection.  R_RR is convex in t and dips below its t -> 0 value,
+    so at the sweep point Brent's first secant on t lands near t = 0.05 for
+    roots near t = 0.3, and on u near the root.  The relative tolerance
+    2 LOSS_ROOT_RTOL on u keeps the root within LOSS_ROOT_XTOL_DB.
     """
 
-    def rate(t: float):
-        return (yield from _rates([p.replace(eta_ch=p.eta_ch * t)], direction))[0]
+    def rate(u: float):
+        return (yield from _rates([p.replace(eta_ch=p.eta_ch * math.sqrt(u))], direction))[0]
 
     t_end = 10.0 ** (-MAX_ADDITIONAL_LOSS_DB / 10.0)
     f0, f1 = yield from _rates([p, p.replace(eta_ch=p.eta_ch * t_end)], direction)
@@ -599,9 +603,9 @@ def search_loss_margin(p: ProtocolParams, direction: str):
         return LossMargin(db=0.0, flag="no-positive-key")
     if f1 > 0.0:
         return LossMargin(db=MAX_ADDITIONAL_LOSS_DB, flag="saturated")
-    t = yield from _brentq(rate, t_end, 1.0, f1, f0, 0.0, LOSS_ROOT_RTOL)
-    # 0.0 - x, not -x, so that a root at t = 1 reads 0.0 dB, not -0.0
-    return LossMargin(db=0.0 - 10.0 * math.log10(t), flag="ok")
+    u = yield from _brentq(rate, t_end * t_end, 1.0, f1, f0, 0.0, 2.0 * LOSS_ROOT_RTOL)
+    # 0.0 - x, not -x, so that a root at u = 1 reads 0.0 dB, not -0.0
+    return LossMargin(db=0.0 - 10.0 * math.log10(math.sqrt(u)), flag="ok")
 
 
 def max_additional_loss(p: ProtocolParams, direction: str) -> LossMargin:

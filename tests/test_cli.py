@@ -641,8 +641,8 @@ class TestSweepRowsHelper:
         # criterion 6's sweep, optimised: golden_depth(21) = 1, so its rounds are
         # those of one golden step per round, batch for batch.  k is exactly even
         # in rho, so each mirrored pair of rows is one search: 11 |rho| values,
-        # 792 points in 21 rounds, the margins' Brent steps on the transmittance
-        # factor t
+        # 754 points in 19 rounds, the margins' Brent steps on the squared
+        # transmittance factor u = t^2 (on t they took 21 rounds over 792 points)
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.99, "eps_Ch": 0.02, "beta": 0.96},
@@ -654,11 +654,28 @@ class TestSweepRowsHelper:
         )
         rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
         sizes = [440, 21, 11, 11, 11, 11, 11, 11, 11, 13, 19, 26]
-        sizes += [32, 32, 30, 26, 24, 22, 16, 10, 4]
+        sizes += [32, 32, 32, 32, 19, 8, 3]
         assert [len(batch) for batch in evaluated_batches] == sizes
         for row, mirror in zip(rows, rows[::-1]):
             assert row["sweep_var"] == -mirror["sweep_var"]
             assert {**row, "sweep_var": 0.0} == {**mirror, "sweep_var": 0.0}
+
+    def test_benchmark_setup_sweep_rounds(self, evaluated_batches):
+        from modleak.config import parse_config
+
+        # the benchmark's set-up sweep, |rho| = 3 dB mirrored, is one search: the
+        # V_M grid, three golden rounds at depth 4, the margins' ends round (p0
+        # and both 60 dB ends), then 6 lockstep Brent rounds on u = t^2 (on t
+        # there were 8: 4, 4, 4, 4, 2, 2, 2, 2)
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -3.0, "stop": 3.0, "points": 2}},
+            }
+        )
+        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        sizes = [40, 16, 15, 3, 3, 4, 4, 4, 4, 4, 1]
+        assert [len(batch) for batch in evaluated_batches] == sizes
 
     def test_lockstep_rows_equal_public_calls(self):
         from modleak.config import parse_config

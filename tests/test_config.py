@@ -170,6 +170,15 @@ class TestSweepAxis:
         sweep = cfgmod.Sweep(0.01, 100.0, 5, "log")
         assert np.allclose(sweep.values(), np.logspace(-2, 2, 5))
 
+    @pytest.mark.parametrize(
+        "start, stop, points",
+        [(0.3, 30.0, 7), (0.01, 100.0, 40), (2.0, 0.07, 5), (1e-3, 0.9, 11), (5.0, 5.0, 3)],
+    )
+    def test_log_sweep_hits_its_bounds(self, start, stop, points):
+        values = cfgmod.Sweep(start, stop, points, "log").values()
+        assert values[0] == start
+        assert values[-1] == stop
+
     def test_db_axis_converts_to_transmittance(self):
         raw = {
             "protocol": dict(

@@ -39,8 +39,10 @@ class TestFieldCoefficients:
                 mod.ModulatorConfig(**fields)
 
     def test_large_depth_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             mod.ModulatorConfig(mu1=0.3, mu2=0.3)
+        # attributed to the line that built the config
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestRhoToK:

@@ -60,6 +60,21 @@ class TestSample:
         with pytest.raises(InvalidArgument, match="seed"):
             mc.sample_moments(g.vacuum(("a",)), ["a"], 2_000, seed=-3)
 
+    def test_integral_float_counts_and_seeds(self):
+        state = g.epr_source(4.0, ("a", "b"))
+        exact = mc.sample_moments(state, ["a", "b"], 1_000_000, seed=7)
+        floats = mc.sample_moments(state, ["a", "b"], 1e6, seed=7.0)
+        assert floats.counts == exact.counts
+        assert all(type(count) is int for count in floats.counts)
+        assert np.array_equal(floats.grams, exact.grams)
+        report = mc.end_to_end_consistency(POINT, 1e6, 1)
+        assert report == mc.end_to_end_consistency(POINT, 1_000_000, 1)
+
+    @pytest.mark.parametrize("n, seed", [(10000.5, 1), (10_000, 1.5), (10_000, float("nan")), ("1e6", 1)])
+    def test_rejects_non_integral_counts_and_seeds(self, n, seed):
+        with pytest.raises(InvalidArgument, match="must be a finite integer"):
+            mc.sample_moments(g.vacuum(("a",)), ["a"], n, seed)
+
     def test_rejects_counts_not_exact_as_float64(self):
         assert mc.sample_moments(g.vacuum(("a",)), ["a"], 2**53, seed=0).counts[0] == 2**53
         with pytest.raises(InvalidArgument, match="at most 2\\*\\*53 samples"):

@@ -538,20 +538,22 @@ class TestBrent:
             roots += 1
         assert roots > 800
 
-    def test_rtol_matches_scipy_brentq_bitwise_on_transmittance(self):
+    @pytest.mark.parametrize("power", [1, 2], ids=["t", "u"])
+    def test_rtol_matches_scipy_brentq_bitwise_on_transmittance(self, power):
         # the loss-margin search's problem: each function of the loss in dB as a
-        # function of t = 10^(-x/10) on [1e-6, 1], with xtol 0 and rtol
-        # LOSS_ROOT_RTOL.  scipy rejects xtol = 0; 5e-324 adds nothing to
-        # rtol |t| >= 2.3e-11, so scipy's tolerance is exactly rtol |t|
-        rtol = sec.LOSS_ROOT_RTOL
+        # function of t = 10^(-x/10) on [1e-6, 1] with rtol LOSS_ROOT_RTOL, and
+        # of u = t^2 on [1e-12, 1] with rtol 2 LOSS_ROOT_RTOL, with xtol 0.
+        # scipy rejects xtol = 0; 5e-324 adds nothing to rtol |t| >= 2.3e-11 or
+        # rtol |u| >= 4.6e-17, so scipy's tolerance is exactly rtol |t| or |u|
+        lo, rtol = 1e-6**power, power * sec.LOSS_ROOT_RTOL
         roots = 0
         for f in brent_problems(29):
 
-            def ft(t, f=f):
-                return f(-10.0 * math.log10(t))
+            def fv(v, f=f):
+                return f(-10.0 / power * math.log10(v))
 
-            expected = optimize.brentq(ft, 1e-6, 1.0, xtol=5e-324, rtol=rtol)
-            assert brent(ft, 1e-6, 1.0, 0.0, rtol) == expected
+            expected = optimize.brentq(fv, lo, 1.0, xtol=5e-324, rtol=rtol)
+            assert brent(fv, lo, 1.0, 0.0, rtol) == expected
             roots += 1
         assert roots > 800
 
