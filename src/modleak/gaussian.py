@@ -24,7 +24,7 @@ Every state is checked when it is built, and the check leaves the state's
 symplectic spectrum in `CovMatrix.spectrum`, the one place to read it.
 `heterodyne_condition(state, measured)` is the one conditioning rule: the
 marginal of the modes not listed, then that marginal conditioned on each
-listed mode on its own, as one batch.
+listed mode on its own, as one batch; `heterodyne_schur` is its unchecked core.
 """
 
 from __future__ import annotations
@@ -272,10 +272,10 @@ def heterodyne_condition(state: CovMatrix, measured: list[str]) -> CovMatrix:
 
     Entry 0 is the marginal K of the modes not listed, bitwise their
     `partial_trace`.  Gaussian heterodyne conditioning is outcome independent:
-    entry i + 1 is the Schur complement K - c c^T / (m + 1) of the x block,
-    with m the variance of `measured[i]` and c its correlations with the
-    modes not listed.  The p block's is S (K - c c^T / (m + 1)) S, so the
-    signs of the modes not listed carry over.
+    entry i + 1 is the Schur complement K - c c^T / (m + 1) of the x block
+    (`heterodyne_schur`), with m the variance of `measured[i]` and c its
+    correlations with the modes not listed.  The p block's is
+    S (K - c c^T / (m + 1)) S, so the signs of the modes not listed carry over.
     """
     m = [state.index(x) for x in measured]
     keep = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
@@ -283,9 +283,13 @@ def heterodyne_condition(state: CovMatrix, measured: list[str]) -> CovMatrix:
     out = np.empty((len(m) + 1,) + gk.shape)
     out[0] = gk
     for i, j in enumerate(m, 1):
-        c = state.x[..., keep, j]
-        out[i] = gk - c[..., :, None] * c[..., None, :] / (state.x[..., j, j, None, None] + 1.0)
+        out[i] = heterodyne_schur(gk, state.x[..., keep, j], state.x[..., j, j])
     return CovMatrix(tuple(state.modes[i] for i in keep), out, state.signs[keep])
+
+
+def heterodyne_schur(k: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """`heterodyne_condition`'s Schur complement K - c c^T / (m + 1), unchecked."""
+    return k - c[..., :, None] * c[..., None, :] / (m[..., None, None] + 1.0)
 
 
 def entropy_g(nu):

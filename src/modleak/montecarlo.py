@@ -301,5 +301,5 @@ def end_to_end_consistency(
         se_r_rr=se_rr,
         skipped_se_terms=skipped,
         verdict="overestimates key" if (over_dr or over_rr) else "consistent",
-        seed=seed,
+        seed=sec.as_integer("seed", seed),
     )

@@ -1,15 +1,14 @@
 """Key-rate security analysis for the leaky single-sideband protocol.
 
 Key rates come from the five modes A, B, L, E1, E2 (`reduced_state`) of the
-protocol's pure purification `build_scheme`, the model of record: Eve holds
-E = (L, E1, E2) and chi is S(E) - S(E|a) or S(E) - S(E|b), with E, E|a and
-E|b from one heterodyne call.  Each point's x block is computed in float
-arithmetic; numpy builds, checks and conditions the batch of states and
-takes their spectra.  Every search is a generator that yields lists of
-points and is sent their reports; `lockstep` runs many side by side.
-`drive` is the one loop that evaluates: it sends each round's new points to
-`_evaluate` in one batched pass.  `key_rates` is `drive` run on a single
-round.
+protocol's pure purification `build_scheme`, the model of record.  Eve holds
+E = (L, E1, E2), and chi is S(E) - S(E|a) or S(E) - S(E|b); a pass checks E,
+E|a and E|b as one batch, E|a being her state at source variance 1.  Each
+point's x block is computed in float arithmetic.  Every search is a generator
+that yields lists of points and is sent their reports; `lockstep` runs many
+side by side.  `drive` is the one loop that evaluates: it sends each round's
+new points to `_evaluate` in one batched pass.  `key_rates` is `drive` run on
+a single round.
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it.  A round costs about 230 us fixed and 25 us per further point (the
+# for in it.  A round costs about 155 us fixed and 16 us per further point (the
 # minimum of 40 timed 30-round searches, on a 2-core x86-64 with one BLAS
 # thread), so for n searches a walked step at depth d costs about
-# (230 + 25 n (2^d - 1)) / d us: least at d = 3 (7 points) for one search, with
-# d = 4 (15) 12% above it, at d = 2 (6) for two, with d = 3 (14) within 2%,
+# (155 + 16 n (2^d - 1)) / d us: least at d = 3 (7 points) for one search, with
+# d = 4 (15) 11% above it, at d = 2 (6) for two, with d = 3 (14) within 1%,
 # and at d = 1 from 10 searches.  16 keeps d = 4 for one search.
 SPECULATED_POINTS = 16
 
@@ -257,40 +256,47 @@ _SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
 _SIGNS.setflags(write=False)
 
 
-def _x_block(p: ProtocolParams) -> tuple[float, ...]:
-    """The 25 entries, row by row, of the x block of `reduced_state(p)`, in float
-    arithmetic: an overflow gives inf or NaN entries, which `CovMatrix` rejects."""
+def _x_block(p: ProtocolParams, *sources: float) -> tuple[float, ...]:
+    """The upper triangle, row by row, of the x block of `reduced_state(p)`, then
+    that of its (B, L, E1, E2) block at each of `sources` in place of the source
+    variance v_s, in float arithmetic: an overflow gives inf or NaN entries.
+    That block is affine in v_s with slope u u^T; A's correlations with it are c_s u."""
     eta_ch, eps_ch, eta_d = p.eta_ch, p.eps_ch, p.eta_d
     k2 = p.k * p.k
     t, r = math.sqrt(1.0 / (1.0 + k2)), math.sqrt(k2 / (1.0 + k2))
     e, d = math.sqrt(eta_ch), math.sqrt(eta_d)
     v_s = 1.0 + (1.0 + k2) * p.v_m
     c_s = math.sqrt(v_s * v_s - 1.0)
-    # B and L after the leakage beamsplitter, with the trusted noise on each
-    b0, l0 = v_s + p.eps_p1, 1.0 + p.eps_l
-    bb = t * t * b0 + r * r * l0 + p.eps_p2
-    bl = t * r * (l0 - b0)
+    l0 = 1.0 + p.eps_l
     # with f = sqrt(1 - eta_ch): fc = f c, fs = f s and uv = (1 - e) v_e, so that
     # E1 = -fc B + alpha V1 - beta V2 and E2 = fs B + beta V1 + delta V2 on the x
     # quadratures, for B before the channel and two vacua V1, V2
     fc, fs = math.sqrt(1.0 - eta_ch + 0.5 * eps_ch), math.sqrt(0.5 * eps_ch)
     uv = (1.0 - eta_ch + eps_ch) / (1.0 + e)
     alpha, beta, delta = 1.0 - fc * fc / (1.0 + e), fc * fs / (1.0 + e), 1.0 + fs * fs / (1.0 + e)
-    x_ab, x_al, x_ae1, x_ae2 = d * e * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s
-    x_bb = eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d
-    x_bl = d * e * bl
-    x_be1, x_be2 = d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb)
-    x_ll, x_le1, x_le2 = r * r * b0 + t * t * l0, -fc * bl, fs * bl
-    x_e1e1 = fc * fc * bb + alpha * alpha + beta * beta
-    x_e1e2 = -fc * fs * (bb + uv / (1.0 + e))
-    x_e2e2 = fs * fs * bb + beta * beta + delta * delta
-    return (
-        v_s, x_ab, x_al, x_ae1, x_ae2,
-        x_ab, x_bb, x_bl, x_be1, x_be2,
-        x_al, x_bl, x_ll, x_le1, x_le2,
-        x_ae1, x_be1, x_le1, x_e1e1, x_e1e2,
-        x_ae2, x_be2, x_le2, x_e1e2, x_e2e2,
-    )
+    entries = (v_s, d * e * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s)
+    for source in (v_s, *sources):
+        # B and L after the leakage beamsplitter, with the trusted noise on each
+        b0 = source + p.eps_p1
+        bb = t * t * b0 + r * r * l0 + p.eps_p2
+        bl = t * r * (l0 - b0)
+        entries += (
+            eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d,
+            d * e * bl, d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb),
+            r * r * b0 + t * t * l0, -fc * bl, fs * bl,
+            fc * fc * bb + alpha * alpha + beta * beta, -fc * fs * (bb + uv / (1.0 + e)),
+            fs * fs * bb + beta * beta + delta * delta,
+        )
+    return entries
+
+
+# the x block of `reduced_state(p)` from `_x_block(p)`, and Eve's at v_s = 1 from
+# `_x_block(p, 1.0)`, whose last 10 entries follow the 15 at v_s
+_REDUCED_X = np.zeros((5, 5), dtype=int)
+_REDUCED_X[np.triu_indices(5)] = np.arange(15)
+_REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
+_EVE_X_AT_UNIT_SOURCE = _REDUCED_X[2:, 2:] + 10
+EVE_MODES = REDUCED_MODES[2:]
 
 
 def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
@@ -314,7 +320,7 @@ def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
     states.
     """
     x = np.array([_x_block(q) for q in p] if isinstance(p, list) else _x_block(p))
-    return g.CovMatrix(REDUCED_MODES, x.reshape(x.shape[:-1] + (5, 5)), _SIGNS)
+    return g.CovMatrix(REDUCED_MODES, x[..., _REDUCED_X], _SIGNS)
 
 
 def finite_size_penalty(block_size):
@@ -325,20 +331,23 @@ def finite_size_penalty(block_size):
 
 
 def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
-    """Reports for distinct points, from one batched reduced state.
+    """Reports for distinct points, from one checked batch: Eve's E, E|a and E|b.
 
-    I_AB is the heterodyne mutual information of the state's (A, B) block.
-    chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on Eve's modes L, E1, E2:
-    `heterodyne_condition(state, ["A", "B"])` gives E, E|a and E|b as one
-    batch, her marginal and then it given a heterodyne of A, and of B.  That
-    is two checked states a pass: the state and that batch.
-    """
-    state = reduced_state(points)
-    # heterodyne-heterodyne I_AB (bits/symbol) of A and B, modes 0 and 1: the x
-    # term and the equal p term, -0.5 log2(...) each
-    v_a, v_b, c = (state.x[..., i, j] for i, j in ((0, 0), (1, 1), (0, 1)))
+    I_AB reads the unchecked x blocks of `reduced_state(points)`.  chi is
+    S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on Eve's modes L, E1, E2.  E is her
+    block K(v_s) and E|b its Schur complement on B; A's row is c_s u, so E|a is
+    K(v_s) - c_s^2 u u^T / (v_s + 1) = K(1), her state for a coherent input."""
+    rows = np.array([_x_block(q, 1.0) for q in points])
+    # Eve's batch may miss an overflow: at k = 0 and eta_ch = 1 she holds vacua
+    if not np.isfinite(rows).all():
+        raise NumericalError("covariance matrix has non-finite entries")
+    x = rows[:, _REDUCED_X]
+    # heterodyne I_AB (bits/symbol) of A and B: the x and the equal p term, -0.5 log2(...) each
+    v_a, v_b, c = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1]
     i_ab = -np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))
-    s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.heterodyne_condition(state, ["A", "B"]))
+    eve = x[:, 2:, 2:]
+    states = (eve, rows[:, _EVE_X_AT_UNIT_SOURCE], g.heterodyne_schur(eve, x[:, 2:, 1], v_b))
+    s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.CovMatrix(EVE_MODES, np.stack(states), _SIGNS[2:]))
     chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
     # tiny negative residues from the spectrum are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):

@@ -1,5 +1,6 @@
 import pytest
 
+from modleak import gaussian as g
 from modleak import security as sec
 
 
@@ -32,3 +33,21 @@ def evaluated_batches(monkeypatch):
     batches = []
     _record_evaluations(monkeypatch, lambda group: batches.append(list(group)))
     return batches
+
+
+@pytest.fixture
+def checked_states(monkeypatch):
+    """(modes, batch shape) of every CovMatrix built during the test, in order.
+
+    Every construction checks its states, so this lists the checked states;
+    the batch shape is the x blocks' shape without the last two axes.
+    """
+    states = []
+    check = g.CovMatrix.__post_init__
+
+    def recorded(state):
+        check(state)
+        states.append((state.modes, state.x.shape[:-2]))
+
+    monkeypatch.setattr(g.CovMatrix, "__post_init__", recorded)
+    return states

@@ -67,8 +67,10 @@ class TestSample:
         assert floats.counts == exact.counts
         assert all(type(count) is int for count in floats.counts)
         assert np.array_equal(floats.grams, exact.grams)
-        report = mc.end_to_end_consistency(POINT, 1e6, 1)
+        report = mc.end_to_end_consistency(POINT, 1e6, seed=1.0)
         assert report == mc.end_to_end_consistency(POINT, 1_000_000, 1)
+        # the report records the seed that the sampler drew with
+        assert type(report.seed) is int
 
     @pytest.mark.parametrize("n, seed", [(10000.5, 1), (10_000, 1.5), (10_000, float("nan")), ("1e6", 1)])
     def test_rejects_non_integral_counts_and_seeds(self, n, seed):
@@ -272,6 +274,16 @@ class TestEndToEndConsistency:
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
         # the true point, the estimated point and its four bumped copies
         assert len(evaluated_points) == 6
+
+    def test_checks_three_states(self, checked_states):
+        mc.end_to_end_consistency(POINT, 5_000, seed=3)
+        # the sampled reduced state, its measured modes' marginal inside
+        # sample_moments, then Eve's E, E|a and E|b at the six evaluated points
+        assert checked_states == [
+            (sec.REDUCED_MODES, ()),
+            (("A", "B", "L"), ()),
+            (sec.EVE_MODES, (3, 6)),
+        ]
 
     def test_rate_se_names_skipped_terms(self):
         p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=1.0, eps_ch=0.0)

@@ -329,36 +329,18 @@ class TestKeyRates:
         assert batched[200:] == batched[:10]
         assert batched[:200] == [sec.key_rate(q) for q in points]
 
-    def test_one_evaluation_on_five_modes(self, monkeypatch):
+    def test_one_checked_state_a_pass(self, monkeypatch, evaluated_batches, checked_states):
         points = random_points(np.random.default_rng(22), 60)
         assert len({structure(q) for q in points}) >= 16
-        evaluations, states, checked = [], [], []
-        evaluate, reduced_state = sec._evaluate, sec.reduced_state
-        post_init = g.CovMatrix.__post_init__
 
-        def recorded_post_init(state):
-            post_init(state)
-            checked.append((state.modes, state.data.shape[:-3]))
+        def refuse(p):
+            raise AssertionError("a pass must not build the five-mode state")
 
-        def recorded_evaluate(group):
-            evaluations.append(list(group))
-            return evaluate(group)
-
-        def recorded_state(p):
-            states.append(reduced_state(p))
-            return states[-1]
-
-        monkeypatch.setattr(sec, "_evaluate", recorded_evaluate)
-        monkeypatch.setattr(sec, "reduced_state", recorded_state)
-        monkeypatch.setattr(g.CovMatrix, "__post_init__", recorded_post_init)
+        monkeypatch.setattr(sec, "reduced_state", refuse)
         sec.key_rates(points + points[:5])
-        assert evaluations == [points]
-        [state] = states
-        assert state.modes == ("A", "B", "L", "E1", "E2")
-        assert state.data.shape[:-3] == (len(points),)
-        # the state, then E, E|a and E|b in one batch
-        eve, n = ("L", "E1", "E2"), len(points)
-        assert checked == [(state.modes, (n,)), (eve, (3, n))]
+        assert evaluated_batches == [points]
+        # E, E|a and E|b on Eve's modes, in one batch
+        assert checked_states == [(("L", "E1", "E2"), (3, len(points)))]
 
     def test_empty_call(self, evaluated_batches):
         assert sec.key_rates([]) == []
@@ -380,9 +362,16 @@ class TestKeyRates:
             with pytest.raises(NumericalError, match="non-finite"):
                 sec.key_rate(sec.ProtocolParams(**fields))
 
+    def test_source_variance_1e7_is_finite(self):
+        # A and B's EPR pair of variance 1e7 failed the five-mode state's
+        # physicality check from rounding; a pass checks Eve's states only
+        rep = sec.key_rate(sec.ProtocolParams(v_m=1e7, eta_ch=0.5, eps_ch=0.1))
+        assert all(math.isfinite(v) for v in vars(rep).values())
+
     def test_unphysical_point_fails_its_batch_alike(self):
-        # A and B's EPR pair of variance 1e7 fails the physicality check from rounding
-        bad = sec.ProtocolParams(v_m=1e7, eta_ch=0.5, eps_ch=0.1)
+        # at source variance 1e8 the rounding of Eve's states puts a symplectic
+        # eigenvalue 7e-9 below 1, past the physicality check's tolerance
+        bad = sec.ProtocolParams(v_m=1e8, eta_ch=0.7204396530782486, eps_ch=0.3787372568065778)
         with pytest.raises(UnphysicalState):
             sec.key_rate(bad)
         same_structure = sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=0.1)
@@ -391,8 +380,75 @@ class TestKeyRates:
             sec.key_rates([same_structure, bad, other])
 
 
+class TestEveStates:
+    """A pass's E, E|a and E|b against Eve's marginal of the five-mode state and
+    its conditionals on a and b."""
+
+    FULL_NOISE = [
+        sec.ProtocolParams(
+            v_m=float(np.exp(rng.uniform(np.log(0.01), np.log(100.0)))),
+            k=rng.uniform(0.0, 2.0),
+            eta_ch=rng.uniform(1e-3, 0.999),
+            eps_ch=rng.uniform(0.0, 0.5),
+            eta_d=rng.uniform(0.1, 0.999),
+            eps_d=rng.uniform(0.0, 0.5),
+            eps_p1=rng.uniform(0.0, 1.0),
+            eps_p2=rng.uniform(0.0, 1.0),
+            eps_l=rng.uniform(0.0, 1.0),
+        )
+        for rng in [np.random.default_rng(26)]
+        for _ in range(40)
+    ]
+
+    @staticmethod
+    def pass_states(monkeypatch, points) -> g.CovMatrix:
+        """The batch of Eve's states whose entropies a pass over `points` takes."""
+        states = []
+        entropy = g.von_neumann_entropy
+
+        def recorded(state):
+            states.append(state)
+            return entropy(state)
+
+        monkeypatch.setattr(g, "von_neumann_entropy", recorded)
+        sec.key_rates(points)
+        [state] = states
+        return state
+
+    @staticmethod
+    def assert_conditioned_reduced_state(state: g.CovMatrix, points):
+        reference = g.heterodyne_condition(sec.reduced_state(points), ["A", "B"])
+        assert state.modes == reference.modes
+        assert state.signs.tolist() == reference.signs.tolist()
+        assert state.x[0].tobytes() == reference.x[0].tobytes()
+        assert state.x[2].tobytes() == reference.x[2].tobytes()
+        # E|a is E at v_s = 1, equal to the Schur complement up to its rounding
+        v_s = np.array([1.0 + (1.0 + q.k * q.k) * q.v_m for q in points])
+        gap = np.abs(state.x[1] - reference.x[1]).max(axis=(-2, -1))
+        assert (gap <= 8.0 * np.finfo(float).eps * v_s).all()
+
+    @pytest.mark.parametrize("full_noise", [False, True], ids=["seed 22", "full noise"])
+    def test_are_the_conditioned_reduced_state(self, monkeypatch, full_noise):
+        points = self.FULL_NOISE if full_noise else random_points(np.random.default_rng(22), 60)
+        self.assert_conditioned_reduced_state(self.pass_states(monkeypatch, points), points)
+
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-9])
+    def test_catch_e_given_a_at_a_wrong_source_variance(self, monkeypatch, offset):
+        x_block = sec._x_block
+
+        def shifted(p, *sources):
+            return x_block(p, *(source + offset for source in sources))
+
+        monkeypatch.setattr(sec, "_x_block", shifted)
+        state = self.pass_states(monkeypatch, self.FULL_NOISE)
+        with pytest.raises(AssertionError):
+            self.assert_conditioned_reduced_state(state, self.FULL_NOISE)
+
+
 class TestReducedState:
-    """The five-mode evaluator against the purification and a 50-digit oracle."""
+    """The five-mode state, and the key rates from the same closed form, against
+    the purification and a 50-digit oracle; `TestEveStates` ties a pass's
+    states to this one."""
 
     POINTS = random_points(np.random.default_rng(24), 300)
     # channel noise so small that Eve's states have symplectic eigenvalues
