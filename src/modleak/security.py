@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gaussian as g
-from .errors import InvalidArgument, NumericalError
+from .errors import InvalidArgument, NumericalError, UnphysicalState
 
 # Collective-attack security parameter entering the finite-size penalty.
 FINITE_SIZE_EPS = 1e-10
@@ -256,18 +256,16 @@ _SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
 _SIGNS.setflags(write=False)
 
 
-def _x_block(p: ProtocolParams, *sources: float) -> tuple[float, ...]:
-    """The upper triangle, row by row, of the x block of `reduced_state(p)`, then
-    that of its (B, L, E1, E2) block at each of `sources` in place of the source
-    variance v_s, in float arithmetic: an overflow gives inf or NaN entries.
-    That block is affine in v_s with slope u u^T; A's correlations with it are c_s u."""
+def _x_block(p: ProtocolParams) -> tuple[float, ...]:
+    """The upper triangle, row by row, of the x block of `reduced_state(p)`, then that
+    of its (B, L, E1, E2) block, affine in v_s with slope u u^T, at v_s = 1; A's row
+    is c_s u.  Float arithmetic: an overflow gives inf or NaN entries."""
     eta_ch, eps_ch, eta_d = p.eta_ch, p.eps_ch, p.eta_d
     k2 = p.k * p.k
     t, r = math.sqrt(1.0 / (1.0 + k2)), math.sqrt(k2 / (1.0 + k2))
     e, d = math.sqrt(eta_ch), math.sqrt(eta_d)
     v_s = 1.0 + (1.0 + k2) * p.v_m
-    c_s = math.sqrt(v_s * v_s - 1.0)
-    l0 = 1.0 + p.eps_l
+    c_s, l0 = math.sqrt(v_s * v_s - 1.0), 1.0 + p.eps_l
     # with f = sqrt(1 - eta_ch): fc = f c, fs = f s and uv = (1 - e) v_e, so that
     # E1 = -fc B + alpha V1 - beta V2 and E2 = fs B + beta V1 + delta V2 on the x
     # quadratures, for B before the channel and two vacua V1, V2
@@ -275,7 +273,7 @@ def _x_block(p: ProtocolParams, *sources: float) -> tuple[float, ...]:
     uv = (1.0 - eta_ch + eps_ch) / (1.0 + e)
     alpha, beta, delta = 1.0 - fc * fc / (1.0 + e), fc * fs / (1.0 + e), 1.0 + fs * fs / (1.0 + e)
     entries = (v_s, d * e * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s)
-    for source in (v_s, *sources):
+    for source in (v_s, 1.0):
         # B and L after the leakage beamsplitter, with the trusted noise on each
         b0 = source + p.eps_p1
         bb = t * t * b0 + r * r * l0 + p.eps_p2
@@ -290,13 +288,10 @@ def _x_block(p: ProtocolParams, *sources: float) -> tuple[float, ...]:
     return entries
 
 
-# the x block of `reduced_state(p)` from `_x_block(p)`, and Eve's at v_s = 1 from
-# `_x_block(p, 1.0)`, whose last 10 entries follow the 15 at v_s
+# `reduced_state(p)`'s x block from `_x_block(p)`; its [2:, 2:] + 10 reads Eve's at v_s = 1
 _REDUCED_X = np.zeros((5, 5), dtype=int)
 _REDUCED_X[np.triu_indices(5)] = np.arange(15)
 _REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
-_EVE_X_AT_UNIT_SOURCE = _REDUCED_X[2:, 2:] + 10
-EVE_MODES = REDUCED_MODES[2:]
 
 
 def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
@@ -333,21 +328,27 @@ def finite_size_penalty(block_size):
 def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     """Reports for distinct points, from one checked batch: Eve's E, E|a and E|b.
 
-    I_AB reads the unchecked x blocks of `reduced_state(points)`.  chi is
-    S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on Eve's modes L, E1, E2.  E is her
-    block K(v_s) and E|b its Schur complement on B; A's row is c_s u, so E|a is
-    K(v_s) - c_s^2 u u^T / (v_s + 1) = K(1), her state for a coherent input."""
-    rows = np.array([_x_block(q, 1.0) for q in points])
-    # Eve's batch may miss an overflow: at k = 0 and eta_ch = 1 she holds vacua
+    chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on her modes L, E1, E2.  E is her
+    block K(v_s), E|b its Schur complement on B, and E|a = K(v_s) - c_s^2 u u^T / (v_s + 1)
+    = K(1), her state for a coherent input, as A's row is c_s u.  I_AB reads the (A, B)
+    entries, and a log2 argument that is not positive raises `UnphysicalState`."""
+    rows = np.array([_x_block(q) for q in points])
+    # no checked state holds A: at k = 0 and eta_ch = 1 Eve holds vacua whatever v_s is
     if not np.isfinite(rows).all():
         raise NumericalError("covariance matrix has non-finite entries")
     x = rows[:, _REDUCED_X]
+    v_a, v_b, c, eve = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1], x[:, 2:, 2:]
+    # an overflow leaves E|b an inf entry, which her check rejects, or the ratio 0
+    with np.errstate(over="ignore"):
+        states = (eve, rows[:, _REDUCED_X[2:, 2:] + 10], g.heterodyne_schur(eve, x[:, 2:, 1], v_b))
+        ab = 1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0))
+    states = g.CovMatrix(REDUCED_MODES[2:], np.stack(states), _SIGNS[2:])
+    # from v_s = 2^53 at k = 0 and eta_ch = 1, c^2 rounds to (v_a + 1)(v_b + 1)
+    if not (ab > 0.0).all():
+        raise UnphysicalState(f"A and B's state gives 1 - c^2 / ((v_a + 1)(v_b + 1)) = {np.min(ab)}")
     # heterodyne I_AB (bits/symbol) of A and B: the x and the equal p term, -0.5 log2(...) each
-    v_a, v_b, c = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1]
-    i_ab = -np.log2(1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0)))
-    eve = x[:, 2:, 2:]
-    states = (eve, rows[:, _EVE_X_AT_UNIT_SOURCE], g.heterodyne_schur(eve, x[:, 2:, 1], v_b))
-    s_e, s_e_a, s_e_b = g.von_neumann_entropy(g.CovMatrix(EVE_MODES, np.stack(states), _SIGNS[2:]))
+    i_ab = -np.log2(ab)
+    s_e, s_e_a, s_e_b = g.von_neumann_entropy(states)
     chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
     # tiny negative residues from the spectrum are numerical zero
     if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):

@@ -282,7 +282,7 @@ class TestEndToEndConsistency:
         assert checked_states == [
             (sec.REDUCED_MODES, ()),
             (("A", "B", "L"), ()),
-            (sec.EVE_MODES, (3, 6)),
+            (("L", "E1", "E2"), (3, 6)),
         ]
 
     def test_rate_se_names_skipped_terms(self):

@@ -352,6 +352,8 @@ class TestKeyRates:
             {"v_m": 1e200},
             {"v_m": 5.0, "k": 1e200},
             {"v_m": 1e-300, "eta_ch": 1e-300, "eps_ch": 1e300},
+            # finite entries whose Schur complement on B overflows
+            {"v_m": 1.0, "k": 1.0, "eps_l": 1e300},
         ],
     )
     def test_overflowing_point_is_a_numerical_error(self, fields):
@@ -361,6 +363,25 @@ class TestKeyRates:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite"):
                 sec.key_rate(sec.ProtocolParams(**fields))
+
+    @pytest.mark.parametrize("v_m", [2.0**53, 1e16, 1e20, 1e153])
+    def test_rounded_ab_pair_is_unphysical(self, v_m):
+        # at k = 0 and eta_ch = 1 Eve holds vacua whatever v_s is; from v_s =
+        # 2^53 on, c^2 rounds to (v_a + 1)(v_b + 1) and I_AB's log2 argument to 0
+        assert math.isfinite(sec.key_rate(sec.ProtocolParams(v_m=2.0**53 - 2.0)).i_ab)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalState, match="A and B"):
+                sec.key_rate(sec.ProtocolParams(v_m=v_m))
+            with pytest.raises(UnphysicalState, match="A and B"):
+                sec.key_rates([sec.ProtocolParams(v_m=5.0), sec.ProtocolParams(v_m=v_m)])
+
+    def test_overflowing_ab_product_leaves_no_mutual_information(self):
+        # (v_a + 1)(v_b + 1) overflows to inf; c^2 over it is 1e-290 or less
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sec.key_rate(sec.ProtocolParams(v_m=1e10, eps_p2=1e300))
+        assert rep.i_ab == 0.0
 
     def test_source_variance_1e7_is_finite(self):
         # A and B's EPR pair of variance 1e7 failed the five-mode state's
@@ -432,12 +453,14 @@ class TestEveStates:
         points = self.FULL_NOISE if full_noise else random_points(np.random.default_rng(22), 60)
         self.assert_conditioned_reduced_state(self.pass_states(monkeypatch, points), points)
 
-    @pytest.mark.parametrize("offset", [-1e-6, 1e-9])
+    @pytest.mark.parametrize("offset", [1e-6, 1e-9])
     def test_catch_e_given_a_at_a_wrong_source_variance(self, monkeypatch, offset):
         x_block = sec._x_block
 
-        def shifted(p, *sources):
-            return x_block(p, *(source + offset for source in sources))
+        def shifted(p):
+            # the (B, L, E1, E2) entries at v_s = 1 + offset in place of those at 1
+            near_unit = x_block(p.replace(v_m=offset / (1.0 + p.k * p.k)))
+            return x_block(p)[:15] + near_unit[5:15]
 
         monkeypatch.setattr(sec, "_x_block", shifted)
         state = self.pass_states(monkeypatch, self.FULL_NOISE)
