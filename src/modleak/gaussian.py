@@ -101,9 +101,10 @@ class CovMatrix:
         # a NaN or inf entry makes the scale non-finite; test it before inf - inf can warn
         if not (scale < np.inf).all():
             raise NumericalError("covariance matrix has non-finite entries")
-        if not (np.abs(mat - _transpose(mat)).max(axis=state_axes) <= SYMMETRY_RTOL * scale).all():
+        mat_t = _transpose(mat)
+        if not (np.abs(mat - mat_t).max(axis=state_axes) <= SYMMETRY_RTOL * scale).all():
             raise InvalidArgument("covariance matrix is not symmetric")
-        mat = 0.5 * (mat + _transpose(mat))
+        mat = 0.5 * (mat + mat_t)
         mat.setflags(write=False)
         object.__setattr__(self, "x", mat)
         nus = _spectrum(mat, signs)
@@ -303,7 +304,8 @@ def entropy_g(nu):
     if (nu < 1.0 - 1e-6).any():
         raise UnphysicalState(f"symplectic eigenvalue {np.min(nu)} below 1")
     b = np.maximum(0.5 * (nu - 1.0), 0.0)
-    return ((b + 1.0) * np.log2(b + 1.0) - b * np.log2(b + (b == 0.0)))[()]
+    b1 = b + 1.0
+    return (b1 * np.log2(b1) - b * np.log2(b + (b == 0.0)))[()]
 
 
 def von_neumann_entropy(state: CovMatrix) -> float | np.ndarray:

@@ -39,12 +39,12 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it.  A round costs about 155 us fixed and 16 us per further point (the
-# minimum of 40 timed 30-round searches, on a 2-core x86-64 with one BLAS
+# for in it.  A round costs about 136 us fixed and 13 us per further point (the
+# minimum of 240 timed 30-round searches, on a 2-core x86-64 with one BLAS
 # thread), so for n searches a walked step at depth d costs about
-# (155 + 16 n (2^d - 1)) / d us: least at d = 3 (7 points) for one search, with
-# d = 4 (15) 11% above it, at d = 2 (6) for two, with d = 3 (14) within 1%,
-# and at d = 1 from 10 searches.  16 keeps d = 4 for one search.
+# (136 + 13 n (2^d - 1)) / d us: least at d = 3 (7 points) for one search, with
+# d = 4 (15) 9% above it, at d = 3 (14) for two, with d = 2 (6) within 1%,
+# and at d = 1 from 11 searches.  16 keeps d = 4 for one search.
 SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
@@ -88,6 +88,37 @@ class ProtocolParams:
     block_size: int = 0
 
     def __post_init__(self):
+        # a valid point passes one comparison over every bound, which NaN fails;
+        # only a point that fails it, or cannot be compared, runs the checks
+        inf = math.inf
+        try:
+            valid = (
+                0.0 < self.v_m < inf
+                and 0.0 <= self.k < inf
+                and 0.0 < self.eta_ch <= 1.0
+                and 0.0 <= self.eps_ch < inf
+                and 0.0 < self.eta_d <= 1.0
+                and 0.0 <= self.eps_d < inf
+                and 0.0 <= self.eps_p1 < inf
+                and 0.0 <= self.eps_p2 < inf
+                and 0.0 <= self.eps_l < inf
+                and 0.0 <= self.beta <= 1.0
+                and type(self.block_size) is int
+                and self.block_size >= 0
+                and (self.eta_ch < 1.0 or self.eps_ch == 0.0)
+                and (self.eta_d < 1.0 or self.eps_d == 0.0)
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            self._check()
+        # drive hashes each point several times a round, so hash the fields once;
+        # until this line the instance dict holds exactly the fields, in order
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def _check(self):
+        """Raise the error of the first bound that the point breaks, and store an
+        integral block size as int."""
         for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)}")
@@ -111,9 +142,6 @@ class ProtocolParams:
             raise InvalidArgument("eps_ch > 0 requires eta_ch < 1 (purifier undefined)")
         if self.eta_d == 1.0 and self.eps_d > 0.0:
             raise InvalidArgument("eps_d > 0 requires eta_d < 1 (purifier undefined)")
-        # drive hashes each point several times a round, so hash the fields once;
-        # until this line the instance dict holds exactly the fields, in order
-        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
 
     def __hash__(self):
         return self._hash
@@ -121,15 +149,15 @@ class ProtocolParams:
     def replace(self, **changes) -> ProtocolParams:
         """This point with some fields changed: `dataclasses.replace` without its
         per-field init, through the same `__post_init__` and its checks."""
-        unknown = changes.keys() - PARAM_FIELDS
-        if unknown:
-            raise TypeError(f"ProtocolParams has no field {min(unknown)!r}")
         point = object.__new__(ProtocolParams)
         values = vars(point)
         values.update(vars(self))
         # __post_init__ hashes the dict's values: the fields alone, in order
         del values["_hash"]
         values.update(changes)
+        # a name that is not a field, `_hash` too, adds a key
+        if len(values) != len(PARAM_FIELDS):
+            raise TypeError(f"ProtocolParams has no field {min(changes.keys() - PARAM_FIELDS)!r}")
         point.__post_init__()
         return point
 
@@ -166,6 +194,9 @@ class KeyRateReport:
         if direction == "rr":
             return self.r_rr
         raise InvalidArgument(f"direction must be 'dr' or 'rr', got {direction!r}")
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(KeyRateReport))
 
 
 @dataclass(frozen=True)
@@ -288,10 +319,11 @@ def _x_block(p: ProtocolParams) -> tuple[float, ...]:
     return entries
 
 
-# `reduced_state(p)`'s x block from `_x_block(p)`; its [2:, 2:] + 10 reads Eve's at v_s = 1
+# `reduced_state(p)`'s x block from `_x_block(p)`, and Eve's at v_s = 1
 _REDUCED_X = np.zeros((5, 5), dtype=int)
 _REDUCED_X[np.triu_indices(5)] = np.arange(15)
 _REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
+_EVE_X_AT_UNIT_SOURCE = _REDUCED_X[2:, 2:] + 10
 
 
 def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
@@ -314,6 +346,8 @@ def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
     `build_scheme(p)`, give the p block S X S.  numpy builds and checks the
     states.
     """
+    if isinstance(p, list) and not p:
+        raise InvalidArgument("reduced_state needs at least one point, got an empty list")
     x = np.array([_x_block(q) for q in p] if isinstance(p, list) else _x_block(p))
     return g.CovMatrix(REDUCED_MODES, x[..., _REDUCED_X], _SIGNS)
 
@@ -340,26 +374,32 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     v_a, v_b, c, eve = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1], x[:, 2:, 2:]
     # an overflow leaves E|b an inf entry, which her check rejects, or the ratio 0
     with np.errstate(over="ignore"):
-        states = (eve, rows[:, _REDUCED_X[2:, 2:] + 10], g.heterodyne_schur(eve, x[:, 2:, 1], v_b))
+        states = (eve, rows[:, _EVE_X_AT_UNIT_SOURCE], g.heterodyne_schur(eve, x[:, 2:, 1], v_b))
         ab = 1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0))
-    states = g.CovMatrix(REDUCED_MODES[2:], np.stack(states), _SIGNS[2:])
+    states = g.CovMatrix(REDUCED_MODES[2:], np.array(states), _SIGNS[2:])
     # from v_s = 2^53 at k = 0 and eta_ch = 1, c^2 rounds to (v_a + 1)(v_b + 1)
     if not (ab > 0.0).all():
         raise UnphysicalState(f"A and B's state gives 1 - c^2 / ((v_a + 1)(v_b + 1)) = {np.min(ab)}")
     # heterodyne I_AB (bits/symbol) of A and B: the x and the equal p term, -0.5 log2(...) each
     i_ab = -np.log2(ab)
-    s_e, s_e_a, s_e_b = g.von_neumann_entropy(states)
-    chi_dr, chi_rr = s_e - s_e_a, s_e - s_e_b
+    entropies = g.von_neumann_entropy(states)
+    # DR and RR: S(E) - S(E|a) and S(E) - S(E|b)
+    chi = entropies[0] - entropies[1:]
     # tiny negative residues from the spectrum are numerical zero
-    if np.any(chi_dr < -1e-9) or np.any(chi_rr < -1e-9):
-        raise NumericalError(f"negative Holevo bound: {np.min(chi_dr)}, {np.min(chi_rr)}")
-    chi_dr, chi_rr = np.maximum(chi_dr, 0.0), np.maximum(chi_rr, 0.0)
+    if (chi < -1e-9).any():
+        raise NumericalError(f"negative Holevo bound: {np.min(chi[0])}, {np.min(chi[1])}")
+    chi = np.maximum(chi, 0.0)
     delta = finite_size_penalty([q.block_size for q in points])
-    beta = np.array([q.beta for q in points])
-    r_dr, r_rr = (beta * i_ab - chi - delta for chi in (chi_dr, chi_rr))
-    clamped = (np.maximum(r, 0.0) for r in (r_dr, r_rr))
-    columns = (i_ab, chi_dr, chi_rr, r_dr, r_rr, *clamped, delta)
-    return [KeyRateReport(*row) for row in zip(*(c.tolist() for c in columns))]
+    rates = np.array([q.beta for q in points]) * i_ab - chi - delta
+    # one row per report field, in `REPORT_FIELDS` order
+    table = np.concatenate((i_ab[None], chi, rates, np.maximum(rates, 0.0), delta[None]))
+    reports = []
+    for row in table.T.tolist():
+        # a frozen report without the per-field init, as `ProtocolParams.replace` builds points
+        report = object.__new__(KeyRateReport)
+        vars(report).update(zip(REPORT_FIELDS, row))
+        reports.append(report)
+    return reports
 
 
 def drive(search):

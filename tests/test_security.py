@@ -125,6 +125,69 @@ class TestProtocolParams:
         for name in ("vm", "_hash"):
             with pytest.raises(TypeError, match=name):
                 p.replace(**{name: 1.0})
+            with pytest.raises(TypeError, match=name):
+                p.replace(v_m=2.0, **{name: 1.0})
+
+    # values at and around every bound, for every field
+    BOUNDARY = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5, -0.5, 2.0]
+    BOUNDARY += [np.float64(math.nan), np.float64(0.0), np.float64(1.0), np.float64(0.5)]
+    BOUNDARY += [np.float64(-math.inf), "0.5", None, np.array([0.5, 0.5])]
+    BLOCK_SIZES = [True, False, np.int64(5), 1e6, 2.5, 0, 7, -1, -1.0, math.nan, math.inf]
+
+    NAN_MESSAGES = {
+        name: f"{name} must be finite, got nan"
+        for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l")
+    } | {
+        "eta_ch": "eta_ch must lie in (0, 1], got nan",
+        "eta_d": "eta_d must lie in (0, 1], got nan",
+        "beta": "beta must lie in [0, 1], got nan",
+        "block_size": "block_size must be a finite integer, got nan",
+    }
+
+    @staticmethod
+    def checked(fields: dict):
+        """The outcome of the checks alone on `fields`: the stored fields and
+        hash, or the error's class and message."""
+        point = object.__new__(sec.ProtocolParams)
+        vars(point).update(fields)
+        try:
+            point._check()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return list(vars(point).items()), hash(tuple(vars(point).values()))
+
+    @staticmethod
+    def outcome(make):
+        try:
+            point = make()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return list(vars(point).items())[:-1], hash(point)
+
+    @pytest.mark.parametrize("field", sec.PARAM_FIELDS)
+    def test_accepts_only_what_the_checks_accept(self, field):
+        values = list(self.BOUNDARY)
+        if field in ("eta_ch", "eta_d", "beta"):
+            values.append(math.nextafter(1.0, 2.0))
+        if field == "block_size":
+            values += self.BLOCK_SIZES
+        # eta = 1 with eps = 0, and eta < 1 with eps > 0: each cross rule both ways
+        bases = [
+            sec.ProtocolParams(v_m=5.0),
+            sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02, eta_d=0.8, eps_d=0.01),
+        ]
+        outcomes = set()
+        for base in bases:
+            for value in values:
+                fields = dict(zip(sec.PARAM_FIELDS, vars(base).values()), **{field: value})
+                expected = self.checked(fields)
+                assert self.outcome(lambda: sec.ProtocolParams(**fields)) == expected, value
+                assert self.outcome(lambda: base.replace(**{field: value})) == expected, value
+                outcomes.add(expected[0] if isinstance(expected[0], type) else "valid")
+        assert "valid" in outcomes and InvalidArgument in outcomes
+        assert self.outcome(lambda: bases[0].replace(**{field: math.nan})) == (
+            InvalidArgument, self.NAN_MESSAGES[field]
+        )
 
     def test_integral_block_size_is_stored_as_an_integer(self):
         p = sec.ProtocolParams(v_m=5.0, block_size=1e7)
@@ -346,6 +409,19 @@ class TestKeyRates:
         assert sec.key_rates([]) == []
         assert evaluated_batches == []
 
+    def test_reports_are_frozen_dataclasses(self):
+        points = random_points(np.random.default_rng(27), 20)
+        names = [f.name for f in dataclasses.fields(sec.KeyRateReport)]
+        for report in sec.key_rates(points):
+            values = list(vars(report).values())
+            assert list(vars(report)) == names
+            built = sec.KeyRateReport(*values)
+            assert report == built and hash(report) == hash(built)
+            assert dataclasses.asdict(report) == dataclasses.asdict(built) == vars(report)
+            assert all(type(v) is float for v in values)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.i_ab = 0.0
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -518,6 +594,10 @@ class TestReducedState:
             assert rep.i_ab == pytest.approx(i_ab, rel=0.0, abs=1e-12)
             assert rep.chi_dr == pytest.approx(max(chi_dr, 0.0), rel=0.0, abs=1e-12)
             assert rep.chi_rr == pytest.approx(max(chi_rr, 0.0), rel=0.0, abs=1e-12)
+
+    def test_empty_point_list(self):
+        with pytest.raises(InvalidArgument, match="empty list"):
+            sec.reduced_state([])
 
     def test_batch_is_its_points(self):
         batch = sec.reduced_state(self.POINTS)
