@@ -70,10 +70,9 @@ class CovMatrix:
     """Gaussian state, or batch of states: ordered mode labels, (..., N, N) x
     blocks and one sign per mode.
 
-    The p block is S X S, with S the diagonal of `signs`; `data` stacks the
-    two blocks as (..., 2, N, N).  Every state of the batch is checked for
-    symmetry and physicality at construction.  The check computes the
-    symplectic spectrum, (..., N), and keeps it read-only in `spectrum`.
+    The p block is S X S, with S the diagonal of `signs`.  Every state of the
+    batch is checked for symmetry and physicality at construction, which
+    computes the symplectic spectrum, (..., N), kept read-only in `spectrum`.
     """
 
     modes: tuple[str, ...]
@@ -118,13 +117,6 @@ class CovMatrix:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The x and p blocks, read-only, (..., 2, N, N): X and S X S."""
-        blocks = np.stack((self.x, self.x * np.outer(self.signs, self.signs)), axis=-3)
-        blocks.setflags(write=False)
-        return blocks
 
     def index(self, mode: str) -> int:
         try:

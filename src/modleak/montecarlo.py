@@ -1,6 +1,6 @@
 """Monte-Carlo sampling and parameter re-estimation at desk scale.
 
-Draws heterodyne outcomes of A, B and L from the protocol's five-mode reduced
+Samples heterodyne statistics of A, B and L on the protocol's five-mode reduced
 state (`security.reduced_state`), re-derives the protocol parameters with
 moment estimators, and closes the loop by comparing the key rate at the
 estimated point against the true one.  Eve's record is the leakage-mode
@@ -89,7 +89,8 @@ def sample_moments(
 
     Outcome covariance is (gamma + 1)/2: the measured vacuum has unit variance
     in outcome units.  Its Cholesky factor C on the columns (x_1, p_1, ...,
-    x_M, p_M) of M measured modes interleaves those of the x and p blocks.
+    x_M, p_M) of M distinct measured modes interleaves L = chol((X + 1)/2) and
+    S L S, for X their x block in `state` and S their signs, as P = S X S.
     In standard units a sub-batch of m outcomes has mean ~ N(0, I/m) and,
     independently, centred Gram ~ Wishart(m - 1, I) = A A^T (Bartlett), with A
     lower triangular, N(0, 1) below the diagonal and A_jj^2 ~ chi^2(m - 1 - j).
@@ -107,17 +108,20 @@ def sample_moments(
         raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    reduced = g.partial_trace(state, measured_modes)
-    width = 2 * reduced.n_modes
+    idx = [state.index(mode) for mode in measured_modes]
+    if not idx or len(set(idx)) < len(idx):
+        raise InvalidArgument(f"need one or more distinct measured modes, got {measured_modes}")
+    width = 2 * len(idx)
     floor = max(MIN_SAMPLES, N_SUBBATCHES * (width + 1))  # m - 1 >= 2M for Bartlett
     if n < floor:
         raise InvalidArgument(f"need at least {floor} samples, got {n}")
     try:
-        blocks = np.linalg.cholesky(0.5 * (reduced.data + np.eye(reduced.n_modes)))
+        factor = np.linalg.cholesky(0.5 * (state.x[np.ix_(idx, idx)] + np.eye(len(idx))))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
     chol = np.zeros((width, width))
-    chol[0::2, 0::2], chol[1::2, 1::2] = blocks
+    signs = state.signs[idx]
+    chol[0::2, 0::2], chol[1::2, 1::2] = factor, factor * np.outer(signs, signs)
     sizes = _subbatch_sizes(n)
     rng = np.random.default_rng(seed)
     m = np.array(sizes)[:, None]
@@ -132,7 +136,7 @@ def sample_moments(
     whole = grams.sum(axis=0) + (m * spread).T @ spread
     # the whole batch first, then its sub-batches
     centred = chol @ np.concatenate([whole[None], grams]) @ chol.T
-    return OutcomeMoments(reduced.modes, (n, *sizes), centred)
+    return OutcomeMoments(tuple(measured_modes), (n, *sizes), centred)
 
 
 def _moment_estimates(

@@ -24,6 +24,7 @@ from .errors import InvalidArgument, NumericalError, UnphysicalState
 
 # Collective-attack security parameter entering the finite-size penalty.
 FINITE_SIZE_EPS = 1e-10
+MAX_BLOCK_SIZE = float(np.finfo(float).max)  # a pass reads block sizes as floats
 
 NOISE_FIELDS = {"P1": "eps_p1", "P2": "eps_p2", "L": "eps_l", "D": "eps_d"}
 NOISE_POINTS = tuple(NOISE_FIELDS)
@@ -89,7 +90,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         # a valid point passes one comparison over every bound, which NaN fails;
-        # only a point that fails it, or cannot be compared, runs the checks
+        # only a point that fails it, or cannot be compared or hashed, runs the checks
         inf = math.inf
         try:
             valid = (
@@ -104,21 +105,26 @@ class ProtocolParams:
                 and 0.0 <= self.eps_l < inf
                 and 0.0 <= self.beta <= 1.0
                 and type(self.block_size) is int
-                and self.block_size >= 0
+                and 0 <= self.block_size <= MAX_BLOCK_SIZE
                 and (self.eta_ch < 1.0 or self.eps_ch == 0.0)
                 and (self.eta_d < 1.0 or self.eps_d == 0.0)
             )
-        except (TypeError, ValueError):
+            # drive hashes each point several times a round, so hash the fields once;
+            # until here the instance dict holds exactly the fields, in order
+            fields_hash = hash(tuple(self.__dict__.values()))
+        except (TypeError, ValueError):  # a 0-d array compares but does not hash
             valid = False
         if not valid:
             self._check()
-        # drive hashes each point several times a round, so hash the fields once;
-        # until this line the instance dict holds exactly the fields, in order
-        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+            fields_hash = hash(tuple(self.__dict__.values()))
+        object.__setattr__(self, "_hash", fields_hash)
 
     def _check(self):
         """Raise the error of the first bound that the point breaks, and store an
         integral block size as int."""
+        for name in PARAM_FIELDS[:-1]:  # every field but block_size
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidArgument(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)}")
@@ -136,8 +142,8 @@ class ProtocolParams:
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidArgument(f"beta must lie in [0, 1], got {self.beta}")
         object.__setattr__(self, "block_size", as_integer("block_size", self.block_size))
-        if self.block_size < 0:
-            raise InvalidArgument("block size must be >= 0 (0 = asymptotic)")
+        if not 0 <= self.block_size <= MAX_BLOCK_SIZE:
+            raise InvalidArgument("block size must be >= 0 (0 = asymptotic) and finite as a float")
         if self.eta_ch == 1.0 and self.eps_ch > 0.0:
             raise InvalidArgument("eps_ch > 0 requires eta_ch < 1 (purifier undefined)")
         if self.eta_d == 1.0 and self.eps_d > 0.0:

@@ -22,14 +22,15 @@ def eq4_matrix(v_m, k, eta_ch, eps_ch):
     )
 
 
-def interleave(blocks):
-    """The (x_1, p_1, ..., x_N, p_N) covariance matrix gamma of stacked x and p
-    blocks, shape (..., 2, N, N): gamma[2i, 2j] = X[i, j], gamma[2i+1, 2j+1] = P[i, j]."""
-    blocks = np.asarray(blocks)
-    n = blocks.shape[-1]
-    gamma = np.zeros(blocks.shape[:-3] + (2 * n, 2 * n))
-    gamma[..., 0::2, 0::2] = blocks[..., 0, :, :]
-    gamma[..., 1::2, 1::2] = blocks[..., 1, :, :]
+def interleave(state):
+    """The (x_1, p_1, ..., x_N, p_N) covariance matrix gamma, (..., 2N, 2N), of a
+    state or batch given by its x blocks X, `state.x` of shape (..., N, N), and
+    one sign s_i per mode, `state.signs`: gamma[2i, 2j] = X[i, j] and
+    gamma[2i+1, 2j+1] = P[i, j] = s_i s_j X[i, j]."""
+    n = state.x.shape[-1]
+    gamma = np.zeros(state.x.shape[:-2] + (2 * n, 2 * n))
+    gamma[..., 0::2, 0::2] = state.x
+    gamma[..., 1::2, 1::2] = state.x * np.outer(state.signs, state.signs)
     return gamma
 
 

@@ -65,7 +65,7 @@ def test_criterion_1_effective_two_mode_reduction(report):
         eps = rng.uniform(0.0, 0.5)
         p = sec.ProtocolParams(v_m=v_m, k=k, eta_ch=eta, eps_ch=eps)
         state = _record(p)
-        ab = interleave(g.partial_trace(state, ["A", "B"]).data)
+        ab = interleave(g.partial_trace(state, ["A", "B"]))
         worst = max(worst, float(np.max(np.abs(ab - eq4_matrix(v_m, k, eta, eps)))))
     report(1, "effective two-mode covariance oracle", worst <= 1e-10, started, 5.0)
 

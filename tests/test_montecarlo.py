@@ -90,10 +90,34 @@ class TestSample:
         moments = mc.sample_moments(g.vacuum(tuple(modes)), modes, 20_000, seed=0)
         assert moments.grams.shape == (11, 120, 120)
 
+    @pytest.mark.parametrize(
+        "measured, error",
+        [(["A", "X"], MissingMode), ([], InvalidArgument), (["A", "A"], InvalidArgument)],
+    )
+    def test_rejects_measured_modes(self, measured, error):
+        with pytest.raises(error):
+            mc.sample_moments(sec.reduced_state(POINT), measured, 2_000, seed=0)
+
+    def test_reordered_subset_samples_its_marginal(self):
+        # E2, B and L carry the signs +, -, -: the p factor's entries flip between them
+        state, measured = sec.reduced_state(POINT), ["E2", "B", "L"]
+        for n, seed in ((1_000, 0), (123_457, 5), (10**15, 9)):
+            got = mc.sample_moments(state, measured, n, seed)
+            marginal = mc.sample_moments(g.partial_trace(state, measured), measured, n, seed)
+            assert got.modes == marginal.modes == tuple(measured)
+            assert got.counts == marginal.counts
+            assert got.grams.tobytes() == marginal.grams.tobytes()
+
+    def test_builds_no_state(self, checked_states):
+        state = sec.reduced_state(POINT)
+        checked_states.clear()
+        mc.sample_moments(state, ["B", "A", "L"], 5_000, seed=3)
+        assert checked_states == []
+
     def test_gram_matrices_are_wishart(self):
         # mean (count - 1) Sigma; the whole batch's fails without its between-sub-batch term
         state, measured, n, seeds = sec.reduced_state(POINT), ["A", "B", "L"], 1_000, 2_000
-        cov = 0.5 * (interleave(g.partial_trace(state, measured).data) + np.eye(6))
+        cov = 0.5 * (interleave(g.partial_trace(state, measured)) + np.eye(6))
         draws = [mc.sample_moments(state, measured, n, seed) for seed in range(seeds)]
         assert {m.counts for m in draws} == {(n, *mc._subbatch_sizes(n))}
         grams = np.stack([m.grams for m in draws])
@@ -104,7 +128,7 @@ class TestSample:
 
     def test_estimates_match_the_full_array_oracle_in_distribution(self):
         state, measured, n, seeds = sec.reduced_state(POINT), ["A", "B", "L"], 20_000, 300
-        gamma = interleave(g.partial_trace(state, measured).data)
+        gamma = interleave(g.partial_trace(state, measured))
 
         def drawn(seed):
             est = mc.estimate_params(mc.sample_moments(state, measured, n, seed))
@@ -181,7 +205,7 @@ class TestStreamedMoments:
     @pytest.mark.parametrize("blind", [False, True])
     def test_estimates_match_oracle_on_the_same_draws(self, n, measured, blind):
         state = sec.build_scheme(POINT).state
-        draws = heterodyne_draws(interleave(g.partial_trace(state, list(measured)).data), n, seed=n)
+        draws = heterodyne_draws(interleave(g.partial_trace(state, list(measured))), n, seed=n)
         records = {m: draws[:, 2 * i : 2 * i + 2] for i, m in enumerate(measured)}
         blind_v_m = POINT.v_m if blind else None
         expected = mc_estimate(records["A"], records["B"], records.get("L"), blind_v_m, blind)
@@ -275,15 +299,11 @@ class TestEndToEndConsistency:
         # the true point, the estimated point and its four bumped copies
         assert len(evaluated_points) == 6
 
-    def test_checks_three_states(self, checked_states):
+    def test_checks_two_states(self, checked_states):
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
-        # the sampled reduced state, its measured modes' marginal inside
-        # sample_moments, then Eve's E, E|a and E|b at the six evaluated points
-        assert checked_states == [
-            (sec.REDUCED_MODES, ()),
-            (("A", "B", "L"), ()),
-            (("L", "E1", "E2"), (3, 6)),
-        ]
+        # the sampled reduced state, which sample_moments reads as checked, then
+        # Eve's E, E|a and E|b at the six evaluated points
+        assert checked_states == [(sec.REDUCED_MODES, ()), (("L", "E1", "E2"), (3, 6))]
 
     def test_rate_se_names_skipped_terms(self):
         p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=1.0, eps_ch=0.0)

@@ -27,10 +27,10 @@ def purification_rates(p: sec.ProtocolParams) -> tuple[float, float, float]:
     """
     scheme = sec.build_scheme(p)
     gamma_ab = g.partial_trace(scheme.state, ["A", "B"])
-    # B's x and p variances, before and after a
-    bob = gamma_ab.data[:, 1, 1]
-    bob_cond = g.heterodyne_condition(gamma_ab, ["A"]).data[1, :, 0, 0]
-    i_ab = sum(0.5 * np.log2((bob[q] + 1.0) / (bob_cond[q] + 1.0)) for q in (0, 1))
+    # B's variance before and after a, the same on x and p as P = S X S: half of I_AB each
+    bob = gamma_ab.x[1, 1]
+    bob_cond = g.heterodyne_condition(gamma_ab, ["A"]).x[1, 0, 0]
+    i_ab = np.log2((bob + 1.0) / (bob_cond + 1.0))
     trusted = g.partial_trace(scheme.state, scheme.trusted)
     s_t = g.von_neumann_entropy(trusted)
     chi_dr, chi_rr = (
@@ -80,6 +80,27 @@ class TestProtocolParams:
     def test_rejects_block_size_that_is_not_a_finite_integer(self, block_size):
         with pytest.raises(InvalidArgument, match="block_size must be a finite integer"):
             sec.ProtocolParams(v_m=5.0, block_size=block_size)
+
+    @pytest.mark.parametrize("block_size", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_rejects_block_size_beyond_the_largest_float(self, block_size):
+        # a pass reads block sizes as floats; config rejects these as out of range too
+        assert sec.ProtocolParams(v_m=5.0, block_size=2**1023).block_size == 2**1023
+        with pytest.raises(InvalidArgument, match="block size"):
+            sec.ProtocolParams(v_m=5.0, block_size=block_size)
+        with pytest.raises(InvalidArgument, match="block size"):
+            sec.ProtocolParams(v_m=5.0).replace(block_size=block_size)
+
+    @pytest.mark.parametrize("field", ["v_m", "k", "eta_ch", "eps_l", "beta"])
+    @pytest.mark.parametrize("value", [np.array(0.5), np.array([0.5, 0.6]), np.array([[0.5]])])
+    def test_rejects_numpy_arrays_by_name(self, field, value):
+        p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02)
+        fields = dict(zip(sec.PARAM_FIELDS, vars(p).values()), **{field: value})
+        with pytest.raises(InvalidArgument, match=f"{field} must be a real number"):
+            sec.ProtocolParams(**fields)
+        with pytest.raises(InvalidArgument, match=f"{field} must be a real number"):
+            p.replace(**{field: value})
+        # numpy scalars are numbers
+        assert p.replace(**{field: np.float64(0.5)}) == p.replace(**{field: 0.5})
 
     def test_equal_points_hash_equal(self):
         names = ["v_m", "k", "eta_ch", "eps_ch", "eta_d", "eps_d", "eps_p1", "eps_p2", "eps_l"]
@@ -131,8 +152,9 @@ class TestProtocolParams:
     # values at and around every bound, for every field
     BOUNDARY = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5, -0.5, 2.0]
     BOUNDARY += [np.float64(math.nan), np.float64(0.0), np.float64(1.0), np.float64(0.5)]
-    BOUNDARY += [np.float64(-math.inf), "0.5", None, np.array([0.5, 0.5])]
+    BOUNDARY += [np.float64(-math.inf), "0.5", None, np.array([0.5, 0.5]), np.array(0.5)]
     BLOCK_SIZES = [True, False, np.int64(5), 1e6, 2.5, 0, 7, -1, -1.0, math.nan, math.inf]
+    BLOCK_SIZES += [2**1023, 2**1024]
 
     NAN_MESSAGES = {
         name: f"{name} must be finite, got nan"
@@ -203,7 +225,7 @@ class TestBuildScheme:
         p = sec.ProtocolParams(v_m=3.0, k=0.0, eta_ch=0.7, eps_ch=0.05)
         scheme = sec.build_scheme(p)
         assert scheme.state.modes == ("A", "B", "E1", "E2")
-        ab = interleave(g.partial_trace(scheme.state, ["A", "B"]).data)
+        ab = interleave(g.partial_trace(scheme.state, ["A", "B"]))
         assert np.allclose(ab, eq4_matrix(3.0, 0.0, 0.7, 0.05), atol=1e-10)
 
     def test_matches_effective_two_mode_matrix(self):
@@ -214,7 +236,7 @@ class TestBuildScheme:
             eta = rng.uniform(1e-3, 0.999)
             eps = rng.uniform(0.0, 0.5)
             p = sec.ProtocolParams(v_m=vm, k=k, eta_ch=eta, eps_ch=eps)
-            ab = interleave(g.partial_trace(sec.build_scheme(p).state, ["A", "B"]).data)
+            ab = interleave(g.partial_trace(sec.build_scheme(p).state, ["A", "B"]))
             assert np.allclose(ab, eq4_matrix(vm, k, eta, eps), atol=1e-10)
 
     def test_global_state_is_pure(self):
@@ -601,11 +623,12 @@ class TestReducedState:
 
     def test_batch_is_its_points(self):
         batch = sec.reduced_state(self.POINTS)
-        assert batch.data.shape[:-3] == (len(self.POINTS),)
-        for q, data, spectrum in zip(self.POINTS, batch.data, batch.spectrum):
+        assert batch.x.shape[:-2] == (len(self.POINTS),)
+        for q, x, spectrum in zip(self.POINTS, batch.x, batch.spectrum):
             single = sec.reduced_state(q)
-            assert single.data.shape[:-3] == ()
-            assert single.data.tobytes() == data.tobytes()
+            assert single.x.shape[:-2] == ()
+            assert single.x.tobytes() == x.tobytes()
+            assert single.signs.tobytes() == batch.signs.tobytes()
             assert single.spectrum.tobytes() == spectrum.tobytes()
 
     def test_is_the_reduced_purification(self):
@@ -615,14 +638,12 @@ class TestReducedState:
         # E1/E2 after the inverse of the squeezer that made the channel's EPR pair
         v_e = 1.0 + p.eps_ch / (1.0 - p.eta_ch)
         c, s = np.sqrt(0.5 * (v_e + 1.0)), np.sqrt(0.5 * (v_e - 1.0))
-        frame = np.array([np.eye(5)] * 2)
-        frame[:, 3:, 3:] = [[[c, -s], [-s, c]], [[c, s], [s, c]]]
-        np.testing.assert_allclose(
-            sec.reduced_state(p).data,
-            frame @ reduced.data @ frame.swapaxes(-1, -2),
-            rtol=0.0,
-            atol=1e-11,
-        )
+        # on the x quadratures; the p quadratures' +s follows from the signs, as P = S X S
+        frame = np.eye(5)
+        frame[3:, 3:] = [[c, -s], [-s, c]]
+        state = sec.reduced_state(p)
+        np.testing.assert_allclose(state.x, frame @ reduced.x @ frame.T, rtol=0.0, atol=1e-11)
+        np.testing.assert_array_equal(state.signs, reduced.signs)
 
     def test_channel_near_unit_transmittance(self):
         # the channel's EPR pair has variance 1e4 here; E1/E2 in the unsqueezed
