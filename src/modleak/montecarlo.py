@@ -13,6 +13,7 @@ array, the whole batch first; the sampler alone bounds the sample count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,18 @@ def _subbatch_sizes(n: int) -> list[int]:
     return [q + 1] * r + [q] * (N_SUBBATCHES - r)
 
 
+@functools.cache
+def _bartlett_layout(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only layout of a width x width Bartlett factor, flattened row by row:
+    the positions below its diagonal in np.tril_indices order, the diagonal's
+    column indices, and the identity of the width / 2 measured modes."""
+    rows, cols = np.tril_indices(width, -1)
+    layout = (rows * width + cols, np.arange(width), np.eye(width // 2))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 @dataclass(frozen=True)
 class OutcomeMoments:
     """Sufficient statistics of n heterodyne outcomes: the whole batch at
@@ -51,8 +64,11 @@ class OutcomeMoments:
     grams: np.ndarray
 
     def __post_init__(self):
-        # a non-finite outcome makes its column's centred square sum non-finite
+        # a non-finite outcome makes its column's centred square sum non-finite;
+        # only then walk the modes, to name the first such one
         diag = np.diagonal(self.grams, axis1=-2, axis2=-1)
+        if np.isfinite(diag).all():
+            return
         for i, label in enumerate(self.modes):
             if not np.all(np.isfinite(diag[:, 2 * i : 2 * i + 2])):
                 raise InvalidArgument(f"mode {label}: non-finite samples")
@@ -101,13 +117,18 @@ def sample_moments(
     sub-batch Grams' sum plus sum_i m_i (mean_i - mean)(mean_i - mean)^T; each
     Gram G is returned as C G C^T.  n is at least MIN_SAMPLES and at most
     MAX_SAMPLES (counts exact as float64), and Bartlett needs m - 1 >= 2M.
-    n and seed may be integral floats such as 1e6.
+    n and seed may be integral floats such as 1e6.  `state` is one state, not
+    a batch.  The Bartlett layout (the positions below the diagonal and the
+    diagonal) is built once per width 2M and kept read-only.
     """
     n, seed = sec.as_integer("n", n), sec.as_integer("seed", seed)
     if n > MAX_SAMPLES:
         raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
     if seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    if state.x.ndim != 2:
+        batch = state.x.shape[:-2]
+        raise InvalidArgument(f"the sampler samples one state, got a batch of shape {batch}")
     idx = [state.index(mode) for mode in measured_modes]
     if not idx or len(set(idx)) < len(idx):
         raise InvalidArgument(f"need one or more distinct measured modes, got {measured_modes}")
@@ -115,8 +136,9 @@ def sample_moments(
     floor = max(MIN_SAMPLES, N_SUBBATCHES * (width + 1))  # m - 1 >= 2M for Bartlett
     if n < floor:
         raise InvalidArgument(f"need at least {floor} samples, got {n}")
+    below, diag, eye = _bartlett_layout(width)
     try:
-        factor = np.linalg.cholesky(0.5 * (state.x[np.ix_(idx, idx)] + np.eye(len(idx))))
+        factor = np.linalg.cholesky(0.5 * (state.x[idx][:, idx] + eye))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
     chol = np.zeros((width, width))
@@ -126,11 +148,10 @@ def sample_moments(
     rng = np.random.default_rng(seed)
     m = np.array(sizes)[:, None]
     means = rng.standard_normal((N_SUBBATCHES, width)) / np.sqrt(m)
-    below = np.tril_indices(width, -1)
-    diag = np.arange(width)
     bartlett = np.zeros((N_SUBBATCHES, width, width))
-    bartlett[:, below[0], below[1]] = rng.standard_normal((N_SUBBATCHES, len(below[0])))
-    bartlett[:, diag, diag] = np.sqrt(rng.chisquare(m - 1 - diag))
+    flat = bartlett.reshape(N_SUBBATCHES, width * width)
+    flat[:, below] = rng.standard_normal((N_SUBBATCHES, below.size))
+    flat[:, :: width + 1] = np.sqrt(rng.chisquare(m - 1 - diag))
     grams = bartlett @ bartlett.transpose(0, 2, 1)
     spread = means - (m * means).sum(axis=0) / n
     whole = grams.sum(axis=0) + (m * spread).T @ spread
@@ -193,22 +214,17 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
     *columns, clamped = _moment_estimates(
         np.array(moments.counts), moments.grams, *cols, blind_v_m
     )
-    estimates = np.stack(columns, axis=-1)
-    full = estimates[0]
-    se = np.std(estimates[1:], axis=0, ddof=1) / np.sqrt(N_SUBBATCHES)
-    se = np.maximum(se, 1e-12)
-    return EstimateReport(
-        v_m_hat=float(full[0]),
-        k_hat=float(full[1]),
-        eta_hat=float(full[2]),
-        eps_hat=float(max(full[3], 0.0)),
-        se_v_m=float(se[0]),
-        se_k=float(se[1]),
-        se_eta=float(se[2]),
-        se_eps=float(se[3]),
-        n=moments.counts[0],
-        clamped=bool(clamped[0]),
-    )
+    # one C-ordered (11, 4) row per Gram matrix; the sub-batch spread takes
+    # np.std(..., axis=0, ddof=1)'s steps on it, so its sums run in its order
+    estimates = np.array(columns).T.copy()
+    subbatches = estimates[1:]
+    deviations = subbatches - subbatches.sum(axis=0) / N_SUBBATCHES
+    deviations *= deviations
+    spread = np.sqrt(deviations.sum(axis=0) / (N_SUBBATCHES - 1))
+    se = np.maximum(spread / np.sqrt(N_SUBBATCHES), 1e-12)
+    v_m, k, eta, eps, *se_values = np.concatenate((estimates[0], se)).tolist()
+    n, clamped = moments.counts[0], bool(clamped[0])
+    return EstimateReport(v_m, k, eta, max(eps, 0.0), *se_values, n, clamped)
 
 
 @dataclass(frozen=True)

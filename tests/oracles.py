@@ -182,6 +182,79 @@ def mc_estimate(alice, bob, eve, v_m_known=None, assume_no_leakage=False, n_sub=
     return np.concatenate([full, se])
 
 
+def bartlett_moments(x, signs, idx, n, seed, n_sub=10):
+    """Counts and centred Gram matrices of n heterodyne outcomes of the modes at
+    indices `idx` of a state with x block `x` and `signs`, drawn as the
+    montecarlo.sample_moments docstring says, step by step: the measured block
+    read with np.ix_ and the Bartlett layout built on every call.  The whole
+    batch first, then the n_sub sub-batches of np.array_split."""
+    width = 2 * len(idx)
+    factor = np.linalg.cholesky(0.5 * (x[np.ix_(idx, idx)] + np.eye(len(idx))))
+    chol = np.zeros((width, width))
+    chol[0::2, 0::2] = factor
+    chol[1::2, 1::2] = factor * np.outer(signs[idx], signs[idx])
+    q, r = divmod(n, n_sub)
+    sizes = [q + 1] * r + [q] * (n_sub - r)
+    rng = np.random.default_rng(seed)
+    m = np.array(sizes)[:, None]
+    means = rng.standard_normal((n_sub, width)) / np.sqrt(m)
+    below = np.tril_indices(width, -1)
+    diag = np.arange(width)
+    bartlett = np.zeros((n_sub, width, width))
+    bartlett[:, below[0], below[1]] = rng.standard_normal((n_sub, len(below[0])))
+    bartlett[:, diag, diag] = np.sqrt(rng.chisquare(m - 1 - diag))
+    grams = bartlett @ bartlett.transpose(0, 2, 1)
+    spread = means - (m * means).sum(axis=0) / n
+    whole = grams.sum(axis=0) + (m * spread).T @ spread
+    return (n, *sizes), chol @ np.concatenate([whole[None], grams]) @ chol.T
+
+
+def gram_estimate(counts, grams, a, b, e, blind_v_m=None, n_sub=10):
+    """The fields of montecarlo.EstimateReport, by name, from the counts and
+    centred Gram matrices of bartlett_moments, computed the plain way:
+    per-column moments, np.stack and np.std.  a, b and e are
+    the x columns of A, B and L (e None: no record of L)."""
+    counts = np.array(counts)
+
+    def var(i):
+        return grams[:, i, i] / counts + grams[:, i + 1, i + 1] / counts - 1.0
+
+    def cov(i, j):
+        return grams[:, i, j] / (counts - 1) - grams[:, i + 1, j + 1] / (counts - 1)
+
+    v_a, v_b = var(a), var(b)
+    c_ab = np.abs(cov(a, b))
+    s = np.maximum(v_a - 1.0, 1e-12)
+    if blind_v_m is not None:
+        v_m = np.full_like(s, blind_v_m)
+        k = np.zeros_like(s)
+        eta = c_ab**2 / (v_m * (2.0 + v_m))
+    else:
+        if e is None:
+            k = np.zeros_like(s)
+        else:
+            w = np.minimum(np.abs(cov(a, e)) ** 2 / (s * (2.0 + s)), 0.999)
+            k = np.sqrt(w / (1.0 - w))
+        v_m = s / (1.0 + k * k)
+        eta = c_ab**2 / (v_m * (2.0 + s))
+    eps = v_b - 1.0 - eta * v_m
+    estimates = np.stack([v_m, k, eta, eps], axis=-1)
+    full = estimates[0]
+    se = np.maximum(np.std(estimates[1:], axis=0, ddof=1) / np.sqrt(n_sub), 1e-12)
+    return {
+        "v_m_hat": float(full[0]),
+        "k_hat": float(full[1]),
+        "eta_hat": float(full[2]),
+        "eps_hat": float(max(full[3], 0.0)),
+        "se_v_m": float(se[0]),
+        "se_k": float(se[1]),
+        "se_eta": float(se[2]),
+        "se_eps": float(se[3]),
+        "n": int(counts[0]),
+        "clamped": bool((v_a[0] < 1.0) | (eps[0] < 0.0)),
+    }
+
+
 def mp_entropy_g(nu):
     """g(nu) in bits at mpmath's working precision; 0 for nu <= 1."""
     b = (mp.mpf(nu) - 1) / 2

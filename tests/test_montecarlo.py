@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import heterodyne_draws, interleave, mc_estimate
+from oracles import bartlett_moments, gram_estimate, heterodyne_draws, interleave, mc_estimate
 
 from modleak import gaussian as g
 from modleak import montecarlo as mc
@@ -108,6 +108,21 @@ class TestSample:
             assert got.counts == marginal.counts
             assert got.grams.tobytes() == marginal.grams.tobytes()
 
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_rejects_a_batch_of_states(self, points):
+        state = sec.reduced_state([POINT] * points)
+        message = rf"samples one state, got a batch of shape \({points},\)"
+        with pytest.raises(InvalidArgument, match=message):
+            mc.sample_moments(state, ["A", "B"], 1_000, 1)
+
+    def test_bartlett_layout_is_read_only(self):
+        for width in (2, 4, 6, 10):
+            below, diag, eye = mc._bartlett_layout(width)
+            assert below.size == width * (width - 1) // 2
+            assert diag.tolist() == list(range(width)) and eye.shape == (width // 2,) * 2
+            assert not any(array.flags.writeable for array in (below, diag, eye))
+            assert mc._bartlett_layout(width)[0] is below
+
     def test_builds_no_state(self, checked_states):
         state = sec.reduced_state(POINT)
         checked_states.clear()
@@ -143,6 +158,46 @@ class TestSample:
         se = np.sqrt((got.var(axis=0, ddof=1) + expected.var(axis=0, ddof=1)) / seeds)
         assert np.all(np.abs(got.mean(axis=0) - expected.mean(axis=0)) < 4.0 * se)
         np.testing.assert_allclose(got.std(axis=0, ddof=1), expected.std(axis=0, ddof=1), rtol=0.25)
+
+
+class TestSeedContract:
+    """The sampler and the estimator against references that follow the
+    sample_moments docstring step by step, bit for bit."""
+
+    # 1 to 5 modes; the reduced state's signs are A +, B -, L -, E1 -, E2 +
+    SUBSETS = (
+        ["L"],
+        ["A", "B"],
+        ["E1", "A", "B"],
+        ["B", "A", "L"],
+        ["E2", "B", "L", "A"],
+        list(sec.REDUCED_MODES),
+    )
+
+    @staticmethod
+    def assert_same_bits(state, measured, n, seed):
+        idx = [state.modes.index(mode) for mode in measured]
+        counts, grams = bartlett_moments(state.x, state.signs, idx, n, seed)
+        moments = mc.sample_moments(state, measured, n, seed)
+        assert moments.counts == counts
+        assert moments.grams.tobytes() == grams.tobytes()
+        if "A" in measured and "B" in measured:
+            cols = [2 * measured.index(m) if m in measured else None for m in ("A", "B", "L")]
+            for blind_v_m in (None, POINT.v_m):
+                expected = mc.EstimateReport(**gram_estimate(counts, grams, *cols, blind_v_m))
+                assert repr(mc.estimate_params(moments, blind_v_m)) == repr(expected)
+
+    @pytest.mark.parametrize("n", [mc.MIN_SAMPLES, 1_003, 10**6, 2**53])
+    @pytest.mark.parametrize("measured", SUBSETS, ids="-".join)
+    def test_matches_the_docstring_reference(self, measured, n):
+        self.assert_same_bits(sec.reduced_state(POINT), measured, n, seed=n % 1_009)
+
+    def test_widths_interleave(self):
+        # a layout kept for one width must not serve another
+        state = sec.reduced_state(dataclasses.replace(POINT, k=0.8, eps_l=0.05))
+        subsets = (["A", "B"], ["B", "A", "L"], ["E2", "A"], list(sec.REDUCED_MODES))
+        for seed, measured in enumerate(subsets):
+            self.assert_same_bits(state, measured, 20_011, seed)
 
 
 class TestEstimateParams:
@@ -189,6 +244,16 @@ class TestEstimateParams:
         with pytest.raises(InvalidArgument):
             self._batch(POINT, 500, seed=1)
 
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_report_floats_are_python_floats(self, blind):
+        # the JSON and repr of a report hold Python floats, not numpy scalars
+        p = dataclasses.replace(POINT, k=0.5)
+        report = mc.end_to_end_consistency(p, 20_000, seed=4, assume_no_leakage=blind)
+        for rep in (report, report.estimate):
+            names = [f.name for f in dataclasses.fields(rep) if f.type == "float"]
+            assert len(names) in (6, 8)
+            assert all(type(getattr(rep, name)) is float for name in names)
+
     def test_missing_bob_record(self):
         moments = mc.sample_moments(sec.reduced_state(POINT), ["A", "L"], 2_000, seed=1)
         with pytest.raises(MissingMode, match="B"):
@@ -224,6 +289,18 @@ class TestStreamedMoments:
         grams = moments.grams.copy()
         grams[4, 2, 2] = np.inf
         with pytest.raises(InvalidArgument, match="mode b: non-finite"):
+            dataclasses.replace(moments, grams=grams)
+
+    # columns: B's x and p, then A's, then L's
+    @pytest.mark.parametrize(
+        "entries, mode", [([(3, 5, 5), (4, 3, 3)], "A"), ([(9, 5, 5), (0, 1, 1)], "B")]
+    )
+    def test_names_the_first_non_finite_mode(self, entries, mode):
+        moments = mc.sample_moments(sec.reduced_state(POINT), ["B", "A", "L"], 2_000, seed=1)
+        grams = moments.grams.copy()
+        for entry in entries:
+            grams[entry] = np.nan
+        with pytest.raises(InvalidArgument, match=f"mode {mode}: non-finite"):
             dataclasses.replace(moments, grams=grams)
 
     def test_closure_memory_does_not_grow_with_n(self):
