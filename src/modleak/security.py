@@ -40,12 +40,15 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it.  A round costs about 136 us fixed and 13 us per further point (the
-# minimum of 240 timed 30-round searches, on a 2-core x86-64 with one BLAS
-# thread), so for n searches a walked step at depth d costs about
-# (136 + 13 n (2^d - 1)) / d us: least at d = 3 (7 points) for one search, with
-# d = 4 (15) 9% above it, at d = 3 (14) for two, with d = 2 (6) within 1%,
-# and at d = 1 from 11 searches.  16 keeps d = 4 for one search.
+# for in it, 2^d - 1 each at depth d (`golden_depth`).  A round costs about
+# 136 us fixed and 13 us per further point (the minimum of 240 timed 30-round
+# searches, on a 2-core x86-64 with one BLAS thread).  The full tree of the next
+# d steps, `search_vm`'s fallback, carries the walk d steps a round: for n
+# searches a walked step costs about (136 + 13 n (2^d - 1)) / d us, least at
+# d = 3 for one search, with d = 4 9% above it.  The predicted path carries it
+# up to the first mispredicted step, at most 2^(d-1) steps: at d = 4 a lone
+# search at the benchmark's sweep point takes 1.75 golden rounds over 20 points
+# where the tree took 2.75 over 34.  16 keeps d = 4 for one search.
 SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
@@ -89,35 +92,39 @@ class ProtocolParams:
     block_size: int = 0
 
     def __post_init__(self):
-        # a valid point passes one comparison over every bound, which NaN fails;
-        # only a point that fails it, or cannot be compared or hashed, runs the checks
+        # until here the instance dict holds exactly the fields, in order
+        values = tuple(self.__dict__.values())
+        v_m, k, eta_ch, eps_ch, eta_d, eps_d, eps_p1, eps_p2, eps_l, beta, block_size = values
         inf = math.inf
+        # a valid point adds to a float and passes one comparison over every bound,
+        # which NaN fails; only a point that fails either, or cannot be hashed, runs
+        # the checks.  A Decimal compares with floats but does not add to them
         try:
+            0.0 + v_m + k + eta_ch + eps_ch + eta_d + eps_d + eps_p1 + eps_p2 + eps_l + beta
             valid = (
-                0.0 < self.v_m < inf
-                and 0.0 <= self.k < inf
-                and 0.0 < self.eta_ch <= 1.0
-                and 0.0 <= self.eps_ch < inf
-                and 0.0 < self.eta_d <= 1.0
-                and 0.0 <= self.eps_d < inf
-                and 0.0 <= self.eps_p1 < inf
-                and 0.0 <= self.eps_p2 < inf
-                and 0.0 <= self.eps_l < inf
-                and 0.0 <= self.beta <= 1.0
-                and type(self.block_size) is int
-                and 0 <= self.block_size <= MAX_BLOCK_SIZE
-                and (self.eta_ch < 1.0 or self.eps_ch == 0.0)
-                and (self.eta_d < 1.0 or self.eps_d == 0.0)
+                0.0 < v_m < inf
+                and 0.0 <= k < inf
+                and 0.0 < eta_ch <= 1.0
+                and 0.0 <= eps_ch < inf
+                and 0.0 < eta_d <= 1.0
+                and 0.0 <= eps_d < inf
+                and 0.0 <= eps_p1 < inf
+                and 0.0 <= eps_p2 < inf
+                and 0.0 <= eps_l < inf
+                and 0.0 <= beta <= 1.0
+                and type(block_size) is int
+                and 0 <= block_size <= MAX_BLOCK_SIZE
+                and (eta_ch < 1.0 or eps_ch == 0.0)
+                and (eta_d < 1.0 or eps_d == 0.0)
             )
-            # drive hashes each point several times a round, so hash the fields once;
-            # until here the instance dict holds exactly the fields, in order
-            fields_hash = hash(tuple(self.__dict__.values()))
+            # drive hashes each point several times a round, so hash the fields once
+            fields_hash = hash(values)
         except (TypeError, ValueError):  # a 0-d array compares but does not hash
             valid = False
         if not valid:
             self._check()
             fields_hash = hash(tuple(self.__dict__.values()))
-        object.__setattr__(self, "_hash", fields_hash)
+        self.__dict__["_hash"] = fields_hash
 
     def _check(self):
         """Raise the error of the first bound that the point breaks, and store an
@@ -295,9 +302,9 @@ _SIGNS.setflags(write=False)
 
 def _x_block(p: ProtocolParams) -> tuple[float, ...]:
     """The upper triangle, row by row, of the x block of `reduced_state(p)`, then that
-    of its (B, L, E1, E2) block, affine in v_s with slope u u^T, at v_s = 1; A's row
+    of its (L, E1, E2) block, affine in v_s with slope u u^T, at v_s = 1; A's row
     is c_s u.  Float arithmetic: an overflow gives inf or NaN entries."""
-    eta_ch, eps_ch, eta_d = p.eta_ch, p.eps_ch, p.eta_d
+    eta_ch, eps_ch, eta_d, eps_p2 = p.eta_ch, p.eps_ch, p.eta_d, p.eps_p2
     k2 = p.k * p.k
     t, r = math.sqrt(1.0 / (1.0 + k2)), math.sqrt(k2 / (1.0 + k2))
     e, d = math.sqrt(eta_ch), math.sqrt(eta_d)
@@ -307,29 +314,30 @@ def _x_block(p: ProtocolParams) -> tuple[float, ...]:
     # E1 = -fc B + alpha V1 - beta V2 and E2 = fs B + beta V1 + delta V2 on the x
     # quadratures, for B before the channel and two vacua V1, V2
     fc, fs = math.sqrt(1.0 - eta_ch + 0.5 * eps_ch), math.sqrt(0.5 * eps_ch)
-    uv = (1.0 - eta_ch + eps_ch) / (1.0 + e)
-    alpha, beta, delta = 1.0 - fc * fc / (1.0 + e), fc * fs / (1.0 + e), 1.0 + fs * fs / (1.0 + e)
-    entries = (v_s, d * e * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s)
-    for source in (v_s, 1.0):
-        # B and L after the leakage beamsplitter, with the trusted noise on each
-        b0 = source + p.eps_p1
-        bb = t * t * b0 + r * r * l0 + p.eps_p2
-        bl = t * r * (l0 - b0)
-        entries += (
-            eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d,
-            d * e * bl, d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb),
-            r * r * b0 + t * t * l0, -fc * bl, fs * bl,
-            fc * fc * bb + alpha * alpha + beta * beta, -fc * fs * (bb + uv / (1.0 + e)),
-            fs * fs * bb + beta * beta + delta * delta,
-        )
-    return entries
+    e1 = 1.0 + e
+    uv = (1.0 - eta_ch + eps_ch) / e1
+    t2, r2, tr, de, fc2, fs2, fcs = t * t, r * r, t * r, d * e, fc * fc, fs * fs, -fc * fs
+    alpha, beta, delta = 1.0 - fc2 / e1, fc * fs / e1, 1.0 + fs2 / e1
+    a2, b2, d2, w = alpha * alpha, beta * beta, delta * delta, uv / e1
+    # B and L after the leakage beamsplitter, with the trusted noise on each, at
+    # v_s and at 1
+    b0, b1 = v_s + p.eps_p1, 1.0 + p.eps_p1
+    bb, bb1 = t2 * b0 + r2 * l0 + eps_p2, t2 * b1 + r2 * l0 + eps_p2
+    bl, bl1 = tr * (l0 - b0), tr * (l0 - b1)
+    return (
+        v_s, de * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s,
+        eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d,
+        de * bl, d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb),
+        r2 * b0 + t2 * l0, -fc * bl, fs * bl, fc2 * bb + a2 + b2, fcs * (bb + w), fs2 * bb + b2 + d2,
+        r2 * b1 + t2 * l0, -fc * bl1, fs * bl1, fc2 * bb1 + a2 + b2, fcs * (bb1 + w), fs2 * bb1 + b2 + d2,
+    )
 
 
 # `reduced_state(p)`'s x block from `_x_block(p)`, and Eve's at v_s = 1
 _REDUCED_X = np.zeros((5, 5), dtype=int)
 _REDUCED_X[np.triu_indices(5)] = np.arange(15)
 _REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
-_EVE_X_AT_UNIT_SOURCE = _REDUCED_X[2:, 2:] + 10
+_EVE_X_AT_UNIT_SOURCE = _REDUCED_X[2:, 2:] + 6
 
 
 def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
@@ -506,9 +514,41 @@ def _golden_tree(bracket, depth: int, steps: int) -> list:
     return points
 
 
+def _golden_path(bracket, vertex: float, depth: int, steps: int) -> list:
+    """The new points of the next 2^depth - 1 golden-section steps from `bracket`,
+    as many as `_golden_tree(bracket, depth, steps)` holds, along the
+    path that a parabola with its maximum at `vertex` predicts: each step's
+    point on both outcomes of its comparison, then on to the predicted one,
+    right iff vertex > (x1 + x2) / 2.  The path ends where the search would
+    stop, at convergence or after `steps` more steps."""
+    points = []
+    for _ in range(min(2**depth - 1, steps)):
+        if _golden_converged(bracket):
+            break
+        right = vertex > (bracket[1] + bracket[2]) / 2
+        branch, u = _golden_step(bracket, right)
+        points += [u, _golden_step(bracket, not right)[1]]
+        bracket = branch
+    return points
+
+
+def _parabola_vertex(known: dict, centre: float):
+    """The vertex of the parabola through the three points (u, f) of `known`
+    nearest `centre`, or None where that parabola has no maximum."""
+    ua, ub, uc = sorted(sorted(known, key=lambda u: abs(u - centre))[:3])
+    slope = (known[ub] - known[ua]) / (ub - ua)
+    curvature = ((known[uc] - known[ub]) / (uc - ub) - slope) / (uc - ua)
+    if not curvature < 0.0:
+        return None
+    return 0.5 * (ua + ub) - 0.5 * slope / curvature
+
+
 def golden_depth(searches: int) -> int:
-    """Golden-section steps carried by each round of `searches` V_M searches that
-    share their rounds: the largest d >= 1 with searches (2^d - 1) <= SPECULATED_POINTS."""
+    """Speculation depth of each round of `searches` V_M searches that share their
+    rounds: the largest d >= 1 with searches (2^d - 1) <= SPECULATED_POINTS.  Each
+    search asks for 2^d - 1 points a round: the walked step's and, from its
+    bracket, the points of 2^(d-1) - 1 steps along a predicted path on both
+    outcomes each, or of the next d - 1 steps' full tree (`search_vm`)."""
     depth = 1
     while searches * (2 ** (depth + 1) - 1) <= SPECULATED_POINTS:
         depth += 1
@@ -521,13 +561,20 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     The golden-section steps and stopping rule, x3 - x0 <= 1e-3 (|x1| + |x2|)
     on u = log(V_M), are those of scipy.optimize.golden, so optima inside the
     grid stay where that search put them.  The next step's point depends on
-    one comparison only, so each golden round carries d steps: the walked
-    step's point and the 2^d - 2 points of the next d - 1 steps on either
-    outcome, none past the stopping rule.  The first asks for [x1, x2] and
-    the next d - 1 steps' tree.  The walk then takes the real comparisons
-    through those values, so it visits exactly the points of the one-step
-    search.  d is `golden_depth(searches)`, for `searches` V_M searches
-    sharing each round.
+    one comparison only, so each golden round asks for the walked step's
+    point and 2^d - 2 speculated points, none past the stopping rule; the
+    first asks for [x1, x2] and the same.  The parabola through the three
+    known values of R(u) nearest the bracket's centre, grid values at first,
+    predicts each comparison: right iff its vertex > (x1 + x2) / 2.  Along
+    that predicted path the round asks for each of the next 2^(d-1) - 1
+    steps' point on both outcomes (parabolic interpolation, R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, used only to
+    choose the points).  Where that parabola has no maximum the round asks
+    for the next d - 1 steps' points on every outcome instead.  The walk then
+    takes the real comparisons through those values, so it visits exactly
+    the points of the one-step search; a round carries the walk up to its
+    first mispredicted step.  d is `golden_depth(searches)`, for `searches` V_M
+    searches sharing each round.
     """
     grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
     # plain floats, not numpy scalars, for the float arithmetic of `_x_block`
@@ -535,8 +582,20 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     best = int(np.argmax(rates))
     depth = golden_depth(searches)
     values: dict[float, float] = {}
+    # the grid values that the parabola may pass through: the three nearest any
+    # point of the first bracket are among the best one and two either side
+    window = range(max(best - 2, 0), min(best + 3, len(grid)))
+    near = dict(zip(np.log(grid[window]).tolist(), rates[window].tolist()))
 
-    def ask(us):
+    def ask(us, bracket, steps):
+        """Ask for `us` and the speculated points of the next steps from `bracket`."""
+        vertex = None
+        if depth > 1:
+            vertex = _parabola_vertex({**near, **values}, (bracket[0] + bracket[3]) / 2)
+        if vertex is None:
+            us += _golden_tree(bracket, depth - 1, steps)
+        else:
+            us += _golden_path(bracket, vertex, depth - 1, steps)
         points = [p.replace(v_m=float(np.exp(u))) for u in us]
         values.update(zip(us, (yield from _rates(points, direction))))
 
@@ -550,7 +609,7 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     else:
         x1, x2 = mid - GOLDEN_C * (mid - x0), mid
     bracket = (x0, x1, x2, x3)
-    yield from ask([x1, x2, *_golden_tree(bracket, depth - 1, GOLDEN_MAXITER)])
+    yield from ask([x1, x2], bracket, GOLDEN_MAXITER)
     f1, f2 = values[x1], values[x2]
     for steps in range(GOLDEN_MAXITER, 0, -1):
         if _golden_converged(bracket):
@@ -558,7 +617,7 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
         right = f2 > f1
         bracket, u = _golden_step(bracket, right)
         if u not in values:
-            yield from ask([u, *_golden_tree(bracket, depth - 1, steps - 1)])
+            yield from ask([u], bracket, steps - 1)
         f1, f2 = (f2, values[u]) if right else (values[u], f1)
     _, x1, x2, _ = bracket
     # ties break toward smaller V_M

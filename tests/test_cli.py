@@ -564,20 +564,43 @@ class TestSweepRowsHelper:
             optimum = dataclasses.replace(cfg.params_at(row["sweep_var"]), v_m=row["V_M"])
             assert evaluated_points.count(optimum) == 1
 
-    def test_rounds_of_known_points_evaluate_nothing(self, evaluated_batches):
+    def test_rounds_of_known_points_evaluate_nothing(self, monkeypatch, evaluated_batches):
         from modleak.config import parse_config
 
         # the row's own round [p, p0] comes after the loss margins, which asked for both
+        search_row, logs = cli._search_row, []
+
+        def recorded(*args):
+            """`_search_row(*args)`, logging each request with the passes made before it."""
+            search, log, reports = search_row(*args), [], None
+            logs.append(log)
+            try:
+                while True:
+                    request = search.send(reports)
+                    log.append((list(request), len(evaluated_batches)))
+                    reports = yield request
+            except StopIteration as stop:
+                return stop.value
+
+        monkeypatch.setattr(cli, "_search_row", recorded)
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
                 "modulator": {"rho": {"start": -5.0, "stop": 4.0, "points": 2}},
             }
         )
-        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
-        sizes = [len(batch) for batch in evaluated_batches]
-        assert len(sizes) > 10
-        assert min(sizes) > 0
+        rows = cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        assert len(logs) == len(rows) == 2
+        for row, log in zip(rows, logs):
+            p = dataclasses.replace(cfg.params_at(row["sweep_var"]), v_m=row["V_M"])
+            request, passes = log[-1]
+            assert request == [p, dataclasses.replace(p, k=0.0)]
+            # both points were evaluated before the round was asked, and never after
+            assert [q for batch in evaluated_batches[:passes] for q in batch if q in request] == request
+            assert not any(q in request for batch in evaluated_batches[passes:] for q in batch)
+        # the last round, the rows' own, makes no pass
+        assert len(evaluated_batches) == max(log[-1][1] for log in logs)
+        assert min(len(batch) for batch in evaluated_batches) > 0
 
     def test_margins_ask_for_both_ends_with_the_row(self, evaluated_batches):
         from modleak.config import parse_config
@@ -664,9 +687,10 @@ class TestSweepRowsHelper:
         from modleak.config import parse_config
 
         # the benchmark's set-up sweep, |rho| = 3 dB mirrored, is one search: the
-        # V_M grid, three golden rounds at depth 4, the margins' ends round (p0
-        # and both 60 dB ends), then 6 lockstep Brent rounds on u = t^2 (on t
-        # there were 8: 4, 4, 4, 4, 2, 2, 2, 2)
+        # V_M grid, one golden round at depth 4 (with the full tree of the next
+        # steps there were two: 16, 15), the margins' ends round (p0 and both
+        # 60 dB ends), then 6 lockstep Brent rounds on u = t^2 (on t there were
+        # 8: 4, 4, 4, 4, 2, 2, 2, 2)
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
@@ -674,8 +698,25 @@ class TestSweepRowsHelper:
             }
         )
         cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
-        sizes = [40, 16, 15, 3, 3, 4, 4, 4, 4, 4, 1]
+        sizes = [40, 16, 3, 3, 4, 4, 4, 4, 4, 1]
         assert [len(batch) for batch in evaluated_batches] == sizes
+
+    @pytest.mark.parametrize("x, passes, points", [(0.8, 9, 83), (2.5, 10, 82), (4.0, 9, 81), (5.5, 9, 79)])
+    def test_mirrored_row_passes_and_points(self, evaluated_batches, x, passes, points):
+        from modleak.config import parse_config
+
+        # one mirrored row from each |rho| stratum of the benchmark; with the full
+        # tree of the next golden steps these took 10, 11, 10 and 10 passes over
+        # 98, 97, 92 and 94 points
+        cfg = parse_config(
+            {
+                "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
+                "modulator": {"rho": {"start": -x, "stop": x, "points": 2}},
+            }
+        )
+        cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
+        assert len(evaluated_batches) == passes
+        assert sum(len(batch) for batch in evaluated_batches) == points
 
     def test_lockstep_rows_equal_public_calls(self):
         from modleak.config import parse_config

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -153,6 +154,8 @@ class TestProtocolParams:
     BOUNDARY = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5, -0.5, 2.0]
     BOUNDARY += [np.float64(math.nan), np.float64(0.0), np.float64(1.0), np.float64(0.5)]
     BOUNDARY += [np.float64(-math.inf), "0.5", None, np.array([0.5, 0.5]), np.array(0.5)]
+    # a Decimal compares with floats but is not a real number
+    BOUNDARY += [Decimal("5"), Decimal("NaN"), Decimal("-1")]
     BLOCK_SIZES = [True, False, np.int64(5), 1e6, 2.5, 0, 7, -1, -1.0, math.nan, math.inf]
     BLOCK_SIZES += [2**1023, 2**1024]
 
@@ -556,9 +559,9 @@ class TestEveStates:
         x_block = sec._x_block
 
         def shifted(p):
-            # the (B, L, E1, E2) entries at v_s = 1 + offset in place of those at 1
+            # the (L, E1, E2) entries at v_s = 1 + offset in place of those at 1
             near_unit = x_block(p.replace(v_m=offset / (1.0 + p.k * p.k)))
-            return x_block(p)[:15] + near_unit[5:15]
+            return x_block(p)[:15] + near_unit[9:15]
 
         monkeypatch.setattr(sec, "_x_block", shifted)
         state = self.pass_states(monkeypatch, self.FULL_NOISE)
@@ -753,9 +756,26 @@ def vm_rates(p: sec.ProtocolParams, direction: str, rounds: list):
     return rates
 
 
+def logged(search, requests: list):
+    """`search`, appending each request that it yields to `requests`."""
+    reports = None
+    try:
+        while True:
+            request = search.send(reports)
+            requests.append(list(request))
+            reports = yield request
+    except StopIteration as stop:
+        return stop.value
+
+
 SWEEP_POINT = sec.ProtocolParams(v_m=5.0, eta_ch=0.9, eps_ch=0.02, beta=0.96)
 # in the |rho| 1.47-1.85 dB band the RR optimum lies between the last two grid points
 BAND_POINTS = [dataclasses.replace(SWEEP_POINT, k=rho_to_k(rho)) for rho in (1.5, 1.7, 1.84)]
+# at k = 0 and eta_ch = 1 R grows with V_M: the optimum is the grid end V_M = 100,
+# where the parabola through the grid values has no maximum
+GRID_END_POINT = random_points(np.random.default_rng(31), 4)[3]
+# a search whose third round finds no maximum in its parabola
+FALLBACK_POINT = random_points(np.random.default_rng(33), 1)[0]
 
 
 class TestOptimizeVm:
@@ -837,6 +857,93 @@ class TestOptimizeVm:
         assert sec._golden_tree(narrow, 4, sec.GOLDEN_MAXITER) == []
         near = tuple(np.log(3.0) + 3e-3 * np.array([0.0, 0.4, 0.6, 1.0]))
         assert len(sec._golden_tree(near, 4, sec.GOLDEN_MAXITER)) == 2
+
+    def test_golden_path_asks_both_outcomes_along_the_prediction(self):
+        top = np.log(4.0)
+        wide = (0.0, sec.GOLDEN_C * top, sec.GOLDEN_R * top, top)
+        # as many points as the tree; at depth 4 the path of 15 steps converges after 14
+        for depth in range(4):
+            path = sec._golden_path(wide, 1.0, depth, sec.GOLDEN_MAXITER)
+            assert len(path) == len(sec._golden_tree(wide, depth, sec.GOLDEN_MAXITER))
+        assert len(sec._golden_path(wide, 1.0, 4, sec.GOLDEN_MAXITER)) == 28
+        for vertex in (-1.0, 0.3, 1.0, 2.0):
+            path, bracket = sec._golden_path(wide, vertex, 3, sec.GOLDEN_MAXITER), wide
+            assert len(path) == 14
+            for taken, other in zip(path[::2], path[1::2]):
+                right = vertex > (bracket[1] + bracket[2]) / 2
+                assert other == sec._golden_step(bracket, not right)[1]
+                bracket, u = sec._golden_step(bracket, right)
+                assert taken == u
+        # the path ends where the search would stop
+        assert len(sec._golden_path(wide, 1.0, 4, 1)) == 2
+        assert sec._golden_path(wide, 1.0, 4, 0) == []
+        narrow = tuple(np.log(3.0) + 1e-4 * np.array([0.0, 0.4, 0.6, 1.0]))
+        assert sec._golden_path(narrow, 1.0, 4, sec.GOLDEN_MAXITER) == []
+        near = tuple(np.log(3.0) + 3e-3 * np.array([0.0, 0.4, 0.6, 1.0]))
+        assert len(sec._golden_path(near, 1.0, 4, sec.GOLDEN_MAXITER)) == 2
+
+    def test_parabola_vertex_from_the_three_values_nearest_the_centre(self):
+        def f(u):
+            return 3.0 - 2.0 * (u - 0.7) ** 2
+
+        known = {u: f(u) for u in (-4.0, 0.0, 0.5, 1.0, 2.0)}
+        assert sec._parabola_vertex(known, 0.6) == pytest.approx(0.7, abs=1e-12)
+        known[-4.0] = known[2.0] = 100.0
+        assert sec._parabola_vertex(known, 0.6) == pytest.approx(0.7, abs=1e-12)
+        # a convex fit, or a straight one: no maximum
+        assert sec._parabola_vertex({u: u * u for u in (0.0, 0.5, 1.0)}, 0.5) is None
+        assert sec._parabola_vertex({u: 2.0 * u for u in (0.0, 1.0, 2.0)}, 1.0) is None
+
+    @pytest.mark.parametrize("searches", [1, 2, 3, 6])
+    def test_shared_rounds_equal_the_one_step_walk_bitwise(self, searches):
+        # the band's last grid interval, the grid end V_M = 100, a fallback to the
+        # tree mid-search and seeded points, both directions
+        points = [BAND_POINTS[0], GRID_END_POINT, FALLBACK_POINT]
+        points += random_points(np.random.default_rng(34), 3)
+        runs = [(p, ("rr", "dr")[i % 2]) for i, p in enumerate(points[:searches])]
+        expected = [sec.OptimalVm(*golden_walk(vm_rates(p, d, []))) for p, d in runs]
+        requests = []
+        shared = sec.lockstep(sec.search_vm(p, d, searches) for p, d in runs)
+        assert sec.drive(logged(shared, requests)) == expected
+        # the grids' round, then at most SPECULATED_POINTS golden points a round
+        assert len(requests[0]) == searches * sec.VM_GRID_POINTS
+        assert max(len(request) for request in requests[1:]) <= sec.SPECULATED_POINTS
+
+    def test_no_maximum_falls_back_to_the_tree(self, monkeypatch):
+        vertex, tree, fits, trees = sec._parabola_vertex, sec._golden_tree, [], []
+
+        def fit(known, centre):
+            fits.append(vertex(known, centre))
+            return fits[-1]
+
+        def full_tree(bracket, depth, steps):
+            trees.append(depth)
+            return tree(bracket, depth, steps)
+
+        monkeypatch.setattr(sec, "_parabola_vertex", fit)
+        monkeypatch.setattr(sec, "_golden_tree", full_tree)
+        # the fits without a maximum: the third of the search's, both of its two, none
+        cases = ((FALLBACK_POINT, "rr", [2]), (GRID_END_POINT, "rr", [0, 1]), (BAND_POINTS[1], "dr", []))
+        for p, direction, fallbacks in cases:
+            fits.clear()
+            trees.clear()
+            expected = sec.OptimalVm(*golden_walk(vm_rates(p, direction, [])))
+            assert sec.optimize_vm(p, direction) == expected
+            assert [i for i, v in enumerate(fits) if v is None] == fallbacks
+            # each asks for the tree of the next 3 steps (its branches recurse at depth < 3)
+            assert trees.count(3) == len(fallbacks)
+
+    def test_predicted_path_takes_no_more_rounds_than_the_tree(self, monkeypatch, evaluated_batches):
+        rounds = {}
+        for fit in (sec._parabola_vertex, lambda known, centre: None):
+            monkeypatch.setattr(sec, "_parabola_vertex", fit)
+            for p in BAND_POINTS + random_points(np.random.default_rng(32), 4):
+                for direction in ("dr", "rr"):
+                    evaluated_batches.clear()
+                    sec.optimize_vm(p, direction)
+                    rounds.setdefault((p, direction), []).append(len(evaluated_batches))
+        assert all(path <= tree for path, tree in rounds.values())
+        assert sum(path for path, _ in rounds.values()) < sum(tree for _, tree in rounds.values())
 
     def test_one_search_takes_fewer_rounds_than_the_walk(self, evaluated_batches):
         points = [BAND_POINTS[0], sec.ProtocolParams(v_m=1.0, k=0.1, eta_ch=0.5, eps_ch=0.02)]
