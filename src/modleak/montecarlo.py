@@ -1,14 +1,18 @@
 """Monte-Carlo sampling and parameter re-estimation at desk scale.
 
-Samples heterodyne statistics of A, B and L on the protocol's five-mode reduced
-state (`security.reduced_state`), re-derives the protocol parameters with
-moment estimators, and closes the loop by comparing the key rate at the
-estimated point against the true one.  Eve's record is the leakage-mode
-output, measured with perfect efficiency.
-`sample_moments`, the only sampling path, draws the per-sub-batch statistics
+Samples heterodyne statistics of A, B and L, re-derives the protocol
+parameters with moment estimators, and closes the loop by comparing the key
+rate at the estimated point against the true one.  Eve's record is the
+leakage-mode output, measured with perfect efficiency.
+The closure samples the (A, B[, L]) x block of `security._x_block`, the
+entries of `security.reduced_state` without its five-mode check: only the
+sampler's Cholesky of (X + 1)/2 and the key-rate pass, which checks Eve's
+states at the true point, stand between it and a report.
+`_sample_block`, the only sampling path, draws the per-sub-batch statistics
 that the estimator reads (Bartlett's decomposition), never an outcome, so its
-cost does not depend on the sample count.  `OutcomeMoments` holds them as one
-array, the whole batch first; the sampler alone bounds the sample count.
+cost does not depend on the sample count; `sample_moments` samples a state
+with it.  `OutcomeMoments` holds them as one array, the whole batch first; the
+sampler alone bounds the sample count.
 """
 
 from __future__ import annotations
@@ -97,6 +101,16 @@ class EstimateReport:
     clamped: bool = False
 
 
+def _count_and_seed(n, seed) -> tuple[int, int]:
+    """The sample count and seed as ints, each within the sampler's bounds."""
+    n, seed = sec.as_integer("n", n), sec.as_integer("seed", seed)
+    if n > MAX_SAMPLES:
+        raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    return n, seed
+
+
 def sample_moments(
     state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
 ) -> OutcomeMoments:
@@ -121,28 +135,32 @@ def sample_moments(
     a batch.  The Bartlett layout (the positions below the diagonal and the
     diagonal) is built once per width 2M and kept read-only.
     """
-    n, seed = sec.as_integer("n", n), sec.as_integer("seed", seed)
-    if n > MAX_SAMPLES:
-        raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    n, seed = _count_and_seed(n, seed)
     if state.x.ndim != 2:
         batch = state.x.shape[:-2]
         raise InvalidArgument(f"the sampler samples one state, got a batch of shape {batch}")
     idx = [state.index(mode) for mode in measured_modes]
     if not idx or len(set(idx)) < len(idx):
         raise InvalidArgument(f"need one or more distinct measured modes, got {measured_modes}")
-    width = 2 * len(idx)
+    return _sample_block(state.x[idx][:, idx], state.signs[idx], tuple(measured_modes), n, seed)
+
+
+def _sample_block(
+    x: np.ndarray, signs: np.ndarray, modes: tuple[str, ...], n: int, seed: int
+) -> OutcomeMoments:
+    """`sample_moments` of the modes `modes` with x block `x` and signs `signs`,
+    for an int n and seed that `_count_and_seed` accepts.  Nothing checks that
+    the block is physical: only that (x + 1)/2 is positive definite."""
+    width = 2 * len(modes)
     floor = max(MIN_SAMPLES, N_SUBBATCHES * (width + 1))  # m - 1 >= 2M for Bartlett
     if n < floor:
         raise InvalidArgument(f"need at least {floor} samples, got {n}")
     below, diag, eye = _bartlett_layout(width)
     try:
-        factor = np.linalg.cholesky(0.5 * (state.x[idx][:, idx] + eye))
+        factor = np.linalg.cholesky(0.5 * (x + eye))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"outcome covariance not positive definite: {exc}") from exc
     chol = np.zeros((width, width))
-    signs = state.signs[idx]
     chol[0::2, 0::2], chol[1::2, 1::2] = factor, factor * np.outer(signs, signs)
     sizes = _subbatch_sizes(n)
     rng = np.random.default_rng(seed)
@@ -157,7 +175,7 @@ def sample_moments(
     whole = grams.sum(axis=0) + (m * spread).T @ spread
     # the whole batch first, then its sub-batches
     centred = chol @ np.concatenate([whole[None], grams]) @ chol.T
-    return OutcomeMoments(tuple(measured_modes), (n, *sizes), centred)
+    return OutcomeMoments(modes, (n, *sizes), centred)
 
 
 def _moment_estimates(
@@ -295,14 +313,23 @@ def end_to_end_consistency(
 
     Flags "overestimates key" when the re-estimated rate exceeds the true one
     beyond the propagated statistical tolerance in either direction, which is
-    the dangerous failure mode for the legitimate parties.
+    the dangerous failure mode for the legitimate parties.  It samples the
+    measured block of `reduced_state(p)`'s x block without building that
+    state; a non-finite entry of the block raises `NumericalError` before n
+    and seed are checked.
     """
     # Eve's record is L wherever the purification has it: leakage or noise on L;
     # the blind estimate never reads it
     has_l = (p.k > 0.0 or p.eps_l > 0.0) and not assume_no_leakage
-    measured = ["A", "B"] + (["L"] if has_l else [])
+    measured = sec.REDUCED_MODES[: 3 if has_l else 2]
+    # the x block of `reduced_state(p)`, unchecked but for finite entries
+    x = np.array(sec._x_block(p))[sec._REDUCED_X]
+    if not np.isfinite(x).all():
+        raise NumericalError("covariance matrix has non-finite entries")
+    n, seed = _count_and_seed(n, seed)
+    m = len(measured)
     est = estimate_params(
-        sample_moments(sec.reduced_state(p), measured, n, seed),
+        _sample_block(x[:m, :m], sec._SIGNS[:m], measured, n, seed),
         blind_v_m=p.v_m if assume_no_leakage else None,
     )
     p_est = _estimated_params(p, est)
@@ -321,5 +348,5 @@ def end_to_end_consistency(
         se_r_rr=se_rr,
         skipped_se_terms=skipped,
         verdict="overestimates key" if (over_dr or over_rr) else "consistent",
-        seed=sec.as_integer("seed", seed),
+        seed=seed,
     )

@@ -40,15 +40,16 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it, 2^d - 1 each at depth d (`golden_depth`).  A round costs about
-# 136 us fixed and 13 us per further point (the minimum of 240 timed 30-round
-# searches, on a 2-core x86-64 with one BLAS thread).  The full tree of the next
-# d steps, `search_vm`'s fallback, carries the walk d steps a round: for n
-# searches a walked step costs about (136 + 13 n (2^d - 1)) / d us, least at
-# d = 3 for one search, with d = 4 9% above it.  The predicted path carries it
-# up to the first mispredicted step, at most 2^(d-1) steps: at d = 4 a lone
-# search at the benchmark's sweep point takes 1.75 golden rounds over 20 points
-# where the tree took 2.75 over 34.  16 keeps d = 4 for one search.
+# for in it: at depth d (`golden_depth`) 2^d each in their first golden round
+# and 2^d - 1 after it.  A round costs about 136 us fixed and 13 us per further
+# point (the minimum of 240 timed 30-round searches, on a 2-core x86-64 with
+# one BLAS thread).  The full tree of the next d steps, on both outcomes of
+# each, would carry the walk d steps a round: for n searches a walked step
+# costs about (136 + 13 n (2^d - 1)) / d us, least at d = 3 for one search,
+# with d = 4 9% above it.  The predicted path carries it up to the first
+# mispredicted step, at most 2^(d-1) steps: at d = 4 a lone search at the
+# benchmark's sweep point takes 1.75 golden rounds over 20 points where the
+# tree took 2.75 over 34.  16 keeps d = 4 for one search.
 SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
@@ -501,22 +502,9 @@ def _golden_converged(bracket) -> bool:
     return abs(x3 - x0) <= GOLDEN_TOL * (abs(x1) + abs(x2))
 
 
-def _golden_tree(bracket, depth: int, steps: int) -> list:
-    """The new points of the next `depth` golden-section steps from `bracket`,
-    on both outcomes of each comparison; a branch ends where the search would
-    stop, at convergence or after `steps` more steps."""
-    if depth == 0 or steps == 0 or _golden_converged(bracket):
-        return []
-    points = []
-    for right in (True, False):
-        branch, u = _golden_step(bracket, right)
-        points += [u, *_golden_tree(branch, depth - 1, steps - 1)]
-    return points
-
-
 def _golden_path(bracket, vertex: float, depth: int, steps: int) -> list:
     """The new points of the next 2^depth - 1 golden-section steps from `bracket`,
-    as many as `_golden_tree(bracket, depth, steps)` holds, along the
+    as many as the full tree of the next `depth` steps holds, along the
     path that a parabola with its maximum at `vertex` predicts: each step's
     point on both outcomes of its comparison, then on to the predicted one,
     right iff vertex > (x1 + x2) / 2.  The path ends where the search would
@@ -532,25 +520,29 @@ def _golden_path(bracket, vertex: float, depth: int, steps: int) -> list:
     return points
 
 
-def _parabola_vertex(known: dict, centre: float):
+def _parabola_vertex(known: dict, centre: float) -> float:
     """The vertex of the parabola through the three points (u, f) of `known`
-    nearest `centre`, or None where that parabola has no maximum."""
+    nearest `centre`.  Where that parabola has no maximum, +inf or -inf: the
+    side of the higher of its outer two values, -inf on a tie."""
     ua, ub, uc = sorted(sorted(known, key=lambda u: abs(u - centre))[:3])
     slope = (known[ub] - known[ua]) / (ub - ua)
     curvature = ((known[uc] - known[ub]) / (uc - ub) - slope) / (uc - ua)
     if not curvature < 0.0:
-        return None
+        return math.inf if known[uc] > known[ua] else -math.inf
     return 0.5 * (ua + ub) - 0.5 * slope / curvature
 
 
 def golden_depth(searches: int) -> int:
     """Speculation depth of each round of `searches` V_M searches that share their
-    rounds: the largest d >= 1 with searches (2^d - 1) <= SPECULATED_POINTS.  Each
+    rounds: the largest d >= 1 with searches 2^d <= SPECULATED_POINTS.  Each
     search asks for 2^d - 1 points a round: the walked step's and, from its
     bracket, the points of 2^(d-1) - 1 steps along a predicted path on both
-    outcomes each, or of the next d - 1 steps' full tree (`search_vm`)."""
+    outcomes each (`search_vm`).  Its first golden round asks for one more,
+    [x1, x2] in place of the walked step's point, so a round of these searches
+    asks for at most max(SPECULATED_POINTS, 2 searches) points: at d = 1 each
+    needs both x1 and x2."""
     depth = 1
-    while searches * (2 ** (depth + 1) - 1) <= SPECULATED_POINTS:
+    while searches * 2 ** (depth + 1) <= SPECULATED_POINTS:
         depth += 1
     return depth
 
@@ -569,8 +561,8 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     that predicted path the round asks for each of the next 2^(d-1) - 1
     steps' point on both outcomes (parabolic interpolation, R. P. Brent,
     Algorithms for Minimization without Derivatives, 1973, used only to
-    choose the points).  Where that parabola has no maximum the round asks
-    for the next d - 1 steps' points on every outcome instead.  The walk then
+    choose the points).  Where that parabola has no maximum, the path heads
+    toward the higher of its outer two values.  The walk then
     takes the real comparisons through those values, so it visits exactly
     the points of the one-step search; a round carries the walk up to its
     first mispredicted step.  d is `golden_depth(searches)`, for `searches` V_M
@@ -589,12 +581,8 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
 
     def ask(us, bracket, steps):
         """Ask for `us` and the speculated points of the next steps from `bracket`."""
-        vertex = None
         if depth > 1:
             vertex = _parabola_vertex({**near, **values}, (bracket[0] + bracket[3]) / 2)
-        if vertex is None:
-            us += _golden_tree(bracket, depth - 1, steps)
-        else:
             us += _golden_path(bracket, vertex, depth - 1, steps)
         points = [p.replace(v_m=float(np.exp(u))) for u in us]
         values.update(zip(us, (yield from _rates(points, direction))))

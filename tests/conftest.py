@@ -1,6 +1,7 @@
 import pytest
 
 from modleak import gaussian as g
+from modleak import montecarlo as mc
 from modleak import security as sec
 
 
@@ -51,3 +52,18 @@ def checked_states(monkeypatch):
 
     monkeypatch.setattr(g.CovMatrix, "__post_init__", recorded)
     return states
+
+
+@pytest.fixture
+def sampled_blocks(monkeypatch):
+    """(x, signs, modes, n, seed) of every block that montecarlo._sample_block samples
+    during the test, in order, with copies of x and signs."""
+    blocks = []
+    sample = mc._sample_block
+
+    def recorded(x, signs, modes, n, seed):
+        blocks.append((x.copy(), signs.copy(), modes, n, seed))
+        return sample(x, signs, modes, n, seed)
+
+    monkeypatch.setattr(mc, "_sample_block", recorded)
+    return blocks

@@ -364,6 +364,15 @@ class TestMc:
         assert result.exit_code == cli.EXIT_NO_SECURITY
         assert json.loads(result.stdout)["verdict"] == "overestimates key"
 
+    @pytest.mark.parametrize("args", [[], ["--assume-no-leakage"]])
+    def test_reports_where_the_five_mode_state_fails_its_check(self, runner, tmp_path, args):
+        # reduced_state raises UnphysicalState at this point; key_rate is finite
+        protocol = {"V_M": 1e3, "k": 1.89, "eta_Ch": 0.59, "eps_Ch": 0.12, "beta": 0.96}
+        path = write_cfg(tmp_path, {"protocol": protocol, "mc": {"n": 1e6, "seed": 1}})
+        result = runner.invoke(cli.main, ["mc", "--config", path, *args])
+        report = json.loads(result.stdout)
+        assert result.exit_code == (2 if report["verdict"] == "overestimates key" else 0)
+
     def test_missing_mc_block(self, runner, tmp_path):
         path = write_cfg(tmp_path, {"protocol": BASE_PROTOCOL})
         result = runner.invoke(cli.main, ["mc", "--config", path])

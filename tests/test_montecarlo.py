@@ -8,7 +8,7 @@ from oracles import bartlett_moments, gram_estimate, heterodyne_draws, interleav
 from modleak import gaussian as g
 from modleak import montecarlo as mc
 from modleak import security as sec
-from modleak.errors import InvalidArgument, MissingMode
+from modleak.errors import InvalidArgument, MissingMode, NumericalError, UnphysicalState
 
 POINT = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.6, eps_ch=0.02)
 
@@ -347,22 +347,50 @@ class TestEndToEndConsistency:
         "k, blind, measured",
         [(0.0, False, ["A", "B"]), (0.3, False, ["A", "B", "L"]), (0.3, True, ["A", "B"])],
     )
-    def test_samples_the_reduced_state(self, monkeypatch, k, blind, measured):
-        def refuse(p):
-            raise AssertionError("the closure must not build the purification")
+    def test_samples_the_reduced_state(self, monkeypatch, sampled_blocks, k, blind, measured):
+        def refuse(name):
+            def refused(p):
+                raise AssertionError(f"the closure must not call {name}")
 
-        draws = []
-        sample_moments = mc.sample_moments
+            return refused
 
-        def recorded(state, modes, n, seed):
-            draws.append((state.modes, modes))
-            return sample_moments(state, modes, n, seed)
-
-        monkeypatch.setattr(sec, "build_scheme", refuse)
-        monkeypatch.setattr(mc, "sample_moments", recorded)
         p = dataclasses.replace(POINT, k=k)
+        state = sec.reduced_state(p)
+        monkeypatch.setattr(sec, "build_scheme", refuse("build_scheme"))
+        monkeypatch.setattr(sec, "reduced_state", refuse("reduced_state"))
         mc.end_to_end_consistency(p, 5_000, seed=3, assume_no_leakage=blind)
-        assert draws == [(sec.REDUCED_MODES, measured)]
+        # the measured block of the reduced state, bit for bit, unchecked
+        idx = [state.index(mode) for mode in measured]
+        [(x, signs, modes, n, seed)] = sampled_blocks
+        assert (modes, n, seed) == (tuple(measured), 5_000, 3)
+        assert x.tobytes() == state.x[idx][:, idx].tobytes()
+        assert signs.tobytes() == state.signs[idx].tobytes()
+
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_non_finite_block_raises_before_the_count_and_seed(self, blind):
+        # at V_M = 1e300, v_s^2 overflows: the reduced state's check raises the same error
+        p = sec.ProtocolParams(v_m=1e300, k=0.3)
+        message = "^covariance matrix has non-finite entries$"
+        with pytest.raises(NumericalError, match=message):
+            sec.reduced_state(p)
+        with pytest.raises(NumericalError, match=message):
+            mc.end_to_end_consistency(p, 5, seed=-1, assume_no_leakage=blind)
+
+    # seed-31 points at V_M = 1e3 and 1e4 whose five-mode reduced state fails its
+    # check, from rounding of about eps v_s^2 in A's row, while key_rate is finite
+    @pytest.mark.parametrize(
+        "v_m, k, eta_ch, eps_ch",
+        [(1e3, 1.89, 0.59, 0.12), (1e3, 1.34, 0.19, 0.37), (1e4, 0.6, 0.59, 0.49), (1e4, 0.21, 0.29, 0.15)],
+    )
+    def test_closure_is_finite_where_the_key_rate_is(self, v_m, k, eta_ch, eps_ch):
+        p = sec.ProtocolParams(v_m=v_m, k=k, eta_ch=eta_ch, eps_ch=eps_ch, beta=0.96)
+        with pytest.raises(UnphysicalState):
+            sec.reduced_state(p)
+        assert all(np.isfinite(dataclasses.astuple(sec.key_rate(p))))
+        for blind in (False, True):
+            rep = mc.end_to_end_consistency(p, 10**6, seed=1, assume_no_leakage=blind)
+            fields = dataclasses.astuple(rep.estimate) + dataclasses.astuple(rep)[1:7]
+            assert all(np.isfinite(fields))
 
     def test_closure_at_huge_n_is_finite(self):
         # the draw's cost does not depend on n
@@ -376,11 +404,10 @@ class TestEndToEndConsistency:
         # the true point, the estimated point and its four bumped copies
         assert len(evaluated_points) == 6
 
-    def test_checks_two_states(self, checked_states):
+    def test_checks_one_state(self, checked_states):
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
-        # the sampled reduced state, which sample_moments reads as checked, then
-        # Eve's E, E|a and E|b at the six evaluated points
-        assert checked_states == [(sec.REDUCED_MODES, ()), (("L", "E1", "E2"), (3, 6))]
+        # Eve's E, E|a and E|b at the six evaluated points; the sampled block is unchecked
+        assert checked_states == [(("L", "E1", "E2"), (3, 6))]
 
     def test_rate_se_names_skipped_terms(self):
         p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=1.0, eps_ch=0.0)

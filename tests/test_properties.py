@@ -1,10 +1,11 @@
-"""Property tests of key_rate over the parameter domain documented in README,
-of its monotonicity in the leakage k without trusted noise, and of the CLI's
-exit codes over generated configs.
+"""Property tests of key_rate and the Monte-Carlo closure over the parameter
+domain documented in README, of key_rate's monotonicity in the leakage k
+without trusted noise, and of the CLI's exit codes over generated configs.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from modleak import cli
 from modleak import config as cfgmod
+from modleak import montecarlo as mc
 from modleak import security as sec
 from modleak.errors import InvalidArgument
 
@@ -23,8 +25,8 @@ def between(lo: float, hi: float):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(
+# the parameter domain of README's table
+DOMAIN = dict(
     v_m=between(0.01, 100.0),
     k=between(0.0, 2.0),
     eta_ch=between(1e-3, 0.999),
@@ -36,6 +38,10 @@ def between(lo: float, hi: float):
     eps_l=between(0.0, 1.0),
     beta=between(0.8, 1.0),
 )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(**DOMAIN)
 def test_key_rate_is_finite_and_bounded(**fields):
     if fields["eta_d"] == 1.0 and fields["eps_d"] > 0.0:
         with pytest.raises(InvalidArgument):
@@ -47,6 +53,20 @@ def test_key_rate_is_finite_and_bounded(**fields):
     assert report.chi_dr >= -1e-9 and report.chi_rr >= -1e-9
     assert report.r_dr <= p.beta * report.i_ab
     assert report.r_rr <= p.beta * report.i_ab
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(**DOMAIN, seed=st.integers(0, 2**32))
+def test_closure_is_finite(seed, **fields):
+    # eps_D > 0 at eta_D = 1 has no purification (see the test above)
+    if fields["eta_d"] == 1.0:
+        fields["eps_d"] = 0.0
+    p = sec.ProtocolParams(**fields)
+    for n in (1_000, 1_000_000):
+        for blind in (False, True):
+            report = mc.end_to_end_consistency(p, n, seed, assume_no_leakage=blind)
+            values = dataclasses.astuple(report.estimate) + dataclasses.astuple(report)[1:7]
+            assert all(math.isfinite(v) for v in values)
 
 
 # Without trusted noise, more leakage never helps; with eps_P1 > 0 it can,

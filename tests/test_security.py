@@ -816,9 +816,22 @@ class TestOptimizeVm:
         assert opt.rate <= 0.0
 
     def test_golden_depth_from_the_searches_sharing_a_round(self):
-        # the largest d >= 1 with searches (2^d - 1) <= 16
-        depths = [sec.golden_depth(n) for n in (1, 2, 3, 5, 6, 21, 1000)]
-        assert depths == [4, 3, 2, 2, 1, 1, 1]
+        # the largest d >= 1 with searches 2^d <= 16
+        depths = [sec.golden_depth(n) for n in (1, 2, 3, 4, 5, 6, 21, 1000)]
+        assert depths == [4, 3, 2, 2, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("searches", range(1, 13))
+    def test_golden_rounds_keep_the_cap(self, searches):
+        # each search's first golden round asks for [x1, x2] and 2^d - 2 more points;
+        # at d = 1 that is 2 a search, whatever the cap
+        points = random_points(np.random.default_rng(35), searches)
+        runs = [(p, ("rr", "dr")[i % 2]) for i, p in enumerate(points)]
+        requests = []
+        shared = sec.lockstep(sec.search_vm(p, d, searches) for p, d in runs)
+        assert sec.drive(logged(shared, requests)) == [sec.optimize_vm(p, d) for p, d in runs]
+        assert len(requests[0]) == searches * sec.VM_GRID_POINTS
+        cap = max(sec.SPECULATED_POINTS, 2 * searches)
+        assert max(len(request) for request in requests[1:]) <= cap
 
     def test_equals_the_one_step_walk_bitwise(self, evaluated_batches):
         grid = np.logspace(np.log10(0.01), np.log10(100.0), 40)
@@ -845,28 +858,16 @@ class TestOptimizeVm:
         assert {0, len(grid) - 1} <= set(bests)
         assert any(0 < best < len(grid) - 1 for best in bests)
 
-    def test_golden_tree_stops_where_the_search_stops(self):
-        top = np.log(4.0)
-        wide = (0.0, sec.GOLDEN_C * top, sec.GOLDEN_R * top, top)
-        for depth in range(5):
-            assert len(sec._golden_tree(wide, depth, sec.GOLDEN_MAXITER)) == 2 ** (depth + 1) - 2
-        assert len(sec._golden_tree(wide, 4, 1)) == 2
-        assert sec._golden_tree(wide, 4, 0) == []
-        # each branch ends once its bracket meets x3 - x0 <= 1e-3 (|x1| + |x2|)
-        narrow = tuple(np.log(3.0) + 1e-4 * np.array([0.0, 0.4, 0.6, 1.0]))
-        assert sec._golden_tree(narrow, 4, sec.GOLDEN_MAXITER) == []
-        near = tuple(np.log(3.0) + 3e-3 * np.array([0.0, 0.4, 0.6, 1.0]))
-        assert len(sec._golden_tree(near, 4, sec.GOLDEN_MAXITER)) == 2
-
     def test_golden_path_asks_both_outcomes_along_the_prediction(self):
         top = np.log(4.0)
         wide = (0.0, sec.GOLDEN_C * top, sec.GOLDEN_R * top, top)
-        # as many points as the tree; at depth 4 the path of 15 steps converges after 14
+        # as many points as the full tree of the next d steps, 2^(d+1) - 2; at depth 4
+        # the path of 15 steps converges after 14
         for depth in range(4):
             path = sec._golden_path(wide, 1.0, depth, sec.GOLDEN_MAXITER)
-            assert len(path) == len(sec._golden_tree(wide, depth, sec.GOLDEN_MAXITER))
+            assert len(path) == 2 ** (depth + 1) - 2
         assert len(sec._golden_path(wide, 1.0, 4, sec.GOLDEN_MAXITER)) == 28
-        for vertex in (-1.0, 0.3, 1.0, 2.0):
+        for vertex in (-math.inf, -1.0, 0.3, 1.0, 2.0, math.inf):
             path, bracket = sec._golden_path(wide, vertex, 3, sec.GOLDEN_MAXITER), wide
             assert len(path) == 14
             for taken, other in zip(path[::2], path[1::2]):
@@ -890,14 +891,17 @@ class TestOptimizeVm:
         assert sec._parabola_vertex(known, 0.6) == pytest.approx(0.7, abs=1e-12)
         known[-4.0] = known[2.0] = 100.0
         assert sec._parabola_vertex(known, 0.6) == pytest.approx(0.7, abs=1e-12)
-        # a convex fit, or a straight one: no maximum
-        assert sec._parabola_vertex({u: u * u for u in (0.0, 0.5, 1.0)}, 0.5) is None
-        assert sec._parabola_vertex({u: 2.0 * u for u in (0.0, 1.0, 2.0)}, 1.0) is None
+        # a convex fit, or a straight one, has no maximum: the side of the higher outer
+        # value, the left one on a tie
+        assert sec._parabola_vertex({u: u * u for u in (0.0, 0.5, 1.0)}, 0.5) == math.inf
+        assert sec._parabola_vertex({u: 2.0 * u for u in (0.0, 1.0, 2.0)}, 1.0) == math.inf
+        assert sec._parabola_vertex({u: -u for u in (0.0, 1.0, 2.0)}, 1.0) == -math.inf
+        assert sec._parabola_vertex({u: u * u for u in (-1.0, 0.0, 1.0)}, 0.0) == -math.inf
 
     @pytest.mark.parametrize("searches", [1, 2, 3, 6])
     def test_shared_rounds_equal_the_one_step_walk_bitwise(self, searches):
-        # the band's last grid interval, the grid end V_M = 100, a fallback to the
-        # tree mid-search and seeded points, both directions
+        # the band's last grid interval, the grid end V_M = 100, a fit without a
+        # maximum mid-search and seeded points, both directions
         points = [BAND_POINTS[0], GRID_END_POINT, FALLBACK_POINT]
         points += random_points(np.random.default_rng(34), 3)
         runs = [(p, ("rr", "dr")[i % 2]) for i, p in enumerate(points[:searches])]
@@ -909,41 +913,39 @@ class TestOptimizeVm:
         assert len(requests[0]) == searches * sec.VM_GRID_POINTS
         assert max(len(request) for request in requests[1:]) <= sec.SPECULATED_POINTS
 
-    def test_no_maximum_falls_back_to_the_tree(self, monkeypatch):
-        vertex, tree, fits, trees = sec._parabola_vertex, sec._golden_tree, [], []
+    def test_no_maximum_walks_toward_the_higher_outer_value(self, monkeypatch):
+        vertex, fits = sec._parabola_vertex, []
 
         def fit(known, centre):
             fits.append(vertex(known, centre))
             return fits[-1]
 
-        def full_tree(bracket, depth, steps):
-            trees.append(depth)
-            return tree(bracket, depth, steps)
-
         monkeypatch.setattr(sec, "_parabola_vertex", fit)
-        monkeypatch.setattr(sec, "_golden_tree", full_tree)
-        # the fits without a maximum: the third of the search's, both of its two, none
-        cases = ((FALLBACK_POINT, "rr", [2]), (GRID_END_POINT, "rr", [0, 1]), (BAND_POINTS[1], "dr", []))
-        for p, direction, fallbacks in cases:
+        # the fits without a maximum: the third of the search's, the only one of the
+        # grid end's, where R grows toward V_M = 100, and none
+        cases = (
+            (FALLBACK_POINT, "rr", {2: math.inf}),
+            (GRID_END_POINT, "rr", {0: math.inf}),
+            (BAND_POINTS[1], "dr", {}),
+        )
+        for p, direction, sides in cases:
             fits.clear()
-            trees.clear()
             expected = sec.OptimalVm(*golden_walk(vm_rates(p, direction, [])))
             assert sec.optimize_vm(p, direction) == expected
-            assert [i for i, v in enumerate(fits) if v is None] == fallbacks
-            # each asks for the tree of the next 3 steps (its branches recurse at depth < 3)
-            assert trees.count(3) == len(fallbacks)
+            assert {i: v for i, v in enumerate(fits) if math.isinf(v)} == sides
 
-    def test_predicted_path_takes_no_more_rounds_than_the_tree(self, monkeypatch, evaluated_batches):
+    def test_predicted_path_takes_fewer_rounds_than_a_fixed_side(self, monkeypatch, evaluated_batches):
         rounds = {}
-        for fit in (sec._parabola_vertex, lambda known, centre: None):
+        fits = (sec._parabola_vertex, lambda known, centre: -math.inf, lambda known, centre: math.inf)
+        for fit in fits:
             monkeypatch.setattr(sec, "_parabola_vertex", fit)
             for p in BAND_POINTS + random_points(np.random.default_rng(32), 4):
                 for direction in ("dr", "rr"):
                     evaluated_batches.clear()
                     sec.optimize_vm(p, direction)
                     rounds.setdefault((p, direction), []).append(len(evaluated_batches))
-        assert all(path <= tree for path, tree in rounds.values())
-        assert sum(path for path, _ in rounds.values()) < sum(tree for _, tree in rounds.values())
+        path, left, right = (sum(counts) for counts in zip(*rounds.values()))
+        assert path < min(left, right)
 
     def test_one_search_takes_fewer_rounds_than_the_walk(self, evaluated_batches):
         points = [BAND_POINTS[0], sec.ProtocolParams(v_m=1.0, k=0.1, eta_ch=0.5, eps_ch=0.02)]
