@@ -166,8 +166,8 @@ def sweep_rows(
     Rows at the same point, such as the rows at rho and -rho, share one
     search.  The distinct rows are searched in lockstep, so each round of
     every V_M search and loss-margin search is one batched pass of
-    `sec.drive`; the V_M searches' golden rounds carry `sec.golden_depth(n)`
-    steps, for n distinct rows.
+    `sec.drive`; for n distinct rows, each V_M search asks for up to
+    max(sec.SPECULATED_POINTS // n, 1) golden points a round.
     """
     return _sweep(cfg, direction, optimize_vm, with_eta_max)[0]
 

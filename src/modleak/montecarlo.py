@@ -183,15 +183,17 @@ def _moment_estimates(
 ):
     """Moment estimates (v_m, k, eta, eps), eps unclamped, and clamp flags, arrays with
     one entry per centred Gram matrix of `grams`, each of `counts` outcomes.  Moments are
-    in SNU (outcome covariances doubled back to gamma units); variances divide
-    by the count (ddof = 0, as np.var), covariances by the count - 1 (ddof = 1,
-    as np.cov).  a, b and e are the x columns of Alice, Bob and Eve (None: no record)."""
+    in SNU (outcome covariances doubled back to gamma units); every moment
+    divides by the count - 1 (ddof = 1, as np.cov), since the Gram matrices are
+    centred on the sample mean.  a, b and e are the x columns of Alice, Bob and
+    Eve (None: no record)."""
+    moments = grams / (counts - 1)[:, None, None]
 
     def var(i):
-        return grams[:, i, i] / counts + grams[:, i + 1, i + 1] / counts - 1.0
+        return moments[:, i, i] + moments[:, i + 1, i + 1] - 1.0
 
     def cov(i, j):
-        return grams[:, i, j] / (counts - 1) - grams[:, i + 1, j + 1] / (counts - 1)
+        return moments[:, i, j] - moments[:, i + 1, j + 1]
 
     v_a, v_b = var(a), var(b)
     c_ab = np.abs(cov(a, b))

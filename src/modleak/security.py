@@ -40,16 +40,13 @@ GOLDEN_C = 1.0 - GOLDEN_R
 GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
-# for in it: at depth d (`golden_depth`) 2^d each in their first golden round
-# and 2^d - 1 after it.  A round costs about 136 us fixed and 13 us per further
-# point (the minimum of 240 timed 30-round searches, on a 2-core x86-64 with
-# one BLAS thread).  The full tree of the next d steps, on both outcomes of
-# each, would carry the walk d steps a round: for n searches a walked step
-# costs about (136 + 13 n (2^d - 1)) / d us, least at d = 3 for one search,
-# with d = 4 9% above it.  The predicted path carries it up to the first
-# mispredicted step, at most 2^(d-1) steps: at d = 4 a lone search at the
-# benchmark's sweep point takes 1.75 golden rounds over 20 points where the
-# tree took 2.75 over 34.  16 keeps d = 4 for one search.
+# for in it: max(SPECULATED_POINTS // n, 1) each for n searches (`search_vm`).
+# A pass costs about 136 us fixed and 13 us per further point (the minimum of
+# 240 timed 30-round searches, on a 2-core x86-64 with one BLAS thread), so a
+# pass saved pays for about ten speculated points.  On 600 lone searches over
+# the README domain a cap of 8 takes 3.17 passes over 51.6 points, 12 takes
+# 2.46 over 52.9, 16 takes 2.435 over 53.8 and 24 or 32 take 2.433: past 16 a
+# longer path saves almost nothing, and a round of many searches stays small.
 SPECULATED_POINTS = 16
 
 MAX_ADDITIONAL_LOSS_DB = 60.0
@@ -502,21 +499,17 @@ def _golden_converged(bracket) -> bool:
     return abs(x3 - x0) <= GOLDEN_TOL * (abs(x1) + abs(x2))
 
 
-def _golden_path(bracket, vertex: float, depth: int, steps: int) -> list:
-    """The new points of the next 2^depth - 1 golden-section steps from `bracket`,
-    as many as the full tree of the next `depth` steps holds, along the
-    path that a parabola with its maximum at `vertex` predicts: each step's
-    point on both outcomes of its comparison, then on to the predicted one,
+def _golden_path(bracket, vertex: float, count: int) -> list:
+    """The new points of the next `count` golden-section steps from `bracket`,
+    along the path that a parabola with its maximum at `vertex` predicts:
     right iff vertex > (x1 + x2) / 2.  The path ends where the search would
-    stop, at convergence or after `steps` more steps."""
+    stop, at convergence."""
     points = []
-    for _ in range(min(2**depth - 1, steps)):
+    for _ in range(count):
         if _golden_converged(bracket):
             break
-        right = vertex > (bracket[1] + bracket[2]) / 2
-        branch, u = _golden_step(bracket, right)
-        points += [u, _golden_step(bracket, not right)[1]]
-        bracket = branch
+        bracket, u = _golden_step(bracket, vertex > (bracket[1] + bracket[2]) / 2)
+        points.append(u)
     return points
 
 
@@ -532,47 +525,33 @@ def _parabola_vertex(known: dict, centre: float) -> float:
     return 0.5 * (ua + ub) - 0.5 * slope / curvature
 
 
-def golden_depth(searches: int) -> int:
-    """Speculation depth of each round of `searches` V_M searches that share their
-    rounds: the largest d >= 1 with searches 2^d <= SPECULATED_POINTS.  Each
-    search asks for 2^d - 1 points a round: the walked step's and, from its
-    bracket, the points of 2^(d-1) - 1 steps along a predicted path on both
-    outcomes each (`search_vm`).  Its first golden round asks for one more,
-    [x1, x2] in place of the walked step's point, so a round of these searches
-    asks for at most max(SPECULATED_POINTS, 2 searches) points: at d = 1 each
-    needs both x1 and x2."""
-    depth = 1
-    while searches * 2 ** (depth + 1) <= SPECULATED_POINTS:
-        depth += 1
-    return depth
-
-
 def search_vm(p: ProtocolParams, direction: str, searches: int):
     """Search behind `optimize_vm`: the 40-point grid in one round, then golden section.
 
     The golden-section steps and stopping rule, x3 - x0 <= 1e-3 (|x1| + |x2|)
     on u = log(V_M), are those of scipy.optimize.golden, so optima inside the
     grid stay where that search put them.  The next step's point depends on
-    one comparison only, so each golden round asks for the walked step's
-    point and 2^d - 2 speculated points, none past the stopping rule; the
-    first asks for [x1, x2] and the same.  The parabola through the three
-    known values of R(u) nearest the bracket's centre, grid values at first,
-    predicts each comparison: right iff its vertex > (x1 + x2) / 2.  Along
-    that predicted path the round asks for each of the next 2^(d-1) - 1
-    steps' point on both outcomes (parabolic interpolation, R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, used only to
-    choose the points).  Where that parabola has no maximum, the path heads
-    toward the higher of its outer two values.  The walk then
-    takes the real comparisons through those values, so it visits exactly
-    the points of the one-step search; a round carries the walk up to its
-    first mispredicted step.  d is `golden_depth(searches)`, for `searches` V_M
-    searches sharing each round.
+    one comparison only, so each golden round speculates: after [x1, x2] in
+    the first, or the walked step's point, it asks for the predicted
+    outcome's point of each next step, up to max(SPECULATED_POINTS //
+    searches, 1) points in all, none past the stopping rule; `searches` is
+    the number of V_M searches sharing each round.  The parabola through the
+    three known values of R(u) nearest the bracket's centre, grid values at
+    first, predicts each comparison: right iff its vertex > (x1 + x2) / 2
+    (parabolic interpolation, R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, used only to choose the points).  Where that
+    parabola has no maximum, the path heads toward the higher of its outer
+    two values.  The walk then takes the real comparisons through those
+    values, so it visits exactly the points of the one-step search; a round
+    carries the walk up to its first mispredicted step.
     """
+    if not isinstance(searches, numbers.Integral) or searches < 1:
+        raise InvalidArgument(f"searches must be an integer of at least 1, got {searches!r}")
     grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
     # plain floats, not numpy scalars, for the float arithmetic of `_x_block`
     rates = np.array((yield from _rates([p.replace(v_m=v) for v in grid.tolist()], direction)))
     best = int(np.argmax(rates))
-    depth = golden_depth(searches)
+    budget = max(SPECULATED_POINTS // searches, 1)
     values: dict[float, float] = {}
     # the grid values that the parabola may pass through: the three nearest any
     # point of the first bracket are among the best one and two either side
@@ -580,10 +559,11 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     near = dict(zip(np.log(grid[window]).tolist(), rates[window].tolist()))
 
     def ask(us, bracket, steps):
-        """Ask for `us` and the speculated points of the next steps from `bracket`."""
-        if depth > 1:
+        """Ask for `us` and the predicted points of the next steps from `bracket`."""
+        count = min(budget - len(us), steps)
+        if count > 0:
             vertex = _parabola_vertex({**near, **values}, (bracket[0] + bracket[3]) / 2)
-            us += _golden_path(bracket, vertex, depth - 1, steps)
+            us += _golden_path(bracket, vertex, count)
         points = [p.replace(v_m=float(np.exp(u))) for u in us]
         values.update(zip(us, (yield from _rates(points, direction))))
 
@@ -621,8 +601,8 @@ def optimize_vm(p: ProtocolParams, direction: str) -> OptimalVm:
     Log-spaced bracketing grid over [0.01, 100] SNU followed by a
     golden-section refinement on log(V_M) between the best grid point's
     neighbours, or between an end point and its neighbour; ties break toward
-    smaller V_M.  The search runs alone, so each golden round carries
-    `golden_depth(1)` = 4 steps.
+    smaller V_M.  The search runs alone, so each golden round asks for up to
+    SPECULATED_POINTS points along the predicted path (`search_vm`).
     """
     return drive(search_vm(p, direction, 1))
 

@@ -136,10 +136,10 @@ def heterodyne_draws(gamma, n, seed):
 
 
 def mc_moments(alice, bob, eve):
-    """Monte-Carlo second moments in SNU from raw (n, 2) heterodyne records:
-    variances with ddof = 0 (np.var), covariances with ddof = 1 (np.cov)."""
-    v_a = 2.0 * 0.5 * (np.var(alice[:, 0]) + np.var(alice[:, 1])) - 1.0
-    v_b = 2.0 * 0.5 * (np.var(bob[:, 0]) + np.var(bob[:, 1])) - 1.0
+    """Monte-Carlo second moments in SNU from raw (n, 2) heterodyne records,
+    every one with ddof = 1 (np.cov)."""
+    v_a = 2.0 * 0.5 * (np.var(alice[:, 0], ddof=1) + np.var(alice[:, 1], ddof=1)) - 1.0
+    v_b = 2.0 * 0.5 * (np.var(bob[:, 0], ddof=1) + np.var(bob[:, 1], ddof=1)) - 1.0
     c_ab = np.cov(alice[:, 0], bob[:, 0])[0, 1] - np.cov(alice[:, 1], bob[:, 1])[0, 1]
     c_al = 0.0
     if eve is not None:
@@ -217,7 +217,7 @@ def gram_estimate(counts, grams, a, b, e, blind_v_m=None, n_sub=10):
     counts = np.array(counts)
 
     def var(i):
-        return grams[:, i, i] / counts + grams[:, i + 1, i + 1] / counts - 1.0
+        return grams[:, i, i] / (counts - 1) + grams[:, i + 1, i + 1] / (counts - 1) - 1.0
 
     def cov(i, j):
         return grams[:, i, j] / (counts - 1) - grams[:, i + 1, j + 1] / (counts - 1)

@@ -642,7 +642,6 @@ class TestSweepRowsHelper:
                 "modulator": {"rho": {"start": -x, "stop": x, "points": 2}},
             }
         )
-        assert sec.golden_depth(2) == 3
         cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
         assert len(evaluated_batches) <= 18
 
@@ -651,7 +650,7 @@ class TestSweepRowsHelper:
         from modleak.config import parse_config
 
         # rho and -rho give one point, so the benchmark's item is the search
-        # of one row, golden_depth(1) = 4 steps a round
+        # of one row, up to 16 golden points a round
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
@@ -670,11 +669,12 @@ class TestSweepRowsHelper:
     def test_21_row_sweep_keeps_one_step_rounds(self, evaluated_batches):
         from modleak.config import parse_config
 
-        # criterion 6's sweep, optimised: golden_depth(21) = 1, so its rounds are
-        # those of one golden step per round, batch for batch.  k is exactly even
-        # in rho, so each mirrored pair of rows is one search: 11 |rho| values,
-        # 754 points in 19 rounds, the margins' Brent steps on the squared
-        # transmittance factor u = t^2 (on t they took 21 rounds over 792 points)
+        # criterion 6's sweep, optimised: 11 searches share each round, 1 golden
+        # point each, so its rounds are those of one golden step per round, batch
+        # for batch.  k is exactly even in rho, so each mirrored pair of rows is
+        # one search: 11 |rho| values, 754 points in 19 rounds, the margins' Brent
+        # steps on the squared transmittance factor u = t^2 (on t they took 21
+        # rounds over 792 points)
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.99, "eps_Ch": 0.02, "beta": 0.96},
@@ -696,10 +696,10 @@ class TestSweepRowsHelper:
         from modleak.config import parse_config
 
         # the benchmark's set-up sweep, |rho| = 3 dB mirrored, is one search: the
-        # V_M grid, one golden round at depth 4 (with the full tree of the next
-        # steps there were two: 16, 15), the margins' ends round (p0 and both
-        # 60 dB ends), then 6 lockstep Brent rounds on u = t^2 (on t there were
-        # 8: 4, 4, 4, 4, 2, 2, 2, 2)
+        # V_M grid, one golden round over [x1, x2] and the 9 predicted steps to
+        # the stopping rule, the margins' ends round (p0 and both 60 dB ends),
+        # then 6 lockstep Brent rounds on u = t^2 (on t there were 8: 4, 4, 4, 4,
+        # 2, 2, 2, 2)
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},
@@ -707,16 +707,14 @@ class TestSweepRowsHelper:
             }
         )
         cli.sweep_rows(cfg, "rr", optimize_vm=True, with_eta_max=True)
-        sizes = [40, 16, 3, 3, 4, 4, 4, 4, 4, 1]
+        sizes = [40, 11, 3, 3, 4, 4, 4, 4, 4, 1]
         assert [len(batch) for batch in evaluated_batches] == sizes
 
-    @pytest.mark.parametrize("x, passes, points", [(0.8, 9, 83), (2.5, 10, 82), (4.0, 9, 81), (5.5, 9, 79)])
+    @pytest.mark.parametrize("x, passes, points", [(0.8, 9, 76), (2.5, 10, 76), (4.0, 9, 74), (5.5, 9, 73)])
     def test_mirrored_row_passes_and_points(self, evaluated_batches, x, passes, points):
         from modleak.config import parse_config
 
-        # one mirrored row from each |rho| stratum of the benchmark; with the full
-        # tree of the next golden steps these took 10, 11, 10 and 10 passes over
-        # 98, 97, 92 and 94 points
+        # one mirrored row from each |rho| stratum of the benchmark
         cfg = parse_config(
             {
                 "protocol": {"V_M": 5.0, "eta_Ch": 0.9, "eps_Ch": 0.02, "beta": 0.96},

@@ -338,6 +338,18 @@ class TestEndToEndConsistency:
         assert rep.verdict == "overestimates key"
         assert rep.r_est_rr > rep.r_true_rr
 
+    def test_aware_closures_at_large_modulation_are_consistent(self):
+        # eps_hat = v_b - 1 - eta v_m: a variance divided by n rather than n - 1
+        # biases it low by about 2 v_b / n, which at V_M 1e4 read "overestimates
+        # key" on 27 of these 60 points
+        rng = np.random.default_rng(31)
+        verdicts = []
+        for _ in range(60):
+            k, eta_ch, eps_ch = rng.uniform(0.0, 2.0), rng.uniform(0.001, 0.999), rng.uniform(0.0, 0.5)
+            p = sec.ProtocolParams(v_m=1e4, k=k, eta_ch=eta_ch, eps_ch=eps_ch)
+            verdicts.append(mc.end_to_end_consistency(p, 10**6, seed=1).verdict)
+        assert verdicts == ["consistent"] * 60
+
     def test_deterministic_for_fixed_seed(self):
         r1 = mc.end_to_end_consistency(POINT, 100_000, seed=21)
         r2 = mc.end_to_end_consistency(POINT, 100_000, seed=21)

@@ -774,8 +774,8 @@ BAND_POINTS = [dataclasses.replace(SWEEP_POINT, k=rho_to_k(rho)) for rho in (1.5
 # at k = 0 and eta_ch = 1 R grows with V_M: the optimum is the grid end V_M = 100,
 # where the parabola through the grid values has no maximum
 GRID_END_POINT = random_points(np.random.default_rng(31), 4)[3]
-# a search whose third round finds no maximum in its parabola
-FALLBACK_POINT = random_points(np.random.default_rng(33), 1)[0]
+# a lone RR search whose third golden round finds no maximum in its parabola
+FALLBACK_POINT = random_points(np.random.default_rng(159), 1)[0]
 
 
 class TestOptimizeVm:
@@ -815,15 +815,16 @@ class TestOptimizeVm:
         opt = sec.optimize_vm(p, "dr")
         assert opt.rate <= 0.0
 
-    def test_golden_depth_from_the_searches_sharing_a_round(self):
-        # the largest d >= 1 with searches 2^d <= 16
-        depths = [sec.golden_depth(n) for n in (1, 2, 3, 4, 5, 6, 21, 1000)]
-        assert depths == [4, 3, 2, 2, 1, 1, 1, 1]
+    def test_searches_below_one_are_rejected(self):
+        p = sec.ProtocolParams(v_m=5.0)
+        for searches in (0, -1, 1.5):
+            with pytest.raises(InvalidArgument, match="searches"):
+                sec.drive(sec.search_vm(p, "rr", searches))
 
     @pytest.mark.parametrize("searches", range(1, 13))
     def test_golden_rounds_keep_the_cap(self, searches):
-        # each search's first golden round asks for [x1, x2] and 2^d - 2 more points;
-        # at d = 1 that is 2 a search, whatever the cap
+        # each search asks for at most max(16 // searches, 1) points a golden round,
+        # but its first asks for both x1 and x2, whatever the cap
         points = random_points(np.random.default_rng(35), searches)
         runs = [(p, ("rr", "dr")[i % 2]) for i, p in enumerate(points)]
         requests = []
@@ -844,11 +845,11 @@ class TestOptimizeVm:
                 expected = sec.OptimalVm(*golden_walk(vm_rates(p, direction, rounds)))
                 bests.append(int(np.argmax(rounds[0][1])))
                 assert sec.optimize_vm(p, direction) == expected
-                # 2, 3 and 21 searches sharing each round: depth 3, 2 and 1
+                # 2, 3 and 21 searches sharing each round: 8, 5 and 1 points a search
                 for searches in (2, 3, 21):
                     evaluated_batches.clear()
                     assert sec.drive(sec.search_vm(p, direction, searches)) == expected
-                # at depth 1 each round evaluates the walk's new points of that round
+                # at 1 point a search each round evaluates the walk's new points of that round
                 seen, fresh = set(), []
                 for v_ms, _ in rounds:
                     fresh.append([v for v in v_ms if v not in seen])
@@ -858,30 +859,25 @@ class TestOptimizeVm:
         assert {0, len(grid) - 1} <= set(bests)
         assert any(0 < best < len(grid) - 1 for best in bests)
 
-    def test_golden_path_asks_both_outcomes_along_the_prediction(self):
+    def test_golden_path_asks_one_point_a_step_along_the_prediction(self):
         top = np.log(4.0)
         wide = (0.0, sec.GOLDEN_C * top, sec.GOLDEN_R * top, top)
-        # as many points as the full tree of the next d steps, 2^(d+1) - 2; at depth 4
-        # the path of 15 steps converges after 14
-        for depth in range(4):
-            path = sec._golden_path(wide, 1.0, depth, sec.GOLDEN_MAXITER)
-            assert len(path) == 2 ** (depth + 1) - 2
-        assert len(sec._golden_path(wide, 1.0, 4, sec.GOLDEN_MAXITER)) == 28
+        # one point a step; from this bracket the path converges after 14 steps
+        for count in range(15):
+            assert len(sec._golden_path(wide, 1.0, count)) == count
+        assert len(sec._golden_path(wide, 1.0, 20)) == 14
         for vertex in (-math.inf, -1.0, 0.3, 1.0, 2.0, math.inf):
-            path, bracket = sec._golden_path(wide, vertex, 3, sec.GOLDEN_MAXITER), wide
-            assert len(path) == 14
-            for taken, other in zip(path[::2], path[1::2]):
+            path, bracket = sec._golden_path(wide, vertex, 8), wide
+            assert len(path) == 8
+            for taken in path:
                 right = vertex > (bracket[1] + bracket[2]) / 2
-                assert other == sec._golden_step(bracket, not right)[1]
                 bracket, u = sec._golden_step(bracket, right)
                 assert taken == u
         # the path ends where the search would stop
-        assert len(sec._golden_path(wide, 1.0, 4, 1)) == 2
-        assert sec._golden_path(wide, 1.0, 4, 0) == []
         narrow = tuple(np.log(3.0) + 1e-4 * np.array([0.0, 0.4, 0.6, 1.0]))
-        assert sec._golden_path(narrow, 1.0, 4, sec.GOLDEN_MAXITER) == []
+        assert sec._golden_path(narrow, 1.0, 16) == []
         near = tuple(np.log(3.0) + 3e-3 * np.array([0.0, 0.4, 0.6, 1.0]))
-        assert len(sec._golden_path(near, 1.0, 4, sec.GOLDEN_MAXITER)) == 2
+        assert len(sec._golden_path(near, 1.0, 16)) == 1
 
     def test_parabola_vertex_from_the_three_values_nearest_the_centre(self):
         def f(u):
@@ -921,10 +917,11 @@ class TestOptimizeVm:
             return fits[-1]
 
         monkeypatch.setattr(sec, "_parabola_vertex", fit)
-        # the fits without a maximum: the third of the search's, the only one of the
-        # grid end's, where R grows toward V_M = 100, and none
+        # the fits without a maximum: the third of the search's, where the left outer
+        # value is the higher, the only one of the grid end's, where R grows toward
+        # V_M = 100, and none
         cases = (
-            (FALLBACK_POINT, "rr", {2: math.inf}),
+            (FALLBACK_POINT, "rr", {2: -math.inf}),
             (GRID_END_POINT, "rr", {0: math.inf}),
             (BAND_POINTS[1], "dr", {}),
         )
