@@ -18,6 +18,8 @@ sampler alone bounds the sample count.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,12 +222,18 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
     of Alice's A, Bob's B and, if measured, Eve's L (`sample_moments`).
 
     With `blind_v_m` None the estimate is leakage aware: k comes from L's
-    record, or is 0 without one.  A number gives the leakage-blind estimate
-    at that set V_M, with k = 0.  One call estimates from the whole batch's
-    Gram matrix and from each sub-batch's; the standard errors come from the
-    spread of the 10 sub-batch estimates.  Only the whole-batch eps is
+    record, or is 0 without one.  A finite real number above 0 gives the
+    leakage-blind estimate at that set V_M, with k = 0.  One call estimates
+    from the whole batch's Gram matrix and from each sub-batch's; the
+    standard errors come from the spread of the 10 sub-batch estimates.  Only the whole-batch eps is
     clamped at 0: clamped sub-batch values would bias that spread low.
     """
+    if blind_v_m is not None and (
+        not isinstance(blind_v_m, numbers.Real)
+        or isinstance(blind_v_m, bool)
+        or not 0.0 < blind_v_m < math.inf
+    ):
+        raise InvalidArgument(f"blind_v_m must be a finite real number > 0, got {blind_v_m!r}")
     cols = (
         moments.column("A"),
         moments.column("B"),
@@ -332,7 +340,7 @@ def end_to_end_consistency(
     m = len(measured)
     est = estimate_params(
         _sample_block(x[:m, :m], sec._SIGNS[:m], measured, n, seed),
-        blind_v_m=p.v_m if assume_no_leakage else None,
+        blind_v_m=float(p.v_m) if assume_no_leakage else None,  # a bool v_m is a valid point
     )
     p_est = _estimated_params(p, est)
     bumped, skipped = _bumped_points(p_est, est)

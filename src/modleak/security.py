@@ -90,69 +90,51 @@ class ProtocolParams:
     block_size: int = 0
 
     def __post_init__(self):
-        # until here the instance dict holds exactly the fields, in order
-        values = tuple(self.__dict__.values())
+        """Raise the error of the first bound that the point breaks, store an
+        integral block size as int, and hash the fields once."""
+        named = self.__dict__  # until here exactly the fields, in order
+        values = tuple(named.values())
         v_m, k, eta_ch, eps_ch, eta_d, eps_d, eps_p1, eps_p2, eps_l, beta, block_size = values
-        inf = math.inf
-        # a valid point adds to a float and passes one comparison over every bound,
-        # which NaN fails; only a point that fails either, or cannot be hashed, runs
-        # the checks.  A Decimal compares with floats but does not add to them
+        # real fields add to a float that is finite only if each of them is.  A
+        # Decimal, a string or None does not add, math.isfinite rejects a complex
+        # sum and an array does not hash: only then are the fields searched for
+        # the one that is not a real number
         try:
-            0.0 + v_m + k + eta_ch + eps_ch + eta_d + eps_d + eps_p1 + eps_p2 + eps_l + beta
-            valid = (
-                0.0 < v_m < inf
-                and 0.0 <= k < inf
-                and 0.0 < eta_ch <= 1.0
-                and 0.0 <= eps_ch < inf
-                and 0.0 < eta_d <= 1.0
-                and 0.0 <= eps_d < inf
-                and 0.0 <= eps_p1 < inf
-                and 0.0 <= eps_p2 < inf
-                and 0.0 <= eps_l < inf
-                and 0.0 <= beta <= 1.0
-                and type(block_size) is int
-                and 0 <= block_size <= MAX_BLOCK_SIZE
-                and (eta_ch < 1.0 or eps_ch == 0.0)
-                and (eta_d < 1.0 or eps_d == 0.0)
-            )
-            # drive hashes each point several times a round, so hash the fields once
-            fields_hash = hash(values)
-        except (TypeError, ValueError):  # a 0-d array compares but does not hash
-            valid = False
-        if not valid:
-            self._check()
-            fields_hash = hash(tuple(self.__dict__.values()))
-        self.__dict__["_hash"] = fields_hash
-
-    def _check(self):
-        """Raise the error of the first bound that the point breaks, and store an
-        integral block size as int."""
-        for name in PARAM_FIELDS[:-1]:  # every field but block_size
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidArgument(f"{name} must be a real number, got {getattr(self, name)!r}")
-        for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidArgument(f"{name} must be finite, got {getattr(self, name)}")
-        if self.v_m <= 0.0:
-            raise InvalidArgument(f"modulation variance must be > 0, got {self.v_m}")
-        if self.k < 0.0:
-            raise InvalidArgument(f"leakage ratio must be >= 0, got {self.k}")
-        if not 0.0 < self.eta_ch <= 1.0:
-            raise InvalidArgument(f"eta_ch must lie in (0, 1], got {self.eta_ch}")
-        if not 0.0 < self.eta_d <= 1.0:
-            raise InvalidArgument(f"eta_d must lie in (0, 1], got {self.eta_d}")
+            total = 0.0 + v_m + k + eta_ch + eps_ch + eta_d + eps_d + eps_p1 + eps_p2 + eps_l + beta
+            fields_hash = hash(values)  # drive hashes each point several times a round
+            finite = math.isfinite(total)
+        except (TypeError, ValueError):
+            for name, value in zip(PARAM_FIELDS[:-1], values):  # every field but block_size
+                if not isinstance(value, numbers.Real):
+                    raise InvalidArgument(f"{name} must be a real number, got {value!r}") from None
+            fields_hash, finite = None, False
+        if not finite:
+            for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
+                if not math.isfinite(named[name]):
+                    raise InvalidArgument(f"{name} must be finite, got {named[name]}")
+        if v_m <= 0.0:
+            raise InvalidArgument(f"modulation variance must be > 0, got {v_m}")
+        if k < 0.0:
+            raise InvalidArgument(f"leakage ratio must be >= 0, got {k}")
+        if not 0.0 < eta_ch <= 1.0:
+            raise InvalidArgument(f"eta_ch must lie in (0, 1], got {eta_ch}")
+        if not 0.0 < eta_d <= 1.0:
+            raise InvalidArgument(f"eta_d must lie in (0, 1], got {eta_d}")
         for name in ("eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
-            if getattr(self, name) < 0.0:
+            if named[name] < 0.0:
                 raise InvalidArgument(f"{name} must be >= 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InvalidArgument(f"beta must lie in [0, 1], got {self.beta}")
-        object.__setattr__(self, "block_size", as_integer("block_size", self.block_size))
-        if not 0 <= self.block_size <= MAX_BLOCK_SIZE:
+        if not 0.0 <= beta <= 1.0:
+            raise InvalidArgument(f"beta must lie in [0, 1], got {beta}")
+        if type(block_size) is not int:
+            block_size = named["block_size"] = as_integer("block_size", block_size)
+        if not 0 <= block_size <= MAX_BLOCK_SIZE:
             raise InvalidArgument("block size must be >= 0 (0 = asymptotic) and finite as a float")
-        if self.eta_ch == 1.0 and self.eps_ch > 0.0:
+        if eta_ch == 1.0 and eps_ch > 0.0:
             raise InvalidArgument("eps_ch > 0 requires eta_ch < 1 (purifier undefined)")
-        if self.eta_d == 1.0 and self.eps_d > 0.0:
+        if eta_d == 1.0 and eps_d > 0.0:
             raise InvalidArgument("eps_d > 0 requires eta_d < 1 (purifier undefined)")
+        # only a real type that does not add to a float, or does not hash, is hashed here
+        named["_hash"] = hash(tuple(named.values())) if fields_hash is None else fields_hash
 
     def __hash__(self):
         return self._hash

@@ -254,6 +254,25 @@ class TestEstimateParams:
             assert len(names) in (6, 8)
             assert all(type(getattr(rep, name)) is float for name in names)
 
+    @pytest.mark.parametrize(
+        "blind_v_m", [0.0, -1.0, np.nan, np.inf, True, "5", np.array(5.0)], ids=repr
+    )
+    def test_rejects_a_blind_v_m_that_is_not_a_finite_positive_real(self, blind_v_m):
+        moments = mc.sample_moments(sec.reduced_state(POINT), ["A", "B"], 2_000, seed=1)
+        with pytest.raises(InvalidArgument, match="blind_v_m must be a finite real number > 0"):
+            mc.estimate_params(moments, blind_v_m=blind_v_m)
+        # numpy and integer scalars are real numbers
+        assert mc.estimate_params(moments, np.float64(5.0)) == mc.estimate_params(moments, 5)
+
+    def test_blind_closure_takes_a_bool_v_m(self):
+        # ProtocolParams takes a bool as a real number; estimate_params does not
+        p = dataclasses.replace(POINT, v_m=True)
+        closures = [
+            mc.end_to_end_consistency(q, 20_000, seed=4, assume_no_leakage=True)
+            for q in (p, p.replace(v_m=1.0))
+        ]
+        assert repr(closures[0]) == repr(closures[1])
+
     def test_missing_bob_record(self):
         moments = mc.sample_moments(sec.reduced_state(POINT), ["A", "L"], 2_000, seed=1)
         with pytest.raises(MissingMode, match="B"):

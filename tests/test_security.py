@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import numbers
 import warnings
 from decimal import Decimal
 
@@ -169,17 +171,45 @@ class TestProtocolParams:
         "block_size": "block_size must be a finite integer, got nan",
     }
 
-    @staticmethod
-    def checked(fields: dict):
-        """The outcome of the checks alone on `fields`: the stored fields and
-        hash, or the error's class and message."""
-        point = object.__new__(sec.ProtocolParams)
-        vars(point).update(fields)
-        try:
-            point._check()
-        except Exception as exc:
-            return type(exc), str(exc)
-        return list(vars(point).items()), hash(tuple(vars(point).values()))
+    # README's order: a real number, then finite, then each range (both
+    # transmittances before the noises), then the block size, then the cross rules
+    UNBOUNDED = ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l")
+    NOISES = ("eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l")
+    RANGES = [
+        ("v_m", lambda v: v > 0.0, "modulation variance must be > 0, got {}"),
+        ("k", lambda v: v >= 0.0, "leakage ratio must be >= 0, got {}"),
+        ("eta_ch", lambda v: 0.0 < v <= 1.0, "eta_ch must lie in (0, 1], got {}"),
+        ("eta_d", lambda v: 0.0 < v <= 1.0, "eta_d must lie in (0, 1], got {}"),
+    ] + [(name, lambda v: v >= 0.0, f"{name} must be >= 0") for name in NOISES] + [
+        ("beta", lambda v: 0.0 <= v <= 1.0, "beta must lie in [0, 1], got {}"),
+    ]
+
+    @classmethod
+    def expected(cls, fields: dict):
+        """The documented outcome for `fields`: the stored fields, with their
+        types, and their hash, or the error's class and message."""
+        for name in sec.PARAM_FIELDS[:-1]:
+            if not isinstance(fields[name], numbers.Real):
+                return InvalidArgument, f"{name} must be a real number, got {fields[name]!r}"
+        for name in cls.UNBOUNDED:
+            if not math.isfinite(fields[name]):
+                return InvalidArgument, f"{name} must be finite, got {fields[name]}"
+        for name, within, message in cls.RANGES:
+            if not within(fields[name]):
+                return InvalidArgument, message.format(fields[name])
+        block_size = fields["block_size"]
+        # an integral real that is not a bool; the float test would overflow on big ints
+        if not isinstance(block_size, numbers.Real) or isinstance(block_size, bool) or not (
+            isinstance(block_size, numbers.Integral) or float(block_size).is_integer()
+        ):
+            return InvalidArgument, f"block_size must be a finite integer, got {block_size!r}"
+        if not 0 <= int(block_size) <= float(np.finfo(float).max):
+            return InvalidArgument, "block size must be >= 0 (0 = asymptotic) and finite as a float"
+        for eta, eps in (("eta_ch", "eps_ch"), ("eta_d", "eps_d")):
+            if fields[eta] == 1.0 and fields[eps] > 0.0:
+                return InvalidArgument, f"{eps} > 0 requires {eta} < 1 (purifier undefined)"
+        stored = dict(fields, block_size=int(block_size))
+        return [(name, type(v), v) for name, v in stored.items()], hash(tuple(stored.values()))
 
     @staticmethod
     def outcome(make):
@@ -187,7 +217,21 @@ class TestProtocolParams:
             point = make()
         except Exception as exc:
             return type(exc), str(exc)
-        return list(vars(point).items())[:-1], hash(point)
+        stored = list(vars(point).items())[:-1]
+        return [(name, type(v), v) for name, v in stored], hash(point)
+
+    # eta = 1 with eps = 0, and eta < 1 with eps > 0: each cross rule both ways
+    BASES = [
+        sec.ProtocolParams(v_m=5.0),
+        sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02, eta_d=0.8, eps_d=0.01),
+    ]
+
+    def assert_documented(self, base, changes: dict):
+        fields = dict(zip(sec.PARAM_FIELDS, vars(base).values()), **changes)
+        expected = self.expected(fields)
+        assert self.outcome(lambda: sec.ProtocolParams(**fields)) == expected, changes
+        assert self.outcome(lambda: base.replace(**changes)) == expected, changes
+        return expected
 
     @pytest.mark.parametrize("field", sec.PARAM_FIELDS)
     def test_accepts_only_what_the_checks_accept(self, field):
@@ -196,23 +240,43 @@ class TestProtocolParams:
             values.append(math.nextafter(1.0, 2.0))
         if field == "block_size":
             values += self.BLOCK_SIZES
-        # eta = 1 with eps = 0, and eta < 1 with eps > 0: each cross rule both ways
-        bases = [
-            sec.ProtocolParams(v_m=5.0),
-            sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.9, eps_ch=0.02, eta_d=0.8, eps_d=0.01),
-        ]
         outcomes = set()
-        for base in bases:
+        for base in self.BASES:
             for value in values:
-                fields = dict(zip(sec.PARAM_FIELDS, vars(base).values()), **{field: value})
-                expected = self.checked(fields)
-                assert self.outcome(lambda: sec.ProtocolParams(**fields)) == expected, value
-                assert self.outcome(lambda: base.replace(**{field: value})) == expected, value
+                expected = self.assert_documented(base, {field: value})
                 outcomes.add(expected[0] if isinstance(expected[0], type) else "valid")
         assert "valid" in outcomes and InvalidArgument in outcomes
-        assert self.outcome(lambda: bases[0].replace(**{field: math.nan})) == (
+        assert self.outcome(lambda: self.BASES[0].replace(**{field: math.nan})) == (
             InvalidArgument, self.NAN_MESSAGES[field]
         )
+
+    @pytest.mark.parametrize("first", sec.PARAM_FIELDS[:-1])
+    def test_names_the_first_of_two_bad_fields(self, first):
+        bad = [math.nan, -1.0, "x", 2.0, math.inf]
+        for second in sec.PARAM_FIELDS[sec.PARAM_FIELDS.index(first) + 1 :]:
+            for base in self.BASES:
+                for a, b in itertools.product(bad, bad):
+                    self.assert_documented(base, {first: a, second: b})
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"beta": "x", "v_m": math.nan}, "beta must be a real number, got 'x'"),
+            ({"v_m": -1.0, "eps_l": math.inf}, "eps_l must be finite, got inf"),
+            ({"eps_ch": -1.0, "eta_d": 2.0}, "eta_d must lie in (0, 1], got 2.0"),
+            ({"beta": 2.0, "eps_p2": -1.0}, "eps_p2 must be >= 0"),
+            ({"block_size": -1, "beta": math.nan}, "beta must lie in [0, 1], got nan"),
+            ({"block_size": "x", "eta_ch": 1.0}, "block_size must be a finite integer, got 'x'"),
+            ({"block_size": -1, "eps_ch": 0.1, "eta_ch": 1.0}, "block size must be >= 0"),
+        ],
+    )
+    def test_precedence_of_the_checks(self, changes, message):
+        base = self.BASES[1]
+        fields = dict(zip(sec.PARAM_FIELDS, vars(base).values()), **changes)
+        for make in (lambda: sec.ProtocolParams(**fields), lambda: base.replace(**changes)):
+            with pytest.raises(InvalidArgument) as error:
+                make()
+            assert str(error.value).startswith(message)
 
     def test_integral_block_size_is_stored_as_an_integer(self):
         p = sec.ProtocolParams(v_m=5.0, block_size=1e7)
