@@ -20,8 +20,12 @@ entropies also take a batch of states with the same labels and signs: x
 blocks with a leading batch shape, (..., N, N).  A single state is the batch
 of shape ().
 
-Every state is checked when it is built, and the check leaves the state's
-symplectic spectrum in `CovMatrix.spectrum`, the one place to read it.
+`checked_spectrum` is the one physicality check: it computes a batch's
+symplectic spectra and rejects a state below the uncertainty bound.  Its
+callers are `CovMatrix`, which checks every state it is built with and keeps
+the spectrum in `CovMatrix.spectrum`, and the key-rate pass
+(`security._evaluate`), which checks the states it assembles without
+building a `CovMatrix`.
 `heterodyne_condition(state, measured)` is the one conditioning rule: the
 marginal of the modes not listed, then that marginal conditioned on each
 listed mode on its own, as one batch; `heterodyne_schur` is its unchecked core.
@@ -44,15 +48,17 @@ def _transpose(mat: np.ndarray) -> np.ndarray:
     return mat.swapaxes(-1, -2)
 
 
-def _spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of each state in a batch of x blocks with signs, descending.
+def checked_spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of each state in a batch of finite, symmetric x
+    blocks with signs, descending, once every state is checked physical.
 
     They are the square roots of the eigenvalues of X P = (X S)^2
     (Williamson).  With X = L L^T (Cholesky), X S is similar to the
     symmetric L^T S L, so they are the absolute eigenvalues of L^T S L, with
     absolute rounding of about eps |X| and nothing squared.  A block that is
     not positive definite cannot belong to a covariance matrix, and P is
-    positive definite exactly when X is.
+    positive definite exactly when X is; a smallest eigenvalue below
+    1 - PHYSICALITY_TOL violates the uncertainty principle.
     """
     try:
         chol = np.linalg.cholesky(x)
@@ -62,7 +68,12 @@ def _spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
         eigs = np.linalg.eigvalsh(_transpose(chol) @ (signs[:, None] * chol))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
-    return np.sort(np.abs(eigs), axis=-1)[..., ::-1]
+    nus = np.sort(np.abs(eigs), axis=-1)[..., ::-1]
+    if (nus[..., -1] < 1.0 - PHYSICALITY_TOL).any():
+        raise UnphysicalState(
+            f"minimal symplectic eigenvalue {np.min(nus[..., -1])} violates uncertainty"
+        )
+    return nus
 
 
 @dataclass(frozen=True)
@@ -71,8 +82,9 @@ class CovMatrix:
     blocks and one sign per mode.
 
     The p block is S X S, with S the diagonal of `signs`.  Every state of the
-    batch is checked for symmetry and physicality at construction, which
-    computes the symplectic spectrum, (..., N), kept read-only in `spectrum`.
+    batch is checked for symmetry at construction and for physicality by
+    `checked_spectrum`, whose symplectic spectrum, (..., N), is kept
+    read-only in `spectrum`.
     """
 
     modes: tuple[str, ...]
@@ -106,13 +118,9 @@ class CovMatrix:
         mat = 0.5 * (mat + mat_t)
         mat.setflags(write=False)
         object.__setattr__(self, "x", mat)
-        nus = _spectrum(mat, signs)
+        nus = checked_spectrum(mat, signs)
         nus.setflags(write=False)
         object.__setattr__(self, "spectrum", nus)
-        if (nus[..., -1] < 1.0 - PHYSICALITY_TOL).any():
-            raise UnphysicalState(
-                f"minimal symplectic eigenvalue {np.min(nus[..., -1])} violates uncertainty"
-            )
 
     @property
     def n_modes(self) -> int:

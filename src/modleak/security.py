@@ -68,7 +68,11 @@ def as_integer(key: str, value) -> int:
     if type(value) is int:  # the common case, without the slower ABC checks
         return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():  # not NaN or inf
+        try:
+            integral = isinstance(value, numbers.Integral) or float(value).is_integer()  # not NaN or inf
+        except OverflowError:  # a real beyond the largest float, such as Fraction(10**400)
+            integral = int(value) == value
+        if integral:
             return int(value)
     raise InvalidArgument(f"{key} must be a finite integer, got {value!r}")
 
@@ -97,21 +101,26 @@ class ProtocolParams:
         v_m, k, eta_ch, eps_ch, eta_d, eps_d, eps_p1, eps_p2, eps_l, beta, block_size = values
         # real fields add to a float that is finite only if each of them is.  A
         # Decimal, a string or None does not add, math.isfinite rejects a complex
-        # sum and an array does not hash: only then are the fields searched for
-        # the one that is not a real number
+        # sum, an array does not hash and a real too large for a float, such as
+        # 10**400, overflows: only then are the fields searched for the one that
+        # is not a real number
         try:
             total = 0.0 + v_m + k + eta_ch + eps_ch + eta_d + eps_d + eps_p1 + eps_p2 + eps_l + beta
             fields_hash = hash(values)  # drive hashes each point several times a round
             finite = math.isfinite(total)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             for name, value in zip(PARAM_FIELDS[:-1], values):  # every field but block_size
                 if not isinstance(value, numbers.Real):
                     raise InvalidArgument(f"{name} must be a real number, got {value!r}") from None
             fields_hash, finite = None, False
         if not finite:
             for name in ("v_m", "k", "eps_ch", "eps_d", "eps_p1", "eps_p2", "eps_l"):
-                if not math.isfinite(named[name]):
-                    raise InvalidArgument(f"{name} must be finite, got {named[name]}")
+                try:
+                    if math.isfinite(named[name]):
+                        continue
+                except OverflowError:  # too large for a float: not finite as one
+                    pass
+                raise InvalidArgument(f"{name} must be finite, got {named[name]}")
         if v_m <= 0.0:
             raise InvalidArgument(f"modulation variance must be > 0, got {v_m}")
         if k < 0.0:
@@ -313,11 +322,13 @@ def _x_block(p: ProtocolParams) -> tuple[float, ...]:
     )
 
 
-# `reduced_state(p)`'s x block from `_x_block(p)`, and Eve's at v_s = 1
+# `reduced_state(p)`'s x block from `_x_block(p)`
 _REDUCED_X = np.zeros((5, 5), dtype=int)
 _REDUCED_X[np.triu_indices(5)] = np.arange(15)
 _REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
-_EVE_X_AT_UNIT_SOURCE = _REDUCED_X[2:, 2:] + 6
+# Eve's block, that block at v_s = 1, and her block again, which a pass
+# conditions on B in place: E, E|a and the room for E|b, in one gather
+_EVE_STATES = np.stack((_REDUCED_X[2:, 2:], _REDUCED_X[2:, 2:] + 6, _REDUCED_X[2:, 2:]))
 
 
 def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
@@ -364,19 +375,24 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     # no checked state holds A: at k = 0 and eta_ch = 1 Eve holds vacua whatever v_s is
     if not np.isfinite(rows).all():
         raise NumericalError("covariance matrix has non-finite entries")
-    x = rows[:, _REDUCED_X]
-    v_a, v_b, c, eve = x[:, 0, 0], x[:, 1, 1], x[:, 0, 1], x[:, 2:, 2:]
-    # an overflow leaves E|b an inf entry, which her check rejects, or the ratio 0
+    # A's and B's variances, their correlation, and B's with L, E1 and E2 (`_REDUCED_X`)
+    v_a, v_b, c, c_eve = rows[:, 0], rows[:, 5], rows[:, 1], rows[:, 6:9]
+    states = rows[:, _EVE_STATES].swapaxes(0, 1)
+    # an overflow leaves E|b an inf or NaN entry, or the ratio 0
     with np.errstate(over="ignore"):
-        states = (eve, rows[:, _EVE_X_AT_UNIT_SOURCE], g.heterodyne_schur(eve, x[:, 2:, 1], v_b))
+        states[2] = g.heterodyne_schur(states[2], c_eve, v_b)
         ab = 1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0))
-    states = g.CovMatrix(REDUCED_MODES[2:], np.array(states), _SIGNS[2:])
+    if not np.isfinite(states[2]).all():
+        raise NumericalError("covariance matrix has non-finite entries")
+    # E and E|a are entries of the finite `rows`, and all three are bitwise
+    # symmetric: checked as they are, without a CovMatrix's symmetry check and copy
+    nus = g.checked_spectrum(states, _SIGNS[2:])
     # from v_s = 2^53 at k = 0 and eta_ch = 1, c^2 rounds to (v_a + 1)(v_b + 1)
     if not (ab > 0.0).all():
         raise UnphysicalState(f"A and B's state gives 1 - c^2 / ((v_a + 1)(v_b + 1)) = {np.min(ab)}")
     # heterodyne I_AB (bits/symbol) of A and B: the x and the equal p term, -0.5 log2(...) each
     i_ab = -np.log2(ab)
-    entropies = g.von_neumann_entropy(states)
+    entropies = g.entropy_g(nus).sum(axis=-1)
     # DR and RR: S(E) - S(E|a) and S(E) - S(E|b)
     chi = entropies[0] - entropies[1:]
     # tiny negative residues from the spectrum are numerical zero

@@ -1,3 +1,6 @@
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 
 from modleak import gaussian as g
@@ -36,21 +39,31 @@ def evaluated_batches(monkeypatch):
     return batches
 
 
+class CheckedStates(NamedTuple):
+    """One batch of states that gaussian.checked_spectrum checked: a copy of its
+    x blocks, its signs and its batch shape, the x blocks' shape without the
+    last two axes."""
+
+    x: np.ndarray
+    signs: tuple[float, ...]
+    shape: tuple[int, ...]
+
+
 @pytest.fixture
 def checked_states(monkeypatch):
-    """(modes, batch shape) of every CovMatrix built during the test, in order.
+    """Every batch of states checked during the test, in order, as CheckedStates.
 
-    Every construction checks its states, so this lists the checked states;
-    the batch shape is the x blocks' shape without the last two axes.
+    gaussian.checked_spectrum is the one physicality check: every CovMatrix
+    construction and every key-rate pass checks its states through it.
     """
     states = []
-    check = g.CovMatrix.__post_init__
+    check = g.checked_spectrum
 
-    def recorded(state):
-        check(state)
-        states.append((state.modes, state.x.shape[:-2]))
+    def recorded(x, signs):
+        states.append(CheckedStates(x.copy(), tuple(signs.tolist()), x.shape[:-2]))
+        return check(x, signs)
 
-    monkeypatch.setattr(g.CovMatrix, "__post_init__", recorded)
+    monkeypatch.setattr(g, "checked_spectrum", recorded)
     return states
 
 

@@ -432,7 +432,7 @@ class TestSpectraAndEntropy:
 
     def test_spectrum_is_kept_from_construction(self):
         state = g.epr_source(3.0, ("a", "b"))
-        np.testing.assert_array_equal(state.spectrum, g._spectrum(state.x, state.signs))
+        np.testing.assert_array_equal(state.spectrum, g.checked_spectrum(state.x, state.signs))
         assert not state.spectrum.flags.writeable
 
     def test_matches_oracle_on_random_states(self):

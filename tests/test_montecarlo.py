@@ -438,7 +438,7 @@ class TestEndToEndConsistency:
     def test_checks_one_state(self, checked_states):
         mc.end_to_end_consistency(POINT, 5_000, seed=3)
         # Eve's E, E|a and E|b at the six evaluated points; the sampled block is unchecked
-        assert checked_states == [(("L", "E1", "E2"), (3, 6))]
+        assert [(c.signs, c.shape) for c in checked_states] == [((-1.0, -1.0, 1.0), (3, 6))]
 
     def test_rate_se_names_skipped_terms(self):
         p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=1.0, eps_ch=0.0)

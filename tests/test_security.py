@@ -4,6 +4,7 @@ import math
 import numbers
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ TABLE_POINT = sec.ProtocolParams(
     v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, beta=0.96, eta_d=0.85, eps_d=0.01
 )
 MODEL_FIELDS = ("v_m", "k", "eta_ch", "eps_ch", "eta_d", "eps_d", "eps_p1", "eps_p2", "eps_l")
+# the signs of Eve's modes L, E1, E2 in `build_scheme`
+EVE_SIGNS = (-1.0, -1.0, 1.0)
 
 
 def purification_rates(p: sec.ProtocolParams) -> tuple[float, float, float]:
@@ -158,6 +161,8 @@ class TestProtocolParams:
     BOUNDARY += [np.float64(-math.inf), "0.5", None, np.array([0.5, 0.5]), np.array(0.5)]
     # a Decimal compares with floats but is not a real number
     BOUNDARY += [Decimal("5"), Decimal("NaN"), Decimal("-1")]
+    # real numbers too large for a float: converting them overflows
+    BOUNDARY += [10**400, -(10**400), Fraction(10**400)]
     BLOCK_SIZES = [True, False, np.int64(5), 1e6, 2.5, 0, 7, -1, -1.0, math.nan, math.inf]
     BLOCK_SIZES += [2**1023, 2**1024]
 
@@ -184,6 +189,24 @@ class TestProtocolParams:
         ("beta", lambda v: 0.0 <= v <= 1.0, "beta must lie in [0, 1], got {}"),
     ]
 
+    @staticmethod
+    def finite(value) -> bool:
+        """math.isfinite, false for a real too large for a float."""
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
+
+    @staticmethod
+    def integral(value) -> bool:
+        """Whether a real number is an integer, exactly: NaN and inf are not."""
+        if isinstance(value, numbers.Integral):
+            return True
+        try:
+            return int(value) == value
+        except (ValueError, OverflowError):
+            return False
+
     @classmethod
     def expected(cls, fields: dict):
         """The documented outcome for `fields`: the stored fields, with their
@@ -192,15 +215,15 @@ class TestProtocolParams:
             if not isinstance(fields[name], numbers.Real):
                 return InvalidArgument, f"{name} must be a real number, got {fields[name]!r}"
         for name in cls.UNBOUNDED:
-            if not math.isfinite(fields[name]):
+            if not cls.finite(fields[name]):
                 return InvalidArgument, f"{name} must be finite, got {fields[name]}"
         for name, within, message in cls.RANGES:
             if not within(fields[name]):
                 return InvalidArgument, message.format(fields[name])
         block_size = fields["block_size"]
-        # an integral real that is not a bool; the float test would overflow on big ints
+        # an integral real that is not a bool
         if not isinstance(block_size, numbers.Real) or isinstance(block_size, bool) or not (
-            isinstance(block_size, numbers.Integral) or float(block_size).is_integer()
+            cls.integral(block_size)
         ):
             return InvalidArgument, f"block_size must be a finite integer, got {block_size!r}"
         if not 0 <= int(block_size) <= float(np.finfo(float).max):
@@ -492,7 +515,7 @@ class TestKeyRates:
         sec.key_rates(points + points[:5])
         assert evaluated_batches == [points]
         # E, E|a and E|b on Eve's modes, in one batch
-        assert checked_states == [(("L", "E1", "E2"), (3, len(points)))]
+        assert [(c.signs, c.shape) for c in checked_states] == [(EVE_SIGNS, (3, len(points)))]
 
     def test_empty_call(self, evaluated_batches):
         assert sec.key_rates([]) == []
@@ -511,16 +534,19 @@ class TestKeyRates:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 report.i_ab = 0.0
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"v_m": 1e200},
-            {"v_m": 5.0, "k": 1e200},
-            {"v_m": 1e-300, "eta_ch": 1e-300, "eps_ch": 1e300},
-            # finite entries whose Schur complement on B overflows
-            {"v_m": 1.0, "k": 1.0, "eps_l": 1e300},
-        ],
-    )
+    OVERFLOWING = [
+        {"v_m": 1e200},
+        {"v_m": 5.0, "k": 1e200},
+        {"v_m": 1e-300, "eta_ch": 1e-300, "eps_ch": 1e300},
+        # finite entries whose Schur complement on B overflows
+        {"v_m": 1.0, "k": 1.0, "eps_l": 1e300},
+    ]
+    ROUNDED_AB_V_M = [2.0**53, 1e16, 1e20, 1e153]
+    # at source variance 1e8 the rounding of Eve's states puts a symplectic
+    # eigenvalue 7e-9 below 1, past the physicality check's tolerance
+    UNPHYSICAL = sec.ProtocolParams(v_m=1e8, eta_ch=0.7204396530782486, eps_ch=0.3787372568065778)
+
+    @pytest.mark.parametrize("fields", OVERFLOWING)
     def test_overflowing_point_is_a_numerical_error(self, fields):
         # the state overflows to inf or NaN entries, which its check rejects,
         # without a floating-point warning on the way
@@ -529,7 +555,7 @@ class TestKeyRates:
             with pytest.raises(NumericalError, match="non-finite"):
                 sec.key_rate(sec.ProtocolParams(**fields))
 
-    @pytest.mark.parametrize("v_m", [2.0**53, 1e16, 1e20, 1e153])
+    @pytest.mark.parametrize("v_m", ROUNDED_AB_V_M)
     def test_rounded_ab_pair_is_unphysical(self, v_m):
         # at k = 0 and eta_ch = 1 Eve holds vacua whatever v_s is; from v_s =
         # 2^53 on, c^2 rounds to (v_a + 1)(v_b + 1) and I_AB's log2 argument to 0
@@ -555,15 +581,47 @@ class TestKeyRates:
         assert all(math.isfinite(v) for v in vars(rep).values())
 
     def test_unphysical_point_fails_its_batch_alike(self):
-        # at source variance 1e8 the rounding of Eve's states puts a symplectic
-        # eigenvalue 7e-9 below 1, past the physicality check's tolerance
-        bad = sec.ProtocolParams(v_m=1e8, eta_ch=0.7204396530782486, eps_ch=0.3787372568065778)
+        bad = self.UNPHYSICAL
         with pytest.raises(UnphysicalState):
             sec.key_rate(bad)
         same_structure = sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=0.1)
         other = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.1, eps_l=0.2)
         with pytest.raises(UnphysicalState):
             sec.key_rates([same_structure, bad, other])
+
+
+    def test_checked_states_are_bitwise_symmetric(self, checked_states):
+        # why a pass checks its states as they are, without a CovMatrix's
+        # symmetry check and symmetrising copy
+        fixtures = [sec.ProtocolParams(**fields) for fields in self.OVERFLOWING]
+        fixtures += [sec.ProtocolParams(v_m=v_m) for v_m in self.ROUNDED_AB_V_M]
+        fixtures += [sec.ProtocolParams(v_m=1e10, eps_p2=1e300), self.UNPHYSICAL]
+        for q in fixtures:
+            try:
+                sec.key_rate(q)
+            except (NumericalError, UnphysicalState):
+                pass
+        sec.key_rates(random_points(np.random.default_rng(28), 300))
+        # the overflowing points fail before their states are checked
+        assert [c.shape for c in checked_states] == [(3, 1)] * 6 + [(3, 300)]
+        for x, signs, _ in checked_states:
+            assert signs == EVE_SIGNS
+            assert x.tobytes() == np.ascontiguousarray(x.swapaxes(-1, -2)).tobytes()
+        # a pass's check and a CovMatrix's raise alike
+        not_positive_definite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        # nu = sqrt(1 - c^2) is 5e-9 below 1
+        below_tolerance = np.array([[1.0, 1e-4], [1e-4, 1.0]])
+        signs = np.array([1.0, -1.0])
+        for x, message in [
+            (not_positive_definite, "not positive definite"),
+            (below_tolerance, "violates uncertainty"),
+        ]:
+            with pytest.raises(UnphysicalState, match=message) as from_spectrum:
+                g.checked_spectrum(x, signs)
+            with pytest.raises(UnphysicalState) as from_state:
+                g.CovMatrix(("a", "b"), x, signs)
+            assert type(from_state.value) is type(from_spectrum.value)
+            assert str(from_state.value) == str(from_spectrum.value)
 
 
 class TestEveStates:
@@ -587,39 +645,34 @@ class TestEveStates:
     ]
 
     @staticmethod
-    def pass_states(monkeypatch, points) -> g.CovMatrix:
-        """The batch of Eve's states whose entropies a pass over `points` takes."""
-        states = []
-        entropy = g.von_neumann_entropy
-
-        def recorded(state):
-            states.append(state)
-            return entropy(state)
-
-        monkeypatch.setattr(g, "von_neumann_entropy", recorded)
+    def pass_states(checked_states, points) -> np.ndarray:
+        """The x blocks, (3, len(points), 3, 3), of the one batch of Eve's states
+        that a pass over `points` checks, with her signs."""
+        checked_states.clear()
         sec.key_rates(points)
-        [state] = states
-        return state
+        [(x, signs, shape)] = checked_states
+        assert (signs, shape) == (EVE_SIGNS, (3, len(points)))
+        return x
 
     @staticmethod
-    def assert_conditioned_reduced_state(state: g.CovMatrix, points):
+    def assert_conditioned_reduced_state(x: np.ndarray, points):
         reference = g.heterodyne_condition(sec.reduced_state(points), ["A", "B"])
-        assert state.modes == reference.modes
-        assert state.signs.tolist() == reference.signs.tolist()
-        assert state.x[0].tobytes() == reference.x[0].tobytes()
-        assert state.x[2].tobytes() == reference.x[2].tobytes()
+        assert reference.modes == ("L", "E1", "E2")
+        assert tuple(reference.signs.tolist()) == EVE_SIGNS
+        assert x[0].tobytes() == reference.x[0].tobytes()
+        assert x[2].tobytes() == reference.x[2].tobytes()
         # E|a is E at v_s = 1, equal to the Schur complement up to its rounding
         v_s = np.array([1.0 + (1.0 + q.k * q.k) * q.v_m for q in points])
-        gap = np.abs(state.x[1] - reference.x[1]).max(axis=(-2, -1))
+        gap = np.abs(x[1] - reference.x[1]).max(axis=(-2, -1))
         assert (gap <= 8.0 * np.finfo(float).eps * v_s).all()
 
     @pytest.mark.parametrize("full_noise", [False, True], ids=["seed 22", "full noise"])
-    def test_are_the_conditioned_reduced_state(self, monkeypatch, full_noise):
+    def test_are_the_conditioned_reduced_state(self, checked_states, full_noise):
         points = self.FULL_NOISE if full_noise else random_points(np.random.default_rng(22), 60)
-        self.assert_conditioned_reduced_state(self.pass_states(monkeypatch, points), points)
+        self.assert_conditioned_reduced_state(self.pass_states(checked_states, points), points)
 
     @pytest.mark.parametrize("offset", [1e-6, 1e-9])
-    def test_catch_e_given_a_at_a_wrong_source_variance(self, monkeypatch, offset):
+    def test_catch_e_given_a_at_a_wrong_source_variance(self, monkeypatch, checked_states, offset):
         x_block = sec._x_block
 
         def shifted(p):
@@ -628,9 +681,9 @@ class TestEveStates:
             return x_block(p)[:15] + near_unit[9:15]
 
         monkeypatch.setattr(sec, "_x_block", shifted)
-        state = self.pass_states(monkeypatch, self.FULL_NOISE)
+        x = self.pass_states(checked_states, self.FULL_NOISE)
         with pytest.raises(AssertionError):
-            self.assert_conditioned_reduced_state(state, self.FULL_NOISE)
+            self.assert_conditioned_reduced_state(x, self.FULL_NOISE)
 
 
 class TestReducedState:
