@@ -15,20 +15,17 @@ are given.  A beamsplitter keeps P = S X S when its two modes have equal
 signs, and a two-mode squeezer when they have opposite ones; otherwise the
 op flips the signs of the second mode's correlation component, which does
 not change the state, and it cannot when the first mode is in that
-component.  `CovMatrix`, `partial_trace`, `heterodyne_condition` and the
-entropies also take a batch of states with the same labels and signs: x
-blocks with a leading batch shape, (..., N, N).  A single state is the batch
-of shape ().
+component.  A `CovMatrix` is one state; `partial_trace`,
+`heterodyne_condition` and `von_neumann_entropy` take one state.
 
 `checked_spectrum` is the one physicality check: it computes a batch's
-symplectic spectra and rejects a state below the uncertainty bound.  Its
-callers are `CovMatrix`, which checks every state it is built with and keeps
-the spectrum in `CovMatrix.spectrum`, and the key-rate pass
-(`security._evaluate`), which checks the states it assembles without
-building a `CovMatrix`.
-`heterodyne_condition(state, measured)` is the one conditioning rule: the
-marginal of the modes not listed, then that marginal conditioned on each
-listed mode on its own, as one batch; `heterodyne_schur` is its unchecked core.
+symplectic spectra, x blocks of shape (..., N, N) with one set of signs, and
+rejects a state below the uncertainty bound.  Its callers are `CovMatrix`,
+which checks its state and keeps the spectrum in `CovMatrix.spectrum`, and
+the key-rate pass (`security._evaluate`), which checks the batch of states it
+assembles without building a `CovMatrix`.  `heterodyne_condition(state, mode)`
+is the one conditioning rule; `heterodyne_schur` is its unchecked core, on a
+batch as well.
 """
 
 from __future__ import annotations
@@ -41,11 +38,6 @@ from .errors import InvalidArgument, MissingMode, NumericalError, UnphysicalStat
 
 SYMMETRY_RTOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-
-
-def _transpose(mat: np.ndarray) -> np.ndarray:
-    """Transpose of every matrix in a batch."""
-    return mat.swapaxes(-1, -2)
 
 
 def checked_spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -65,7 +57,7 @@ def checked_spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise UnphysicalState("covariance matrix is not positive definite") from None
     try:
-        eigs = np.linalg.eigvalsh(_transpose(chol) @ (signs[:, None] * chol))
+        eigs = np.linalg.eigvalsh(chol.swapaxes(-1, -2) @ (signs[:, None] * chol))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     nus = np.sort(np.abs(eigs), axis=-1)[..., ::-1]
@@ -78,13 +70,12 @@ def checked_spectrum(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Gaussian state, or batch of states: ordered mode labels, (..., N, N) x
-    blocks and one sign per mode.
+    """Gaussian state: ordered mode labels, an N x N x block and one sign per mode.
 
-    The p block is S X S, with S the diagonal of `signs`.  Every state of the
-    batch is checked for symmetry at construction and for physicality by
-    `checked_spectrum`, whose symplectic spectrum, (..., N), is kept
-    read-only in `spectrum`.
+    The p block is S X S, with S the diagonal of `signs`.  The state is
+    checked for symmetry at construction and for physicality by
+    `checked_spectrum`, whose symplectic spectrum, (N,), is kept read-only in
+    `spectrum`.
     """
 
     modes: tuple[str, ...]
@@ -105,17 +96,15 @@ class CovMatrix:
         signs.setflags(write=False)
         object.__setattr__(self, "signs", signs)
         mat = np.asarray(self.x, dtype=float)
-        if mat.shape[-2:] != (n, n):
+        if mat.shape != (n, n):
             raise InvalidArgument(f"block shape {mat.shape} does not match {n} modes")
-        state_axes = (-2, -1)
-        scale = np.abs(mat).max(axis=state_axes, initial=1.0)
+        scale = np.abs(mat).max(initial=1.0)
         # a NaN or inf entry makes the scale non-finite; test it before inf - inf can warn
-        if not (scale < np.inf).all():
+        if not scale < np.inf:
             raise NumericalError("covariance matrix has non-finite entries")
-        mat_t = _transpose(mat)
-        if not (np.abs(mat - mat_t).max(axis=state_axes) <= SYMMETRY_RTOL * scale).all():
+        if not np.abs(mat - mat.T).max() <= SYMMETRY_RTOL * scale:
             raise InvalidArgument("covariance matrix is not symmetric")
-        mat = 0.5 * (mat + mat_t)
+        mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "x", mat)
         nus = checked_spectrum(mat, signs)
@@ -173,7 +162,7 @@ def _fitted_signs(state: CovMatrix, i: int, j: int, product: float) -> np.ndarra
     signs = state.signs
     if signs[i] * signs[j] == product:
         return signs
-    linked = (state.x != 0.0).reshape(-1, state.n_modes, state.n_modes).any(axis=0)
+    linked = state.x != 0.0
     component = linked[j]
     while True:
         grown = linked[component].any(axis=0)
@@ -202,8 +191,8 @@ def _embed_two_mode(
         raise InvalidArgument("two-mode operation needs two distinct modes")
     signs = _fitted_signs(state, idx[0], idx[1], product)
     mat = state.x.copy()
-    mat[..., idx, :] = s @ mat[..., idx, :]
-    mat[..., :, idx] = mat[..., :, idx] @ s.T
+    mat[idx, :] = s @ mat[idx, :]
+    mat[:, idx] = mat[:, idx] @ s.T
     return CovMatrix(state.modes, mat, signs)
 
 
@@ -264,32 +253,27 @@ def loss_excess_channel(
 def partial_trace(state: CovMatrix, keep: list[str] | tuple[str, ...]) -> CovMatrix:
     """Reduce to the requested modes, in the requested order."""
     idx = np.array([state.index(m) for m in keep], dtype=int)
-    return CovMatrix(tuple(keep), state.x[..., idx[:, None], idx], state.signs[idx])
+    return CovMatrix(tuple(keep), state.x[idx[:, None], idx], state.signs[idx])
 
 
-def heterodyne_condition(state: CovMatrix, measured: list[str]) -> CovMatrix:
-    """The modes not listed, then that state after heterodyning each listed mode
-    on its own: a batch of len(measured) + 1 states on a new first axis.
+def heterodyne_condition(state: CovMatrix, mode: str) -> CovMatrix:
+    """The other modes after heterodyning `mode`.
 
-    Entry 0 is the marginal K of the modes not listed, bitwise their
-    `partial_trace`.  Gaussian heterodyne conditioning is outcome independent:
-    entry i + 1 is the Schur complement K - c c^T / (m + 1) of the x block
-    (`heterodyne_schur`), with m the variance of `measured[i]` and c its
-    correlations with the modes not listed.  The p block's is
-    S (K - c c^T / (m + 1)) S, so the signs of the modes not listed carry over.
+    Gaussian heterodyne conditioning is outcome independent: the x block is
+    the Schur complement K - c c^T / (m + 1) (`heterodyne_schur`), with K the
+    x block of the other modes, m the variance of `mode` and c its
+    correlations with them.  The p block's is S (K - c c^T / (m + 1)) S, so
+    the signs of the other modes carry over.
     """
-    m = [state.index(x) for x in measured]
-    keep = np.array([i for i in range(state.n_modes) if i not in m], dtype=int)
-    gk = state.x[..., keep[:, None], keep]
-    out = np.empty((len(m) + 1,) + gk.shape)
-    out[0] = gk
-    for i, j in enumerate(m, 1):
-        out[i] = heterodyne_schur(gk, state.x[..., keep, j], state.x[..., j, j])
-    return CovMatrix(tuple(state.modes[i] for i in keep), out, state.signs[keep])
+    j = state.index(mode)
+    keep = np.array([i for i in range(state.n_modes) if i != j], dtype=int)
+    x = heterodyne_schur(state.x[keep[:, None], keep], state.x[keep, j], state.x[j, j])
+    return CovMatrix(tuple(state.modes[i] for i in keep), x, state.signs[keep])
 
 
 def heterodyne_schur(k: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """`heterodyne_condition`'s Schur complement K - c c^T / (m + 1), unchecked."""
+    """`heterodyne_condition`'s Schur complement K - c c^T / (m + 1), unchecked,
+    of each state in a batch: K (..., N, N), c (..., N) and m (...)."""
     return k - c[..., :, None] * c[..., None, :] / (m[..., None, None] + 1.0)
 
 
@@ -308,6 +292,6 @@ def entropy_g(nu):
     return (b1 * np.log2(b1) - b * np.log2(b + (b == 0.0)))[()]
 
 
-def von_neumann_entropy(state: CovMatrix) -> float | np.ndarray:
-    """Total entropy in bits of each state of the batch, summed over its spectrum."""
-    return entropy_g(state.spectrum).sum(axis=-1)[()]
+def von_neumann_entropy(state: CovMatrix) -> float:
+    """Total entropy in bits of the state, summed over its spectrum."""
+    return float(entropy_g(state.spectrum).sum())

@@ -4,7 +4,7 @@ Samples heterodyne statistics of A, B and L, re-derives the protocol
 parameters with moment estimators, and closes the loop by comparing the key
 rate at the estimated point against the true one.  Eve's record is the
 leakage-mode output, measured with perfect efficiency.
-The closure samples the (A, B[, L]) x block of `security._x_block`, the
+The closure samples the (A, B[, L]) x block of `security.reduced_x`, the
 entries of `security.reduced_state` without its five-mode check: only the
 sampler's Cholesky of (X + 1)/2 and the key-rate pass, which checks Eve's
 states at the true point, stand between it and a report.
@@ -133,14 +133,11 @@ def sample_moments(
     sub-batch Grams' sum plus sum_i m_i (mean_i - mean)(mean_i - mean)^T; each
     Gram G is returned as C G C^T.  n is at least MIN_SAMPLES and at most
     MAX_SAMPLES (counts exact as float64), and Bartlett needs m - 1 >= 2M.
-    n and seed may be integral floats such as 1e6.  `state` is one state, not
-    a batch.  The Bartlett layout (the positions below the diagonal and the
-    diagonal) is built once per width 2M and kept read-only.
+    n and seed may be integral floats such as 1e6.  The Bartlett layout (the
+    positions below the diagonal and the diagonal) is built once per width 2M
+    and kept read-only.
     """
     n, seed = _count_and_seed(n, seed)
-    if state.x.ndim != 2:
-        batch = state.x.shape[:-2]
-        raise InvalidArgument(f"the sampler samples one state, got a batch of shape {batch}")
     idx = [state.index(mode) for mode in measured_modes]
     if not idx or len(set(idx)) < len(idx):
         raise InvalidArgument(f"need one or more distinct measured modes, got {measured_modes}")
@@ -324,22 +321,19 @@ def end_to_end_consistency(
     Flags "overestimates key" when the re-estimated rate exceeds the true one
     beyond the propagated statistical tolerance in either direction, which is
     the dangerous failure mode for the legitimate parties.  It samples the
-    measured block of `reduced_state(p)`'s x block without building that
-    state; a non-finite entry of the block raises `NumericalError` before n
-    and seed are checked.
+    measured block of `reduced_x(p)`, the x block of `reduced_state(p)`,
+    without building that state; a non-finite entry of the block raises
+    `NumericalError` before n and seed are checked.
     """
     # Eve's record is L wherever the purification has it: leakage or noise on L;
     # the blind estimate never reads it
     has_l = (p.k > 0.0 or p.eps_l > 0.0) and not assume_no_leakage
     measured = sec.REDUCED_MODES[: 3 if has_l else 2]
-    # the x block of `reduced_state(p)`, unchecked but for finite entries
-    x = np.array(sec._x_block(p))[sec._REDUCED_X]
-    if not np.isfinite(x).all():
-        raise NumericalError("covariance matrix has non-finite entries")
+    x = sec.reduced_x(p)
     n, seed = _count_and_seed(n, seed)
     m = len(measured)
     est = estimate_params(
-        _sample_block(x[:m, :m], sec._SIGNS[:m], measured, n, seed),
+        _sample_block(x[:m, :m], sec.REDUCED_SIGNS[:m], measured, n, seed),
         blind_v_m=float(p.v_m) if assume_no_leakage else None,  # a bool v_m is a valid point
     )
     p_est = _estimated_params(p, est)

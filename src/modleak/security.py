@@ -41,9 +41,10 @@ GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
 # for in it: max(SPECULATED_POINTS // n, 1) each for n searches (`search_vm`).
-# A pass costs about 136 us fixed and 13 us per further point (the minimum of
-# 240 timed 30-round searches, on a 2-core x86-64 with one BLAS thread), so a
-# pass saved pays for about ten speculated points.  On 600 lone searches over
+# A round of one new point costs about 77 us and each further point about
+# 8.4 us (points built by `replace` and read back from one pass, the minimum
+# of 9 x 1000 timed rounds of 1 to 40 points, on a 2-core x86-64 with one BLAS
+# thread), so a pass saved pays for about ten speculated points.  On 600 lone searches over
 # the README domain a cap of 8 takes 3.17 passes over 51.6 points, 12 takes
 # 2.46 over 52.9, 16 takes 2.435 over 53.8 and 24 or 32 take 2.433: past 16 a
 # longer path saves almost nothing, and a round of many searches stays small.
@@ -285,8 +286,8 @@ def build_scheme(p: ProtocolParams) -> Scheme:
 
 REDUCED_MODES = ("A", "B", "L", "E1", "E2")
 # the signs of the modes A, B, L, E1, E2 in `build_scheme(p)`: the p block is S X S
-_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
-_SIGNS.setflags(write=False)
+REDUCED_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
+REDUCED_SIGNS.setflags(write=False)
 
 
 def _x_block(p: ProtocolParams) -> tuple[float, ...]:
@@ -331,10 +332,18 @@ _REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
 _EVE_STATES = np.stack((_REDUCED_X[2:, 2:], _REDUCED_X[2:, 2:] + 6, _REDUCED_X[2:, 2:]))
 
 
-def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
+def reduced_x(p: ProtocolParams) -> np.ndarray:
+    """The x block of `reduced_state(p)`, unchecked but for finite entries: a
+    non-finite one raises `NumericalError`."""
+    x = np.array(_x_block(p))[_REDUCED_X]
+    if not np.isfinite(x).all():
+        raise NumericalError("covariance matrix has non-finite entries")
+    return x
+
+
+def reduced_state(p: ProtocolParams) -> g.CovMatrix:
     """The state of the modes A, B, L, E1, E2 of `build_scheme(p)`, in closed form,
-    with Eve's channel modes E1, E2 in their unsqueezed frame; a list of points
-    gives their batch.
+    with Eve's channel modes E1, E2 in their unsqueezed frame.
 
     Trusted noise adds eps_p1 and eps_p2 to B and eps_l to L.  The channel
     mixes B with E1 of an EPR pair E1/E2 of variance v_e = 1 + eps_ch / (1 - eta_ch);
@@ -346,15 +355,11 @@ def reduced_state(p: ProtocolParams | list[ProtocolParams]) -> g.CovMatrix:
     s^2 = (v_e - 1) / 2: the inverse of the squeezer that made the pair.  It
     acts on Eve's modes alone, so no entropy of E changes, given a or b or
     not, but no entry grows with v_e, whose size would cost the spectra of E
-    digits.  Each point's x block X is computed in float arithmetic
-    (`_x_block`); the signs +, -, -, -, + of the modes, those of
-    `build_scheme(p)`, give the p block S X S.  numpy builds and checks the
-    states.
+    digits.  The x block X is computed in float arithmetic (`reduced_x`); the
+    signs +, -, -, -, + of the modes, `REDUCED_SIGNS` as in `build_scheme(p)`,
+    give the p block S X S.
     """
-    if isinstance(p, list) and not p:
-        raise InvalidArgument("reduced_state needs at least one point, got an empty list")
-    x = np.array([_x_block(q) for q in p] if isinstance(p, list) else _x_block(p))
-    return g.CovMatrix(REDUCED_MODES, x[..., _REDUCED_X], _SIGNS)
+    return g.CovMatrix(REDUCED_MODES, reduced_x(p), REDUCED_SIGNS)
 
 
 def finite_size_penalty(block_size):
@@ -378,26 +383,27 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     # A's and B's variances, their correlation, and B's with L, E1 and E2 (`_REDUCED_X`)
     v_a, v_b, c, c_eve = rows[:, 0], rows[:, 5], rows[:, 1], rows[:, 6:9]
     states = rows[:, _EVE_STATES].swapaxes(0, 1)
-    # an overflow leaves E|b an inf or NaN entry, or the ratio 0
-    with np.errstate(over="ignore"):
+    # an overflow leaves E|b an inf or NaN entry, or the ratio 0, or an entropy
+    # inf and so chi NaN; E|b's entries and chi are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
         states[2] = g.heterodyne_schur(states[2], c_eve, v_b)
         ab = 1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0))
-    if not np.isfinite(states[2]).all():
-        raise NumericalError("covariance matrix has non-finite entries")
-    # E and E|a are entries of the finite `rows`, and all three are bitwise
-    # symmetric: checked as they are, without a CovMatrix's symmetry check and copy
-    nus = g.checked_spectrum(states, _SIGNS[2:])
+        if not np.isfinite(states[2]).all():
+            raise NumericalError("covariance matrix has non-finite entries")
+        # E and E|a are entries of the finite `rows`, and all three are bitwise
+        # symmetric: checked as they are, without a CovMatrix's symmetry check and copy
+        nus = g.checked_spectrum(states, REDUCED_SIGNS[2:])
+        # DR and RR: S(E) - S(E|a) and S(E) - S(E|b)
+        entropies = g.entropy_g(nus).sum(axis=-1)
+        chi = entropies[0] - entropies[1:]
     # from v_s = 2^53 at k = 0 and eta_ch = 1, c^2 rounds to (v_a + 1)(v_b + 1)
     if not (ab > 0.0).all():
         raise UnphysicalState(f"A and B's state gives 1 - c^2 / ((v_a + 1)(v_b + 1)) = {np.min(ab)}")
     # heterodyne I_AB (bits/symbol) of A and B: the x and the equal p term, -0.5 log2(...) each
     i_ab = -np.log2(ab)
-    entropies = g.entropy_g(nus).sum(axis=-1)
-    # DR and RR: S(E) - S(E|a) and S(E) - S(E|b)
-    chi = entropies[0] - entropies[1:]
     # tiny negative residues from the spectrum are numerical zero
-    if (chi < -1e-9).any():
-        raise NumericalError(f"negative Holevo bound: {np.min(chi[0])}, {np.min(chi[1])}")
+    if not (chi >= -1e-9).all():
+        raise NumericalError(f"negative or NaN Holevo bound: {np.min(chi[0])}, {np.min(chi[1])}")
     chi = np.maximum(chi, 0.0)
     delta = finite_size_penalty([q.block_size for q in points])
     rates = np.array([q.beta for q in points]) * i_ab - chi - delta

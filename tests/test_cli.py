@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from click.testing import CliRunner
 
 import modleak
 from modleak import cli
+from modleak import gaussian as g
 from modleak import security as sec
 from modleak.config import parse_config
 
@@ -802,3 +805,104 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     lines = result.stdout.strip().split("\n")
     assert lines[0].startswith("sweep_var,") and len(lines) == 4
     assert lines[-1] == "False"
+
+
+class TestCommandsBuildNoState:
+    """No command builds a `CovMatrix`: the key-rate pass and the Monte-Carlo
+    closure check their states with `gaussian.checked_spectrum` alone."""
+
+    SWEEP = {"protocol": dict(BASE_PROTOCOL, k={"start": 0.0, "stop": 0.6, "points": 3})}
+    TABLE = {"protocol": dict(BASE_PROTOCOL, eta_D=0.85, eps_D=0.01)}
+    RUNS = {
+        "keyrate": ({"protocol": BASE_PROTOCOL}, []),
+        "keyrate dr": ({"protocol": BASE_PROTOCOL}, ["--direction", "dr"]),
+        "keyrate dr no key": ({"protocol": dict(BASE_PROTOCOL, k=1.0)}, ["--direction", "dr"]),
+        "keyrate rr": ({"protocol": BASE_PROTOCOL}, ["--direction", "rr"]),
+        "keyrate rr optimized": ({"protocol": BASE_PROTOCOL}, ["--direction", "rr", "--optimize-vm"]),
+        "sweep": (SWEEP, ["--direction", "rr", "--optimize-vm", "--with-eta-max"]),
+        "table1": (TABLE, []),
+        "mc": ({"protocol": BASE_PROTOCOL, "mc": {"n": 50_000, "seed": 11}}, []),
+        "mc blind": (
+            {"protocol": dict(BASE_PROTOCOL, k=0.5), "mc": {"n": 200_000, "seed": 7}},
+            ["--assume-no-leakage"],
+        ),
+    }
+
+    def test_runs_end_with_both_exit_codes(self, runner, tmp_path):
+        codes = set()
+        for name, (doc, args) in self.RUNS.items():
+            path = write_cfg(tmp_path, doc)
+            codes.add(runner.invoke(cli.main, [name.split()[0], "--config", path, *args]).exit_code)
+        assert codes == {0, cli.EXIT_NO_SECURITY}
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_exits_as_it_does_with_the_state_calculus(self, runner, tmp_path, monkeypatch, name):
+        doc, args = self.RUNS[name]
+        argv = [name.split()[0], "--config", write_cfg(tmp_path, doc), *args]
+        normal = runner.invoke(cli.main, argv)
+        assert normal.exit_code in (0, cli.EXIT_NO_SECURITY), normal.output
+
+        def refuse(state):
+            raise AssertionError("a command built a CovMatrix")
+
+        monkeypatch.setattr(g.CovMatrix, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="built a CovMatrix"):
+            g.vacuum(("a",))
+        result = runner.invoke(cli.main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            normal.exit_code,
+            normal.stdout,
+            normal.stderr,
+        )
+
+
+class TestReadmeExample:
+    """The README's example config, its first yaml block, run with the README's
+    command lines for it: the documented exit codes and JSON keys."""
+
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    REPORT_KEYS = {
+        "i_ab", "chi_dr", "chi_rr", "r_dr", "r_rr", "r_dr_clamped", "r_rr_clamped",
+        "finite_size_penalty",
+    }
+
+    def run(self, runner, tmp_path, command: str):
+        """The README's `modleak <command> --config point.yaml ...` line, run on
+        its example config: the result and the JSON it printed."""
+        [config] = re.findall(r"```yaml\n(.*?)```", self.README, re.S)[:1]
+        (tmp_path / "point.yaml").write_text(config, encoding="utf-8")
+        lines = re.findall(rf"^modleak {command} --config point\.yaml.*$", self.README, re.M)
+        assert lines, f"the README has no `modleak {command}` line for point.yaml"
+        results = []
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            argv[argv.index("point.yaml")] = str(tmp_path / "point.yaml")
+            result = runner.invoke(cli.main, argv)
+            payload = json.loads(result.stdout)
+            assert {"modleak_version", "config"} <= set(payload["metadata"])
+            results.append((argv, result, payload))
+        return results
+
+    def test_keyrate(self, runner, tmp_path):
+        [(argv, result, payload)] = self.run(runner, tmp_path, "keyrate")
+        assert argv[3:] == ["--direction", "rr", "--optimize-vm"]
+        assert set(payload) == {"params", "metadata", "report"}
+        assert set(payload["report"]) == self.REPORT_KEYS
+        # exit 0 on a positive key
+        assert payload["report"]["r_rr"] > 0.0 and result.exit_code == 0
+
+    def test_table1(self, runner, tmp_path):
+        [(_, result, payload)] = self.run(runner, tmp_path, "table1")
+        assert result.exit_code == 0, result.output
+        assert set(payload["matrix"]) == set(sec.NOISE_POINTS)
+
+    def test_mc(self, runner, tmp_path):
+        runs = self.run(runner, tmp_path, "mc")
+        assert [argv[3:] for argv, _, _ in runs] == [["--seed", "42"], ["--assume-no-leakage"]]
+        for _, result, payload in runs:
+            assert {"verdict", "skipped_se_terms", "seed"} <= set(payload)
+            assert payload["seed"] == 42
+            # exit 2 on an overestimate, else 0
+            overestimates = payload["verdict"] == "overestimates key"
+            assert result.exit_code == (cli.EXIT_NO_SECURITY if overestimates else 0)

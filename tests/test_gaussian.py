@@ -31,7 +31,7 @@ def thermal(v: float) -> np.ndarray:
 
 
 def one_mode(x: np.ndarray) -> g.CovMatrix:
-    """States of one mode "a" with x blocks x, (..., 1, 1)."""
+    """The state of one mode "a" with x block x, (1, 1)."""
     return g.CovMatrix(("a",), x, [1.0])
 
 
@@ -112,25 +112,27 @@ class TestConstructors:
         with pytest.raises(UnphysicalState):
             g.CovMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, -1.0])
 
-    def test_block_shape_must_match_modes(self):
-        with pytest.raises(InvalidArgument):
-            one_mode(np.eye(2))
+    @pytest.mark.parametrize("shape", [(2, 2), (1,), (), (3, 1, 1), (2, 2, 1, 1)])
+    def test_block_shape_must_match_modes(self, shape):
+        # one state per CovMatrix: a stack of x blocks is no state
+        with pytest.raises(InvalidArgument, match="block shape"):
+            one_mode(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(NumericalError):
             one_mode(thermal(bad))
-        batch = np.stack([thermal(1.0), thermal(3.0), thermal(1.0)])
-        batch[1, 0, 0] = bad
+        mat = np.eye(2)
+        mat[1, 0] = bad
         with pytest.raises(NumericalError):
-            one_mode(batch)
+            g.CovMatrix(("a", "b"), mat, [1.0, 1.0])
 
     def test_state_is_its_read_only_x_block_and_signs(self):
         signs = np.array([1.0, -1.0, -1.0, 1.0])
-        x = np.stack([random_state(np.random.default_rng(i), signs, np.ones(4)) for i in (1, 2)])
+        x = random_state(np.random.default_rng(1), signs, np.ones(4))
         state = g.CovMatrix(("a", "b", "c", "d"), x, signs)
-        assert state.x.shape == (2, 4, 4) and state.signs.tolist() == signs.tolist()
+        assert state.x.shape == (4, 4) and state.signs.tolist() == signs.tolist()
         assert not state.x.flags.writeable and not state.signs.flags.writeable
         # the p block is S X S: no second view to keep in step with X
         assert not hasattr(state, "data")
@@ -315,7 +317,7 @@ class TestSigns:
             )
             scheme = sec.build_scheme(p)
             reduced = g.partial_trace(scheme.state, sec.REDUCED_MODES)
-            np.testing.assert_array_equal(reduced.signs, sec._SIGNS)
+            np.testing.assert_array_equal(reduced.signs, sec.REDUCED_SIGNS)
 
 
 class TestPartialTrace:
@@ -344,54 +346,51 @@ class TestPartialTrace:
 class TestHeterodyneCondition:
     def test_uncorrelated_mode_leaves_kept_block(self):
         state = g.tensor(g.epr_source(3.0, ("a", "b")), g.vacuum(("c",)))
-        out = g.heterodyne_condition(state, ["c"])
+        out = g.heterodyne_condition(state, "c")
         kept = g.partial_trace(state, ["a", "b"])
-        assert np.allclose(out.x[1], kept.x)
+        assert np.allclose(out.x, kept.x)
         np.testing.assert_array_equal(out.signs, kept.signs)
 
     def test_epr_conditions_to_vacuum_variance(self):
         for v in (1.0, 2.0, 10.0, 40.0):
-            out = g.heterodyne_condition(g.epr_source(v, ("a", "b")), ["b"])
-            assert np.allclose(interleave(out)[1], np.eye(2), atol=1e-12)
+            out = g.heterodyne_condition(g.epr_source(v, ("a", "b")), "b")
+            assert np.allclose(interleave(out), np.eye(2), atol=1e-12)
 
     def test_measured_mode_removed(self):
-        out = g.heterodyne_condition(g.epr_source(2.0, ("a", "b")), ["a"])
+        out = g.heterodyne_condition(g.epr_source(2.0, ("a", "b")), "a")
         assert out.modes == ("b",)
 
-    def batch(self) -> g.CovMatrix:
+    def state(self) -> g.CovMatrix:
         rng = np.random.default_rng(17)
         signs = random_signs(rng, 5)
-        spectra = (np.ones(5), rng.uniform(1.0, 6.0, 5), rng.uniform(1.0, 6.0, 5))
-        blocks = np.stack([random_state(rng, signs, nu) for nu in spectra])
-        return g.CovMatrix(("a", "b", "c", "d", "e"), blocks, signs)
+        x = random_state(rng, signs, rng.uniform(1.0, 6.0, 5))
+        return g.CovMatrix(("a", "b", "c", "d", "e"), x, signs)
 
-    def test_marginal_then_each_conditioning_bitwise(self):
-        state = self.batch()
-        for listed in ([], ["d"], ["a", "b"], ["e", "a", "c"]):
-            unlisted = [m for m in state.modes if m not in listed]
-            out = g.heterodyne_condition(state, listed)
-            assert out.modes == tuple(unlisted)
-            assert out.x.shape[:-2] == (len(listed) + 1, 3)
-            reduced = g.partial_trace(state, unlisted)
-            assert np.array_equal(out.signs, reduced.signs)
-            assert np.array_equal(out.x[0], reduced.x)
-            assert np.array_equal(np.signbit(out.x[0]), np.signbit(reduced.x))
-            assert np.array_equal(out.spectrum[0], reduced.spectrum)
-            for i, m in enumerate(listed, 1):
-                single = g.partial_trace(g.heterodyne_condition(state, [m]), unlisted)
-                assert np.array_equal(out.x[i], single.x[1])
-                assert np.array_equal(out.spectrum[i], single.spectrum[1])
+    def test_is_the_schur_complement_and_commutes_with_the_trace(self):
+        state = self.state()
+        for j, mode in enumerate(state.modes):
+            others = [m for m in state.modes if m != mode]
+            out = g.heterodyne_condition(state, mode)
+            assert out.modes == tuple(others)
+            kept = g.partial_trace(state, others)
+            np.testing.assert_array_equal(out.signs, kept.signs)
+            c = np.delete(state.x[j], j)
+            expected = kept.x - np.outer(c, c) / (state.x[j, j] + 1.0)
+            assert out.x.tobytes() == expected.tobytes()
+            # conditioning on one mode, then tracing out another, in either order
+            for dropped in others:
+                rest = [m for m in others if m != dropped]
+                after = g.partial_trace(out, rest)
+                before = g.heterodyne_condition(g.partial_trace(state, [*rest, mode]), mode)
+                assert after.x.tobytes() == before.x.tobytes()
 
-    def test_list_with_unknown_mode(self):
+    def test_unknown_mode(self):
         with pytest.raises(MissingMode):
-            g.heterodyne_condition(self.batch(), ["a", "f"])
+            g.heterodyne_condition(self.state(), "f")
 
-    def test_list_of_every_mode(self):
-        state = self.batch()
+    def test_only_mode(self):
         with pytest.raises(InvalidArgument):
-            g.heterodyne_condition(state, list(state.modes))
-        with pytest.raises(InvalidArgument):
-            g.heterodyne_condition(g.vacuum(("a",)), ["a"])
+            g.heterodyne_condition(g.vacuum(("a",)), "a")
 
 
 class TestSpectraAndEntropy:
@@ -477,16 +476,13 @@ class TestSpectraAndEntropy:
             states = [
                 scheme.state,
                 trusted,
-                g.heterodyne_condition(trusted, ["A"]),
-                g.heterodyne_condition(trusted, ["B"]),
+                g.heterodyne_condition(trusted, "A"),
+                g.heterodyne_condition(trusted, "B"),
             ]
             assert scheme.state.n_modes == 19
             for state in states:
-                # a conditioned state is a batch: its marginal, then the conditional
-                gammas = interleave(state).reshape(-1, 2 * state.n_modes, 2 * state.n_modes)
-                spectra = state.spectrum.reshape(-1, state.n_modes)
-                for gamma, spectrum in zip(gammas, spectra):
-                    np.testing.assert_allclose(spectrum, symplectic_spectrum(gamma), rtol=1e-9)
+                oracle = symplectic_spectrum(interleave(state))
+                np.testing.assert_allclose(state.spectrum, oracle, rtol=1e-9)
 
 
 def dense_two_mode(state: g.CovMatrix, idx: list[int], s4: np.ndarray) -> np.ndarray:
@@ -529,61 +525,37 @@ class TestTwoModeUpdate:
         )
 
 
-class TestBatches:
-    """Batched ops on stacked single states against the same ops on each state alone."""
+class TestBatchedSpectrum:
+    """`checked_spectrum` on stacked x blocks, as the key-rate pass checks its states."""
 
-    def test_operations_match_single_states(self):
+    SIGNS = np.array([1.0, -1.0])
+    UNPHYSICAL = 0.5 * np.eye(2)
+    INDEFINITE = np.diag([1.0, -1.0])
+
+    def test_is_each_state_spectrum(self):
         rng = np.random.default_rng(16)
-        v1, v2 = rng.uniform(1.0, 30.0, (2, 7))
-        t, gain = rng.uniform(0.0, 1.0, 7), rng.uniform(1.0, 3.0, 7)
-        eta, eps = rng.uniform(0.05, 0.99, 7), rng.uniform(0.0, 0.4, 7)
+        signs = random_signs(rng, 4)
+        x = np.stack([random_state(rng, signs, rng.uniform(1.0, 6.0, 4)) for _ in range(6)])
+        batch = g.checked_spectrum(x.reshape(2, 3, 4, 4), signs)
+        assert batch.shape == (2, 3, 4)
+        for i, block in enumerate(x):
+            assert g.checked_spectrum(block, signs).tobytes() == batch.reshape(6, 4)[i].tobytes()
 
-        def build(i):
-            state = g.tensor(g.epr_source(v1[i], ("a", "b")), g.epr_source(v2[i], ("c", "d")))
-            state = g.beamsplitter(state, "b", "c", t[i])
-            state = g.two_mode_squeezer(state, "d", "b", gain[i])
-            return g.loss_excess_channel(state, "b", eta[i], eps[i], ("e", "f"))
+    @pytest.mark.parametrize("bad", [UNPHYSICAL, INDEFINITE], ids=["unphysical", "indefinite"])
+    def test_checks_every_state(self, bad):
+        for i in range(6):
+            x = np.stack([np.eye(2)] * 6)
+            x[i] = bad
+            with pytest.raises(UnphysicalState):
+                g.checked_spectrum(x.reshape(2, 3, 2, 2), self.SIGNS)
 
-        def reduce(state):
-            kept = g.partial_trace(state, ["a", "b", "d"])
-            return state, kept, g.heterodyne_condition(kept, ["b"])
-
-        singles = [build(i) for i in range(7)]
-        signs = singles[0].signs
-        assert all(np.array_equal(s.signs, signs) for s in singles)
-        stacked = g.CovMatrix(singles[0].modes, np.stack([s.x for s in singles]), signs)
-        batched = reduce(stacked)
-        for i in range(7):
-            for single, batch in zip(reduce(singles[i]), batched):
-                # the conditioned states keep their entry axis in front of the points'
-                lead = single.x.shape[:-2]
-                assert batch.x.shape[:-2] == lead + (7,)
-                np.testing.assert_array_equal(single.signs, batch.signs)
-                np.testing.assert_array_equal(single.x, batch.x[..., i, :, :])
-                np.testing.assert_array_equal(single.spectrum, batch.spectrum[..., i, :])
-                np.testing.assert_array_equal(
-                    g.von_neumann_entropy(single), g.von_neumann_entropy(batch)[..., i]
-                )
-
-    def test_checks_every_state(self):
-        good, signs = np.eye(2), [1.0, -1.0]
-        indefinite, skew = good.copy(), good.copy()
-        indefinite[1, 1] = -1.0
-        skew[0, 1] = 1e-6
-        with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a", "b"), np.stack([good, 0.5 * good, good]), signs)
-        with pytest.raises(UnphysicalState):
-            g.CovMatrix(("a", "b"), np.stack([good, indefinite]), signs)
-        with pytest.raises(InvalidArgument):
-            g.CovMatrix(("a", "b"), np.stack([good, skew]), signs)
-
-    def test_failing_state_raises_its_own_error(self):
-        bad = np.eye(2)
-        bad[1, 0] = np.nan
-        with pytest.raises(NumericalError):
-            g.CovMatrix(("a", "b"), bad, [1.0, 1.0])
-        with pytest.raises(NumericalError):
-            g.CovMatrix(("a", "b"), np.stack([np.eye(2), bad, 2.0 * np.eye(2)]), [1.0, 1.0])
+    @pytest.mark.parametrize("bad", [UNPHYSICAL, INDEFINITE], ids=["unphysical", "indefinite"])
+    def test_failing_state_raises_its_own_error(self, bad):
+        with pytest.raises(UnphysicalState) as alone:
+            g.checked_spectrum(bad, self.SIGNS)
+        with pytest.raises(UnphysicalState) as in_batch:
+            g.checked_spectrum(np.stack([np.eye(2), bad, 2.0 * np.eye(2)]), self.SIGNS)
+        assert str(in_batch.value) == str(alone.value)
 
 
 class TestRandomizedInvariants:
@@ -609,7 +581,7 @@ class TestRandomizedInvariants:
                 g.epr_source(rng.uniform(1.0, 20.0), ("a", "b")),
                 g.CovMatrix(("m",), thermal(rng.uniform(1.0, 5.0)), [1.0]),
             )
-            out = g.heterodyne_condition(state, ["m"])
+            out = g.heterodyne_condition(state, "m")
             kept = g.partial_trace(state, ["a", "b"])
-            assert np.allclose(out.x[1], kept.x)
+            assert np.allclose(out.x, kept.x)
             np.testing.assert_array_equal(out.signs, kept.signs)

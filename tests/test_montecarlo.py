@@ -108,13 +108,6 @@ class TestSample:
             assert got.counts == marginal.counts
             assert got.grams.tobytes() == marginal.grams.tobytes()
 
-    @pytest.mark.parametrize("points", [2, 3])
-    def test_rejects_a_batch_of_states(self, points):
-        state = sec.reduced_state([POINT] * points)
-        message = rf"samples one state, got a batch of shape \({points},\)"
-        with pytest.raises(InvalidArgument, match=message):
-            mc.sample_moments(state, ["A", "B"], 1_000, 1)
-
     def test_bartlett_layout_is_read_only(self):
         for width in (2, 4, 6, 10):
             below, diag, eye = mc._bartlett_layout(width)
