@@ -18,14 +18,12 @@ not change the state, and it cannot when the first mode is in that
 component.  A `CovMatrix` is one state; `partial_trace`,
 `heterodyne_condition` and `von_neumann_entropy` take one state.
 
-`checked_spectrum` is the one physicality check: it computes a batch's
-symplectic spectra, x blocks of shape (..., N, N) with one set of signs, and
-rejects a state below the uncertainty bound.  Its callers are `CovMatrix`,
-which checks its state and keeps the spectrum in `CovMatrix.spectrum`, and
-the key-rate pass (`security._evaluate`), which checks the batch of states it
-assembles without building a `CovMatrix`.  `heterodyne_condition(state, mode)`
-is the one conditioning rule; `heterodyne_schur` is its unchecked core, on a
-batch as well.
+`heterodyne_condition(state, mode)` is the one conditioning rule.
+`checked_spectrum` is the one physicality check, and the one function that
+takes a batch: the symplectic spectra of x blocks of shape (..., N, N) with one
+set of signs, once no state is below the uncertainty bound.  Its callers are
+`CovMatrix`, which keeps its state's spectrum in `CovMatrix.spectrum`, and the
+key-rate pass (`security._evaluate`), which checks its states without a `CovMatrix`.
 """
 
 from __future__ import annotations
@@ -260,21 +258,16 @@ def heterodyne_condition(state: CovMatrix, mode: str) -> CovMatrix:
     """The other modes after heterodyning `mode`.
 
     Gaussian heterodyne conditioning is outcome independent: the x block is
-    the Schur complement K - c c^T / (m + 1) (`heterodyne_schur`), with K the
-    x block of the other modes, m the variance of `mode` and c its
-    correlations with them.  The p block's is S (K - c c^T / (m + 1)) S, so
-    the signs of the other modes carry over.
+    the Schur complement K - c c^T / (m + 1), with K the x block of the other
+    modes, m the variance of `mode` and c its correlations with them.  The p
+    block's is S (K - c c^T / (m + 1)) S, so the signs of the other modes
+    carry over.
     """
     j = state.index(mode)
     keep = np.array([i for i in range(state.n_modes) if i != j], dtype=int)
-    x = heterodyne_schur(state.x[keep[:, None], keep], state.x[keep, j], state.x[j, j])
+    c = state.x[keep, j]
+    x = state.x[keep[:, None], keep] - c[:, None] * c / (state.x[j, j] + 1.0)
     return CovMatrix(tuple(state.modes[i] for i in keep), x, state.signs[keep])
-
-
-def heterodyne_schur(k: np.ndarray, c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """`heterodyne_condition`'s Schur complement K - c c^T / (m + 1), unchecked,
-    of each state in a batch: K (..., N, N), c (..., N) and m (...)."""
-    return k - c[..., :, None] * c[..., None, :] / (m[..., None, None] + 1.0)
 
 
 def entropy_g(nu):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import InvalidArgument, NumericalError, UnphysicalState
 
 # Collective-attack security parameter entering the finite-size penalty.
 FINITE_SIZE_EPS = 1e-10
+_LOG2_SECURITY = math.log2(2.0 / FINITE_SIZE_EPS)  # the penalty's log2(2 / eps)
 MAX_BLOCK_SIZE = float(np.finfo(float).max)  # a pass reads block sizes as floats
 
 NOISE_FIELDS = {"P1": "eps_p1", "P2": "eps_p2", "L": "eps_l", "D": "eps_d"}
@@ -33,6 +35,9 @@ VIABILITY_MARGIN = 1e-6
 
 VM_BRACKET = (0.01, 100.0)
 VM_GRID_POINTS = 40
+# `search_vm`'s log-spaced bracketing grid, read-only
+_VM_GRID = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
+_VM_GRID.setflags(write=False)
 # scipy.optimize.golden's step constants and iteration cap, so that optima
 # inside the grid stay where that search put them
 GOLDEN_R = 0.61803399
@@ -41,10 +46,10 @@ GOLDEN_MAXITER = 5000
 GOLDEN_TOL = 1e-3
 # Cap on the golden-section points that the V_M searches sharing a round ask
 # for in it: max(SPECULATED_POINTS // n, 1) each for n searches (`search_vm`).
-# A round of one new point costs about 77 us and each further point about
-# 8.4 us (points built by `replace` and read back from one pass, the minimum
+# A round of one new point costs about 68 us and each further point about
+# 8.7 us (points built by `replace` and read back from one pass, the minimum
 # of 9 x 1000 timed rounds of 1 to 40 points, on a 2-core x86-64 with one BLAS
-# thread), so a pass saved pays for about ten speculated points.  On 600 lone searches over
+# thread), so a pass saved pays for about eight speculated points.  On 600 lone searches over
 # the README domain a cap of 8 takes 3.17 passes over 51.6 points, 12 takes
 # 2.46 over 52.9, 16 takes 2.435 over 53.8 and 24 or 32 take 2.433: past 16 a
 # longer path saves almost nothing, and a round of many searches stays small.
@@ -290,10 +295,18 @@ REDUCED_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0])
 REDUCED_SIGNS.setflags(write=False)
 
 
+def finite_size_penalty(block_size) -> float:
+    """Dominant finite-size correction Delta(n) in bits/symbol; 0 = asymptotic, an
+    infinite block, whose penalty is exactly 0."""
+    return 7.0 * math.sqrt(_LOG2_SECURITY / (float(block_size) if block_size else math.inf))
+
+
 def _x_block(p: ProtocolParams) -> tuple[float, ...]:
-    """The upper triangle, row by row, of the x block of `reduced_state(p)`, then that
-    of its (L, E1, E2) block, affine in v_s with slope u u^T, at v_s = 1; A's row
-    is c_s u.  Float arithmetic: an overflow gives inf or NaN entries."""
+    """A pass's row for one point, in float arithmetic: the upper triangle, row by row,
+    of the x block of `reduced_state(p)`; that of its (L, E1, E2) block, affine in v_s
+    with slope u u^T, at v_s = 1: E|a, as A's row is c_s u; that of E|b, the block's
+    Schur complement on B; then I_AB's log2 argument 1 - c^2 / ((v_a + 1)(v_b + 1)),
+    beta and the finite-size penalty.  An overflow gives inf or NaN entries."""
     eta_ch, eps_ch, eta_d, eps_p2 = p.eta_ch, p.eps_ch, p.eta_d, p.eps_p2
     k2 = p.k * p.k
     t, r = math.sqrt(1.0 / (1.0 + k2)), math.sqrt(k2 / (1.0 + k2))
@@ -309,17 +322,23 @@ def _x_block(p: ProtocolParams) -> tuple[float, ...]:
     t2, r2, tr, de, fc2, fs2, fcs = t * t, r * r, t * r, d * e, fc * fc, fs * fs, -fc * fs
     alpha, beta, delta = 1.0 - fc2 / e1, fc * fs / e1, 1.0 + fs2 / e1
     a2, b2, d2, w = alpha * alpha, beta * beta, delta * delta, uv / e1
-    # B and L after the leakage beamsplitter, with the trusted noise on each, at
-    # v_s and at 1
+    # B and L after the leakage beamsplitter, with their trusted noise, at v_s and at 1
     b0, b1 = v_s + p.eps_p1, 1.0 + p.eps_p1
     bb, bb1 = t2 * b0 + r2 * l0 + eps_p2, t2 * b1 + r2 * l0 + eps_p2
     bl, bl1 = tr * (l0 - b0), tr * (l0 - b1)
+    # B's variance and correlations, A's with B and Eve's block (`_REDUCED_X`); v_b + 1
+    # >= 2, and Python's float ops, like numpy's, overflow to inf or NaN without a warning
+    v_b = eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d
+    c_l, c_1, c_2 = de * bl, d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb)
+    k_ll, k_l1, k_l2, k_11 = r2 * b0 + t2 * l0, -fc * bl, fs * bl, fc2 * bb + a2 + b2
+    k_12, k_22, c_ab, m = fcs * (bb + w), fs2 * bb + b2 + d2, de * t * c_s, v_b + 1.0
     return (
-        v_s, de * t * c_s, -r * c_s, -fc * t * c_s, fs * t * c_s,
-        eta_d * (eta_ch * bb + (1.0 - eta_ch) + eps_ch) + (1.0 - eta_d) + p.eps_d,
-        de * bl, d * fc * (1.0 - uv - e * bb), d * fs * (1.0 + uv + e * bb),
-        r2 * b0 + t2 * l0, -fc * bl, fs * bl, fc2 * bb + a2 + b2, fcs * (bb + w), fs2 * bb + b2 + d2,
+        v_s, c_ab, -r * c_s, -fc * t * c_s, fs * t * c_s, v_b, c_l, c_1, c_2,
+        k_ll, k_l1, k_l2, k_11, k_12, k_22,
         r2 * b1 + t2 * l0, -fc * bl1, fs * bl1, fc2 * bb1 + a2 + b2, fcs * (bb1 + w), fs2 * bb1 + b2 + d2,
+        k_ll - c_l * c_l / m, k_l1 - c_l * c_1 / m, k_l2 - c_l * c_2 / m,
+        k_11 - c_1 * c_1 / m, k_12 - c_1 * c_2 / m, k_22 - c_2 * c_2 / m,
+        1.0 - c_ab * c_ab / ((v_s + 1.0) * m), float(p.beta), finite_size_penalty(p.block_size),
     )
 
 
@@ -327,15 +346,17 @@ def _x_block(p: ProtocolParams) -> tuple[float, ...]:
 _REDUCED_X = np.zeros((5, 5), dtype=int)
 _REDUCED_X[np.triu_indices(5)] = np.arange(15)
 _REDUCED_X = np.maximum(_REDUCED_X, _REDUCED_X.T)
-# Eve's block, that block at v_s = 1, and her block again, which a pass
-# conditions on B in place: E, E|a and the room for E|b, in one gather
-_EVE_STATES = np.stack((_REDUCED_X[2:, 2:], _REDUCED_X[2:, 2:] + 6, _REDUCED_X[2:, 2:]))
+# Eve's block and her states given a and given b: E, E|a and E|b, in one gather
+_EVE_STATES = np.stack([_REDUCED_X[2:, 2:] + offset for offset in (0, 6, 12)])
+# a row's 27 state entries, those of the five-mode block, E|a and E|b, then
+# I_AB's log2 argument, beta and the penalty
+_STATE_ENTRIES, _ROW_ENTRIES = 27, 30
 
 
 def reduced_x(p: ProtocolParams) -> np.ndarray:
     """The x block of `reduced_state(p)`, unchecked but for finite entries: a
     non-finite one raises `NumericalError`."""
-    x = np.array(_x_block(p))[_REDUCED_X]
+    x = np.array(_x_block(p)[:15])[_REDUCED_X]
     if not np.isfinite(x).all():
         raise NumericalError("covariance matrix has non-finite entries")
     return x
@@ -362,40 +383,27 @@ def reduced_state(p: ProtocolParams) -> g.CovMatrix:
     return g.CovMatrix(REDUCED_MODES, reduced_x(p), REDUCED_SIGNS)
 
 
-def finite_size_penalty(block_size):
-    """Dominant finite-size correction Delta(n) in bits/symbol, elementwise; 0 = asymptotic."""
-    n = np.asarray(block_size, dtype=float)
-    # an asymptotic block is an infinite one: its penalty is exactly 0
-    return 7.0 * np.sqrt(np.log2(2.0 / FINITE_SIZE_EPS) / np.where(n == 0.0, np.inf, n))
-
-
 def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     """Reports for distinct points, from one checked batch: Eve's E, E|a and E|b.
 
     chi is S(E) - S(E|a) (DR) or S(E) - S(E|b) (RR) on her modes L, E1, E2.  E is her
     block K(v_s), E|b its Schur complement on B, and E|a = K(v_s) - c_s^2 u u^T / (v_s + 1)
-    = K(1), her state for a coherent input, as A's row is c_s u.  I_AB reads the (A, B)
-    entries, and a log2 argument that is not positive raises `UnphysicalState`."""
-    rows = np.array([_x_block(q) for q in points])
-    # no checked state holds A: at k = 0 and eta_ch = 1 Eve holds vacua whatever v_s is
-    if not np.isfinite(rows).all():
+    = K(1), her state for a coherent input, as A's row is c_s u.  Each point's row
+    (`_x_block`) holds all three, I_AB's log2 argument, beta and the penalty."""
+    n = len(points)
+    rows = np.fromiter(chain.from_iterable(map(_x_block, points)), float, n * _ROW_ENTRIES).reshape(n, -1)
+    # an overflow leaves a state entry inf or NaN, E|b's alone from eps_l near 1e155;
+    # A's too are checked: at k = 0 and eta_ch = 1 Eve holds vacua whatever v_s is
+    if not np.isfinite(rows[:, :_STATE_ENTRIES]).all():
         raise NumericalError("covariance matrix has non-finite entries")
-    # A's and B's variances, their correlation, and B's with L, E1 and E2 (`_REDUCED_X`)
-    v_a, v_b, c, c_eve = rows[:, 0], rows[:, 5], rows[:, 1], rows[:, 6:9]
-    states = rows[:, _EVE_STATES].swapaxes(0, 1)
-    # an overflow leaves E|b an inf or NaN entry, or the ratio 0, or an entropy
-    # inf and so chi NaN; E|b's entries and chi are checked below
+    # all three states are bitwise symmetric, each entry and its mirror one float:
+    # checked as they are, without a CovMatrix's symmetry check and copy
+    nus = g.checked_spectrum(rows[:, _EVE_STATES].swapaxes(0, 1), REDUCED_SIGNS[2:])
+    # an entropy that overflows to inf leaves chi NaN, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        states[2] = g.heterodyne_schur(states[2], c_eve, v_b)
-        ab = 1.0 - c * c / ((v_a + 1.0) * (v_b + 1.0))
-        if not np.isfinite(states[2]).all():
-            raise NumericalError("covariance matrix has non-finite entries")
-        # E and E|a are entries of the finite `rows`, and all three are bitwise
-        # symmetric: checked as they are, without a CovMatrix's symmetry check and copy
-        nus = g.checked_spectrum(states, REDUCED_SIGNS[2:])
-        # DR and RR: S(E) - S(E|a) and S(E) - S(E|b)
         entropies = g.entropy_g(nus).sum(axis=-1)
-        chi = entropies[0] - entropies[1:]
+        chi = entropies[0] - entropies[1:]  # DR and RR: S(E) - S(E|a) and S(E) - S(E|b)
+    ab, beta, delta = rows[:, _STATE_ENTRIES:].T
     # from v_s = 2^53 at k = 0 and eta_ch = 1, c^2 rounds to (v_a + 1)(v_b + 1)
     if not (ab > 0.0).all():
         raise UnphysicalState(f"A and B's state gives 1 - c^2 / ((v_a + 1)(v_b + 1)) = {np.min(ab)}")
@@ -405,8 +413,7 @@ def _evaluate(points: list[ProtocolParams]) -> list[KeyRateReport]:
     if not (chi >= -1e-9).all():
         raise NumericalError(f"negative or NaN Holevo bound: {np.min(chi[0])}, {np.min(chi[1])}")
     chi = np.maximum(chi, 0.0)
-    delta = finite_size_penalty([q.block_size for q in points])
-    rates = np.array([q.beta for q in points]) * i_ab - chi - delta
+    rates = beta * i_ab - chi - delta
     # one row per report field, in `REPORT_FIELDS` order
     table = np.concatenate((i_ab[None], chi, rates, np.maximum(rates, 0.0), delta[None]))
     reports = []
@@ -551,7 +558,7 @@ def search_vm(p: ProtocolParams, direction: str, searches: int):
     """
     if not isinstance(searches, numbers.Integral) or searches < 1:
         raise InvalidArgument(f"searches must be an integer of at least 1, got {searches!r}")
-    grid = np.logspace(np.log10(VM_BRACKET[0]), np.log10(VM_BRACKET[1]), VM_GRID_POINTS)
+    grid = _VM_GRID
     # plain floats, not numpy scalars, for the float arithmetic of `_x_block`
     rates = np.array((yield from _rates([p.replace(v_m=v) for v in grid.tolist()], direction)))
     best = int(np.argmax(rates))

@@ -448,8 +448,16 @@ class TestKeyRate:
         assert delta > 0.0
         assert rep_fs.r_rr == pytest.approx(rep.r_rr - delta)
 
+    @pytest.mark.parametrize("block_size", [0, 1, 10**7, 10**30, int(sec.MAX_BLOCK_SIZE)])
+    def test_finite_size_penalty_is_the_elementwise_formula(self, block_size):
+        n = np.asarray(block_size, dtype=float)
+        formula = 7.0 * np.sqrt(np.log2(2.0 / sec.FINITE_SIZE_EPS) / np.where(n == 0.0, np.inf, n))
+        delta = sec.finite_size_penalty(block_size)
+        assert type(delta) is float
+        assert np.float64(delta).tobytes() == formula.tobytes()
+
     def test_finite_size_penalty_of_a_batch_equals_single_points(self):
-        # 10**30 does not fit an int64: the batch's block sizes are an object array
+        # 10**30 does not fit an int64: each point's row reads its block size as a float
         points = [
             sec.ProtocolParams(v_m=5.0, eta_ch=0.5, eps_ch=0.02, block_size=n)
             for n in (0, 10**7, 10**30)
@@ -555,6 +563,19 @@ class TestKeyRates:
             with pytest.raises(NumericalError, match="non-finite"):
                 sec.key_rate(sec.ProtocolParams(**fields))
 
+    @pytest.mark.parametrize("eps_l", [1e155, 1e160])
+    def test_overflowing_conditional_is_a_numerical_error(self, eps_l):
+        # every entry of the five-mode state and of E|a is finite, and only E|b's
+        # c c^T / (v_b + 1) overflows: L's at 1e155, and every entry at 1e160
+        p = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.5, eps_ch=0.02, eps_l=eps_l)
+        row = sec._x_block(p)
+        assert all(map(math.isfinite, row[:21]))
+        assert not all(map(math.isfinite, row[21:27]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^covariance matrix has non-finite entries$"):
+                sec.key_rate(p)
+
     @pytest.mark.parametrize(
         "fields", [{"v_m": 1.0, "eps_l": 1e307}, {"v_m": 1e-300, "eta_ch": 0.5, "eps_l": 1.7e308}]
     )
@@ -657,6 +678,9 @@ class TestEveStates:
         for _ in range(40)
     ]
 
+    # the upper triangle of a 3 x 3 block, row by row, as a pass's row holds it
+    UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
     @staticmethod
     def pass_states(checked_states, points) -> np.ndarray:
         """The x blocks, (3, len(points), 3, 3), of the one batch of Eve's states
@@ -692,11 +716,32 @@ class TestEveStates:
 
         def shifted(p):
             # the (L, E1, E2) entries at v_s = 1 + offset in place of those at 1
+            row = x_block(p)
             near_unit = x_block(p.replace(v_m=offset / (1.0 + p.k * p.k)))
-            return x_block(p)[:15] + near_unit[9:15]
+            return row[:15] + near_unit[9:15] + row[21:]
 
         monkeypatch.setattr(sec, "_x_block", shifted)
         x = self.pass_states(checked_states, self.FULL_NOISE)
+        with pytest.raises(AssertionError):
+            self.assert_conditioned_reduced_state(x, self.FULL_NOISE)
+
+    def test_catch_e_given_b_with_a_homodyne_divisor(self, monkeypatch, checked_states):
+        x_block = sec._x_block
+
+        def homodyne(p):
+            # E|b's Schur complement divided by v_b in place of v_b + 1
+            row = x_block(p)
+            v_b, c = row[5], row[6:9]
+            eve = [row[9 + n] - c[i] * c[j] / v_b for n, (i, j) in enumerate(self.UPPER)]
+            return row[:21] + tuple(eve) + row[27:]
+
+        monkeypatch.setattr(sec, "_x_block", homodyne)
+        # a homodyne's x block with the p block S X S is no state: the check
+        # rejects it, and the comparison catches the states that it was given
+        checked_states.clear()
+        with pytest.raises(UnphysicalState, match="violates uncertainty"):
+            sec.key_rates(self.FULL_NOISE)
+        [(x, _, _)] = checked_states
         with pytest.raises(AssertionError):
             self.assert_conditioned_reduced_state(x, self.FULL_NOISE)
 
@@ -932,6 +977,11 @@ class TestOptimizeVm:
         p = sec.ProtocolParams(v_m=1.0, k=1.0, eta_ch=0.5, eps_ch=0.1, beta=0.96)
         opt = sec.optimize_vm(p, "dr")
         assert opt.rate <= 0.0
+
+    def test_grid_is_built_once_read_only(self):
+        grid = np.logspace(np.log10(0.01), np.log10(100.0), 40)
+        assert sec._VM_GRID.tobytes() == grid.tobytes()
+        assert not sec._VM_GRID.flags.writeable
 
     def test_searches_below_one_are_rejected(self):
         p = sec.ProtocolParams(v_m=5.0)
