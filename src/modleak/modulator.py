@@ -7,6 +7,8 @@ carrier) and to the leakage amplitude ratio k used by the security analysis.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +43,15 @@ class ModulatorConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite([self.mu1, self.mu2, self.delta1, self.delta2]).all():
+        values = vars(self)
+        for name, value in values.items():
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+        try:
+            finite = all(map(math.isfinite, values.values()))
+        except OverflowError:  # a real too large for a float, such as 10**400
+            finite = False
+        if not finite:
             raise InvalidArgument("modulation depths and bias deviations must be finite")
         if self.mu1 < 0.0 or self.mu2 < 0.0:
             raise InvalidArgument("modulation depths must be >= 0")

@@ -8,11 +8,11 @@ The closure samples the (A, B[, L]) x block of `security.reduced_x`, the
 entries of `security.reduced_state` without its five-mode check: only the
 sampler's Cholesky of (X + 1)/2 and the key-rate pass, which checks Eve's
 states at the true point, stand between it and a report.
-`_sample_block`, the only sampling path, draws the per-sub-batch statistics
-that the estimator reads (Bartlett's decomposition), never an outcome, so its
-cost does not depend on the sample count; `sample_moments` samples a state
-with it.  `OutcomeMoments` holds them as one array, the whole batch first; the
-sampler alone bounds the sample count.
+`sample_moments`, the one sampler, takes an x block, its signs and its mode
+labels, and draws the per-sub-batch statistics that the estimator reads
+(Bartlett's decomposition), never an outcome, so its cost does not depend on
+the sample count.  `OutcomeMoments` holds them as one array, the whole batch
+first; the sampler alone bounds the sample count and the seed.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian as g
 from . import security as sec
 from .errors import InvalidArgument, MissingMode, NumericalError
 
@@ -103,26 +103,19 @@ class EstimateReport:
     clamped: bool = False
 
 
-def _count_and_seed(n, seed) -> tuple[int, int]:
-    """The sample count and seed as ints, each within the sampler's bounds."""
-    n, seed = sec.as_integer("n", n), sec.as_integer("seed", seed)
-    if n > MAX_SAMPLES:
-        raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
-    return n, seed
-
-
 def sample_moments(
-    state: g.CovMatrix, measured_modes: list[str], n: int, seed: int
+    x: np.ndarray, signs: np.ndarray, modes: Sequence[str], n: int, seed: int
 ) -> OutcomeMoments:
-    """Sufficient statistics of n i.i.d. heterodyne outcomes of the given modes,
-    drawn directly, at a cost that does not depend on n.
+    """Sufficient statistics of n i.i.d. heterodyne outcomes of the M distinct
+    modes `modes`, whose x block is the M x M array `x` and whose signs are the
+    M values +-1 of `signs`, drawn directly, at a cost that does not depend on n.
 
     Outcome covariance is (gamma + 1)/2: the measured vacuum has unit variance
     in outcome units.  Its Cholesky factor C on the columns (x_1, p_1, ...,
-    x_M, p_M) of M distinct measured modes interleaves L = chol((X + 1)/2) and
-    S L S, for X their x block in `state` and S their signs, as P = S X S.
+    x_M, p_M) interleaves L = chol((X + 1)/2) and S L S, for X = `x` and S the
+    signs, as P = S X S.  Nothing checks that the block is physical: only that
+    (X + 1)/2 is positive definite (else `NumericalError`).  Empty or repeated
+    modes, an `x` of another shape and other `signs` raise `InvalidArgument`.
     In standard units a sub-batch of m outcomes has mean ~ N(0, I/m) and,
     independently, centred Gram ~ Wishart(m - 1, I) = A A^T (Bartlett), with A
     lower triangular, N(0, 1) below the diagonal and A_jj^2 ~ chi^2(m - 1 - j).
@@ -137,20 +130,19 @@ def sample_moments(
     positions below the diagonal and the diagonal) is built once per width 2M
     and kept read-only.
     """
-    n, seed = _count_and_seed(n, seed)
-    idx = [state.index(mode) for mode in measured_modes]
-    if not idx or len(set(idx)) < len(idx):
-        raise InvalidArgument(f"need one or more distinct measured modes, got {measured_modes}")
-    return _sample_block(state.x[idx][:, idx], state.signs[idx], tuple(measured_modes), n, seed)
-
-
-def _sample_block(
-    x: np.ndarray, signs: np.ndarray, modes: tuple[str, ...], n: int, seed: int
-) -> OutcomeMoments:
-    """`sample_moments` of the modes `modes` with x block `x` and signs `signs`,
-    for an int n and seed that `_count_and_seed` accepts.  Nothing checks that
-    the block is physical: only that (x + 1)/2 is positive definite."""
-    width = 2 * len(modes)
+    n, seed = sec.as_integer("n", n), sec.as_integer("seed", seed)
+    if n > MAX_SAMPLES:
+        raise InvalidArgument(f"at most 2**53 samples keep the counts exact, got {n}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    if not modes or len(set(modes)) < len(modes):
+        raise InvalidArgument(f"need one or more distinct measured modes, got {modes}")
+    count = len(modes)
+    if np.shape(x) != (count, count):
+        raise InvalidArgument(f"x must be {count} x {count}, one row per mode, got {np.shape(x)}")
+    if np.shape(signs) != (count,) or not (np.abs(signs) == 1.0).all():
+        raise InvalidArgument(f"signs must be {count} values of +1 or -1, got {signs}")
+    width = 2 * count
     floor = max(MIN_SAMPLES, N_SUBBATCHES * (width + 1))  # m - 1 >= 2M for Bartlett
     if n < floor:
         raise InvalidArgument(f"need at least {floor} samples, got {n}")
@@ -174,11 +166,11 @@ def _sample_block(
     whole = grams.sum(axis=0) + (m * spread).T @ spread
     # the whole batch first, then its sub-batches
     centred = chol @ np.concatenate([whole[None], grams]) @ chol.T
-    return OutcomeMoments(modes, (n, *sizes), centred)
+    return OutcomeMoments(tuple(modes), (n, *sizes), centred)
 
 
 def _moment_estimates(
-    counts: np.ndarray, grams: np.ndarray, a: int, b: int, e: int | None, blind_v_m: float | None
+    counts: tuple[int, ...], grams: np.ndarray, a: int, b: int, e: int | None, blind_v_m: float | None
 ):
     """Moment estimates (v_m, k, eta, eps), eps unclamped, and clamp flags, arrays with
     one entry per centred Gram matrix of `grams`, each of `counts` outcomes.  Moments are
@@ -186,7 +178,7 @@ def _moment_estimates(
     divides by the count - 1 (ddof = 1, as np.cov), since the Gram matrices are
     centred on the sample mean.  a, b and e are the x columns of Alice, Bob and
     Eve (None: no record)."""
-    moments = grams / (counts - 1)[:, None, None]
+    moments = grams / (np.array(counts) - 1)[:, None, None]
 
     def var(i):
         return moments[:, i, i] + moments[:, i + 1, i + 1] - 1.0
@@ -216,7 +208,8 @@ def _moment_estimates(
 
 def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> EstimateReport:
     """Re-estimate (V_M, k, eta_Ch, eps_Ch) from the heterodyne statistics
-    of Alice's A, Bob's B and, if measured, Eve's L (`sample_moments`).
+    that `sample_moments` draws for the modes labelled A (Alice), B (Bob) and,
+    if measured, L (Eve's record), in any order and among any others.
 
     With `blind_v_m` None the estimate is leakage aware: k comes from L's
     record, or is 0 without one.  A finite real number above 0 gives the
@@ -231,14 +224,9 @@ def estimate_params(moments: OutcomeMoments, blind_v_m: float | None = None) -> 
         or not 0.0 < blind_v_m < math.inf
     ):
         raise InvalidArgument(f"blind_v_m must be a finite real number > 0, got {blind_v_m!r}")
-    cols = (
-        moments.column("A"),
-        moments.column("B"),
-        moments.column("L") if "L" in moments.modes else None,
-    )
-    *columns, clamped = _moment_estimates(
-        np.array(moments.counts), moments.grams, *cols, blind_v_m
-    )
+    a, b = moments.column("A"), moments.column("B")
+    e = moments.column("L") if "L" in moments.modes else None
+    *columns, clamped = _moment_estimates(moments.counts, moments.grams, a, b, e, blind_v_m)
     # one C-ordered (11, 4) row per Gram matrix; the sub-batch spread takes
     # np.std(..., axis=0, ddof=1)'s steps on it, so its sums run in its order
     estimates = np.array(columns).T.copy()
@@ -284,12 +272,8 @@ def _bumped_points(
     fields left out because their raised point is invalid."""
     bumped = {}
     skipped = []
-    for field, se in (
-        ("v_m", est.se_v_m),
-        ("k", est.se_k),
-        ("eta_ch", est.se_eta),
-        ("eps_ch", est.se_eps),
-    ):
+    ses = {"v_m": est.se_v_m, "k": est.se_k, "eta_ch": est.se_eta, "eps_ch": est.se_eps}
+    for field, se in ses.items():
         value = getattr(p_est, field) + se
         if field == "eta_ch":
             value = min(value, 1.0 if p_est.eps_ch == 0.0 else 0.9999)
@@ -327,14 +311,11 @@ def end_to_end_consistency(
     """
     # Eve's record is L wherever the purification has it: leakage or noise on L;
     # the blind estimate never reads it
-    has_l = (p.k > 0.0 or p.eps_l > 0.0) and not assume_no_leakage
-    measured = sec.REDUCED_MODES[: 3 if has_l else 2]
+    m = 3 if (p.k > 0.0 or p.eps_l > 0.0) and not assume_no_leakage else 2
     x = sec.reduced_x(p)
-    n, seed = _count_and_seed(n, seed)
-    m = len(measured)
     est = estimate_params(
-        _sample_block(x[:m, :m], sec.REDUCED_SIGNS[:m], measured, n, seed),
-        blind_v_m=float(p.v_m) if assume_no_leakage else None,  # a bool v_m is a valid point
+        sample_moments(x[:m, :m], sec.REDUCED_SIGNS[:m], sec.REDUCED_MODES[:m], n, seed),
+        blind_v_m=p.v_m if assume_no_leakage else None,
     )
     p_est = _estimated_params(p, est)
     bumped, skipped = _bumped_points(p_est, est)
@@ -352,5 +333,5 @@ def end_to_end_consistency(
         se_r_rr=se_rr,
         skipped_se_terms=skipped,
         verdict="overestimates key" if (over_dr or over_rr) else "consistent",
-        seed=seed,
+        seed=int(seed),  # the integer that the sampler accepted and drew with
     )

@@ -107,16 +107,23 @@ class ProtocolParams:
         v_m, k, eta_ch, eps_ch, eta_d, eps_d, eps_p1, eps_p2, eps_l, beta, block_size = values
         # real fields add to a float that is finite only if each of them is.  A
         # Decimal, a string or None does not add, math.isfinite rejects a complex
-        # sum, an array does not hash and a real too large for a float, such as
-        # 10**400, overflows: only then are the fields searched for the one that
-        # is not a real number
+        # sum, an array does not hash, a real too large for a float, such as
+        # 10**400, overflows and a bool is not a real number here: only then are
+        # the fields searched for the one that is not a real number
         try:
             total = 0.0 + v_m + k + eta_ch + eps_ch + eta_d + eps_d + eps_p1 + eps_p2 + eps_l + beta
             fields_hash = hash(values)  # drive hashes each point several times a round
             finite = math.isfinite(total)
+            if (
+                type(v_m) is bool or type(k) is bool or type(eta_ch) is bool
+                or type(eps_ch) is bool or type(eta_d) is bool or type(eps_d) is bool
+                or type(eps_p1) is bool or type(eps_p2) is bool or type(eps_l) is bool
+                or type(beta) is bool
+            ):
+                raise TypeError
         except (TypeError, ValueError, OverflowError):
             for name, value in zip(PARAM_FIELDS[:-1], values):  # every field but block_size
-                if not isinstance(value, numbers.Real):
+                if not isinstance(value, numbers.Real) or type(value) is bool:
                     raise InvalidArgument(f"{name} must be a real number, got {value!r}") from None
             fields_hash, finite = None, False
         if not finite:

@@ -69,14 +69,14 @@ def checked_states(monkeypatch):
 
 @pytest.fixture
 def sampled_blocks(monkeypatch):
-    """(x, signs, modes, n, seed) of every block that montecarlo._sample_block samples
+    """(x, signs, modes, n, seed) of every block that montecarlo.sample_moments samples
     during the test, in order, with copies of x and signs."""
     blocks = []
-    sample = mc._sample_block
+    sample = mc.sample_moments
 
     def recorded(x, signs, modes, n, seed):
         blocks.append((x.copy(), signs.copy(), modes, n, seed))
         return sample(x, signs, modes, n, seed)
 
-    monkeypatch.setattr(mc, "_sample_block", recorded)
+    monkeypatch.setattr(mc, "sample_moments", recorded)
     return blocks

@@ -185,9 +185,10 @@ def mc_estimate(alice, bob, eve, v_m_known=None, assume_no_leakage=False, n_sub=
 def bartlett_moments(x, signs, idx, n, seed, n_sub=10):
     """Counts and centred Gram matrices of n heterodyne outcomes of the modes at
     indices `idx` of a state with x block `x` and `signs`, drawn as the
-    montecarlo.sample_moments docstring says, step by step: the measured block
-    read with np.ix_ and the Bartlett layout built on every call.  The whole
-    batch first, then the n_sub sub-batches of np.array_split."""
+    montecarlo.sample_moments docstring says, step by step, for that function
+    given the measured block: here the block is read from the whole state with
+    np.ix_ and the Bartlett layout is built on every call.  The whole batch
+    first, then the n_sub sub-batches of np.array_split."""
     width = 2 * len(idx)
     factor = np.linalg.cholesky(0.5 * (x[np.ix_(idx, idx)] + np.eye(len(idx))))
     chol = np.zeros((width, width))

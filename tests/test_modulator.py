@@ -33,10 +33,17 @@ class TestFieldCoefficients:
 
     @pytest.mark.parametrize("field", ["mu1", "mu2", "delta1", "delta2"])
     def test_non_finite_depth_or_bias_rejected(self, field):
-        for value in (np.nan, np.inf, -np.inf):
+        for value in (np.nan, np.inf, -np.inf, 10**400):
             fields = {"mu1": 0.1, "mu2": 0.1, field: value}
             with pytest.raises(InvalidArgument, match="must be finite"):
                 mod.ModulatorConfig(**fields)
+
+    @pytest.mark.parametrize("field", ["mu1", "mu2", "delta1", "delta2"])
+    @pytest.mark.parametrize("value", ["a", None, True, False, np.array(0.1), 1j], ids=repr)
+    def test_depth_or_bias_that_is_not_a_real_number_rejected(self, field, value):
+        fields = {"mu1": 0.1, "mu2": 0.1, field: value}
+        with pytest.raises(InvalidArgument, match=f"^{field} must be a real number, got "):
+            mod.ModulatorConfig(**fields)
 
     def test_large_depth_warns(self):
         with pytest.warns(UserWarning) as record:

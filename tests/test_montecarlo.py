@@ -13,28 +13,43 @@ from modleak.errors import InvalidArgument, MissingMode, NumericalError, Unphysi
 POINT = sec.ProtocolParams(v_m=5.0, k=0.3, eta_ch=0.6, eps_ch=0.02)
 
 
+def vacuum(*modes):
+    """The x block, signs and labels of the vacuum of `modes`, as sample_moments takes them."""
+    return np.eye(len(modes)), np.ones(len(modes)), modes
+
+
+def block(state, measured):
+    """The x block, signs and labels of the modes `measured` of `state`."""
+    idx = [state.index(mode) for mode in measured]
+    return state.x[np.ix_(idx, idx)], state.signs[idx], measured
+
+
+def reduced_block(p, m):
+    """The x block, signs and labels of the first m reduced modes A, B[, L] of p."""
+    return sec.reduced_x(p)[:m, :m], sec.REDUCED_SIGNS[:m], sec.REDUCED_MODES[:m]
+
+
 class TestSample:
     def test_vacuum_outcome_variance(self):
-        moments = mc.sample_moments(g.vacuum(("a",)), ["a"], 1_000_000, seed=1)
+        moments = mc.sample_moments(*vacuum("a"), 1_000_000, seed=1)
         var = np.diagonal(moments.grams[0]) / moments.counts[0]
         assert np.allclose(var, 1.0, atol=0.005)
 
     def test_same_seed_is_bit_for_bit(self):
-        state = g.epr_source(4.0, ("a", "b"))
-        m1 = mc.sample_moments(state, ["a", "b"], 5_000, seed=99)
-        m2 = mc.sample_moments(state, ["a", "b"], 5_000, seed=99)
+        epr = block(g.epr_source(4.0, ("a", "b")), ["a", "b"])
+        m1 = mc.sample_moments(*epr, 5_000, seed=99)
+        m2 = mc.sample_moments(*epr, 5_000, seed=99)
         assert np.array_equal(m1.grams, m2.grams)
 
     def test_different_seed_differs(self):
-        state = g.vacuum(("a",))
-        m1 = mc.sample_moments(state, ["a"], 2_000, seed=1)
-        m2 = mc.sample_moments(state, ["a"], 2_000, seed=2)
+        m1 = mc.sample_moments(*vacuum("a"), 2_000, seed=1)
+        m2 = mc.sample_moments(*vacuum("a"), 2_000, seed=2)
         assert not np.array_equal(m1.grams, m2.grams)
 
     def test_epr_cross_correlation(self):
         v, n = 6.0, 200_000
-        state = g.epr_source(v, ("a", "b"))
-        gram = mc.sample_moments(state, ["a", "b"], n, seed=3).grams[0]
+        epr = block(g.epr_source(v, ("a", "b")), ["a", "b"])
+        gram = mc.sample_moments(*epr, n, seed=3).grams[0]
         # heterodyne outcome cross-covariance is half the matrix entry
         target = 0.5 * np.sqrt(v * v - 1.0)
         c_xx, c_pp = gram[0, 2] / (n - 1), gram[1, 3] / (n - 1)
@@ -46,7 +61,7 @@ class TestSample:
         # sample variance error should shrink roughly like 1/sqrt(n)
         errs = []
         for n in (10_000, 100_000, 1_000_000):
-            moments = mc.sample_moments(g.vacuum(("a",)), ["a"], n, seed=17)
+            moments = mc.sample_moments(*vacuum("a"), n, seed=17)
             errs.append(abs(moments.grams[0, 0, 0] / n - 1.0))
         assert errs[2] < errs[0]
         assert errs[2] < 5.0 / np.sqrt(1_000_000)
@@ -54,16 +69,16 @@ class TestSample:
     @pytest.mark.parametrize("n", [999, 0, -1])
     def test_rejects_counts_below_the_floor(self, n):
         with pytest.raises(InvalidArgument, match="at least 1000 samples"):
-            mc.sample_moments(g.vacuum(("a",)), ["a"], n, seed=0)
+            mc.sample_moments(*vacuum("a"), n, seed=0)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidArgument, match="seed"):
-            mc.sample_moments(g.vacuum(("a",)), ["a"], 2_000, seed=-3)
+            mc.sample_moments(*vacuum("a"), 2_000, seed=-3)
 
     def test_integral_float_counts_and_seeds(self):
-        state = g.epr_source(4.0, ("a", "b"))
-        exact = mc.sample_moments(state, ["a", "b"], 1_000_000, seed=7)
-        floats = mc.sample_moments(state, ["a", "b"], 1e6, seed=7.0)
+        epr = block(g.epr_source(4.0, ("a", "b")), ["a", "b"])
+        exact = mc.sample_moments(*epr, 1_000_000, seed=7)
+        floats = mc.sample_moments(*epr, 1e6, seed=7.0)
         assert floats.counts == exact.counts
         assert all(type(count) is int for count in floats.counts)
         assert np.array_equal(floats.grams, exact.grams)
@@ -75,38 +90,47 @@ class TestSample:
     @pytest.mark.parametrize("n, seed", [(10000.5, 1), (10_000, 1.5), (10_000, float("nan")), ("1e6", 1)])
     def test_rejects_non_integral_counts_and_seeds(self, n, seed):
         with pytest.raises(InvalidArgument, match="must be a finite integer"):
-            mc.sample_moments(g.vacuum(("a",)), ["a"], n, seed)
+            mc.sample_moments(*vacuum("a"), n, seed)
 
     def test_rejects_counts_not_exact_as_float64(self):
-        assert mc.sample_moments(g.vacuum(("a",)), ["a"], 2**53, seed=0).counts[0] == 2**53
+        assert mc.sample_moments(*vacuum("a"), 2**53, seed=0).counts[0] == 2**53
         with pytest.raises(InvalidArgument, match="at most 2\\*\\*53 samples"):
-            mc.sample_moments(g.vacuum(("a",)), ["a"], 2**53 + 1, seed=0)
+            mc.sample_moments(*vacuum("a"), 2**53 + 1, seed=0)
 
     def test_sub_batches_must_outnumber_the_columns(self):
         # Bartlett's decomposition needs m - 1 >= 2M outcomes in every sub-batch
         modes = [f"m{i}" for i in range(60)]
         with pytest.raises(InvalidArgument, match="at least 1210 samples, got 1000"):
-            mc.sample_moments(g.vacuum(tuple(modes)), modes, 1_000, seed=0)
-        moments = mc.sample_moments(g.vacuum(tuple(modes)), modes, 20_000, seed=0)
+            mc.sample_moments(*vacuum(*modes), 1_000, seed=0)
+        moments = mc.sample_moments(*vacuum(*modes), 20_000, seed=0)
         assert moments.grams.shape == (11, 120, 120)
 
-    @pytest.mark.parametrize(
-        "measured, error",
-        [(["A", "X"], MissingMode), ([], InvalidArgument), (["A", "A"], InvalidArgument)],
-    )
-    def test_rejects_measured_modes(self, measured, error):
-        with pytest.raises(error):
-            mc.sample_moments(sec.reduced_state(POINT), measured, 2_000, seed=0)
+    @pytest.mark.parametrize("measured", [[], ["A", "A"], ("A", "B", "A")], ids=repr)
+    def test_rejects_measured_modes(self, measured):
+        x, signs = sec.reduced_x(POINT), sec.REDUCED_SIGNS
+        m = len(measured)
+        with pytest.raises(InvalidArgument, match="need one or more distinct measured modes"):
+            mc.sample_moments(x[:m, :m], signs[:m], measured, 2_000, seed=0)
 
-    def test_reordered_subset_samples_its_marginal(self):
-        # E2, B and L carry the signs +, -, -: the p factor's entries flip between them
-        state, measured = sec.reduced_state(POINT), ["E2", "B", "L"]
-        for n, seed in ((1_000, 0), (123_457, 5), (10**15, 9)):
-            got = mc.sample_moments(state, measured, n, seed)
-            marginal = mc.sample_moments(g.partial_trace(state, measured), measured, n, seed)
-            assert got.modes == marginal.modes == tuple(measured)
-            assert got.counts == marginal.counts
-            assert got.grams.tobytes() == marginal.grams.tobytes()
+    @pytest.mark.parametrize(
+        "x, signs, message",
+        [
+            (np.eye(3), np.ones(2), "x must be 2 x 2"),
+            (np.eye(2)[0], np.ones(2), "x must be 2 x 2"),
+            (np.eye(2)[None], np.ones(2), "x must be 2 x 2"),
+            (np.eye(2), np.ones(3), "signs must be 2 values of"),
+            (np.eye(2), np.ones((2, 1)), "signs must be 2 values of"),
+            (np.eye(2), [1.0, 0.0], "signs must be 2 values of"),
+            (np.eye(2), [1.0, -2.0], "signs must be 2 values of"),
+            (np.eye(2), [1.0, np.nan], "signs must be 2 values of"),
+        ],
+        ids=["3x3", "row", "stacked", "3-signs", "column", "zero", "two", "nan"],
+    )
+    def test_rejects_a_block_that_does_not_fit_the_modes(self, x, signs, message):
+        with pytest.raises(InvalidArgument, match=message):
+            mc.sample_moments(x, signs, ("a", "b"), 2_000, seed=0)
+        # the same block is sampled when it fits
+        assert mc.sample_moments(np.eye(2), [1, -1], ("a", "b"), 2_000, seed=0).modes == ("a", "b")
 
     def test_bartlett_layout_is_read_only(self):
         for width in (2, 4, 6, 10):
@@ -117,16 +141,16 @@ class TestSample:
             assert mc._bartlett_layout(width)[0] is below
 
     def test_builds_no_state(self, checked_states):
-        state = sec.reduced_state(POINT)
+        measured = block(sec.reduced_state(POINT), ["B", "A", "L"])
         checked_states.clear()
-        mc.sample_moments(state, ["B", "A", "L"], 5_000, seed=3)
+        mc.sample_moments(*measured, 5_000, seed=3)
         assert checked_states == []
 
     def test_gram_matrices_are_wishart(self):
         # mean (count - 1) Sigma; the whole batch's fails without its between-sub-batch term
         state, measured, n, seeds = sec.reduced_state(POINT), ["A", "B", "L"], 1_000, 2_000
         cov = 0.5 * (interleave(g.partial_trace(state, measured)) + np.eye(6))
-        draws = [mc.sample_moments(state, measured, n, seed) for seed in range(seeds)]
+        draws = [mc.sample_moments(*block(state, measured), n, seed) for seed in range(seeds)]
         assert {m.counts for m in draws} == {(n, *mc._subbatch_sizes(n))}
         grams = np.stack([m.grams for m in draws])
         dof = np.array(draws[0].counts)[:, None, None] - 1.0
@@ -139,7 +163,7 @@ class TestSample:
         gamma = interleave(g.partial_trace(state, measured))
 
         def drawn(seed):
-            est = mc.estimate_params(mc.sample_moments(state, measured, n, seed))
+            est = mc.estimate_params(mc.sample_moments(*block(state, measured), n, seed))
             return [getattr(est, f) for f in TestStreamedMoments.ESTIMATE_FIELDS]
 
         def oracle(seed):
@@ -171,7 +195,7 @@ class TestSeedContract:
     def assert_same_bits(state, measured, n, seed):
         idx = [state.modes.index(mode) for mode in measured]
         counts, grams = bartlett_moments(state.x, state.signs, idx, n, seed)
-        moments = mc.sample_moments(state, measured, n, seed)
+        moments = mc.sample_moments(*block(state, measured), n, seed)
         assert moments.counts == counts
         assert moments.grams.tobytes() == grams.tobytes()
         if "A" in measured and "B" in measured:
@@ -195,9 +219,8 @@ class TestSeedContract:
 
 class TestEstimateParams:
     def _batch(self, p, n, seed):
-        scheme = sec.build_scheme(p)
-        measured = ["A", "B"] + (["L"] if "L" in scheme.state.modes else [])
-        return mc.sample_moments(scheme.state, measured, n, seed)
+        # L's record wherever the purification has it, as in the closure
+        return mc.sample_moments(*reduced_block(p, 3 if p.k > 0.0 or p.eps_l > 0.0 else 2), n, seed)
 
     def test_recovers_parameters_within_errors(self):
         est = mc.estimate_params(self._batch(POINT, 1_000_000, seed=42))
@@ -226,10 +249,10 @@ class TestEstimateParams:
         # criterion 7's aware point at n = 1e5: about 17% of the sub-batch eps estimates
         # are negative.  Their unclamped spread puts the std of (eps_hat - eps_Ch) / se_eps
         # near Student's t with 9 dof (1.134); clamped sub-batch values gave 1.36
-        state = sec.reduced_state(POINT)
+        aware = reduced_block(POINT, 3)
         z = []
         for seed in range(2000):
-            est = mc.estimate_params(mc.sample_moments(state, ["A", "B", "L"], 100_000, seed))
+            est = mc.estimate_params(mc.sample_moments(*aware, 100_000, seed))
             z.append((est.eps_hat - POINT.eps_ch) / est.se_eps)
         assert 1.05 <= np.std(z) <= 1.22
 
@@ -251,23 +274,20 @@ class TestEstimateParams:
         "blind_v_m", [0.0, -1.0, np.nan, np.inf, True, "5", np.array(5.0)], ids=repr
     )
     def test_rejects_a_blind_v_m_that_is_not_a_finite_positive_real(self, blind_v_m):
-        moments = mc.sample_moments(sec.reduced_state(POINT), ["A", "B"], 2_000, seed=1)
+        moments = mc.sample_moments(*reduced_block(POINT, 2), 2_000, seed=1)
         with pytest.raises(InvalidArgument, match="blind_v_m must be a finite real number > 0"):
             mc.estimate_params(moments, blind_v_m=blind_v_m)
         # numpy and integer scalars are real numbers
         assert mc.estimate_params(moments, np.float64(5.0)) == mc.estimate_params(moments, 5)
 
-    def test_blind_closure_takes_a_bool_v_m(self):
-        # ProtocolParams takes a bool as a real number; estimate_params does not
-        p = dataclasses.replace(POINT, v_m=True)
-        closures = [
-            mc.end_to_end_consistency(q, 20_000, seed=4, assume_no_leakage=True)
-            for q in (p, p.replace(v_m=1.0))
-        ]
-        assert repr(closures[0]) == repr(closures[1])
+    def test_blind_closure_has_no_bool_v_m(self):
+        # neither ProtocolParams nor estimate_params takes a bool as a real number
+        for make in (lambda: dataclasses.replace(POINT, v_m=True), lambda: POINT.replace(v_m=True)):
+            with pytest.raises(InvalidArgument, match="^v_m must be a real number, got True$"):
+                make()
 
     def test_missing_bob_record(self):
-        moments = mc.sample_moments(sec.reduced_state(POINT), ["A", "L"], 2_000, seed=1)
+        moments = mc.sample_moments(*block(sec.reduced_state(POINT), ["A", "L"]), 2_000, seed=1)
         with pytest.raises(MissingMode, match="B"):
             mc.estimate_params(moments)
 
@@ -297,7 +317,7 @@ class TestStreamedMoments:
         assert est.n == n
 
     def test_non_finite_statistics_rejected(self):
-        moments = mc.sample_moments(g.epr_source(4.0, ("a", "b")), ["a", "b"], 2_000, seed=1)
+        moments = mc.sample_moments(*block(g.epr_source(4.0, ("a", "b")), ["a", "b"]), 2_000, seed=1)
         grams = moments.grams.copy()
         grams[4, 2, 2] = np.inf
         with pytest.raises(InvalidArgument, match="mode b: non-finite"):
@@ -308,7 +328,7 @@ class TestStreamedMoments:
         "entries, mode", [([(3, 5, 5), (4, 3, 3)], "A"), ([(9, 5, 5), (0, 1, 1)], "B")]
     )
     def test_names_the_first_non_finite_mode(self, entries, mode):
-        moments = mc.sample_moments(sec.reduced_state(POINT), ["B", "A", "L"], 2_000, seed=1)
+        moments = mc.sample_moments(*block(sec.reduced_state(POINT), ["B", "A", "L"]), 2_000, seed=1)
         grams = moments.grams.copy()
         for entry in entries:
             grams[entry] = np.nan

@@ -163,6 +163,8 @@ class TestProtocolParams:
     BOUNDARY += [Decimal("5"), Decimal("NaN"), Decimal("-1")]
     # real numbers too large for a float: converting them overflows
     BOUNDARY += [10**400, -(10**400), Fraction(10**400)]
+    # a bool adds as 0 or 1 but is not a real number here
+    BOUNDARY += [True, False]
     BLOCK_SIZES = [True, False, np.int64(5), 1e6, 2.5, 0, 7, -1, -1.0, math.nan, math.inf]
     BLOCK_SIZES += [2**1023, 2**1024]
 
@@ -212,7 +214,7 @@ class TestProtocolParams:
         """The documented outcome for `fields`: the stored fields, with their
         types, and their hash, or the error's class and message."""
         for name in sec.PARAM_FIELDS[:-1]:
-            if not isinstance(fields[name], numbers.Real):
+            if not isinstance(fields[name], numbers.Real) or isinstance(fields[name], bool):
                 return InvalidArgument, f"{name} must be a real number, got {fields[name]!r}"
         for name in cls.UNBOUNDED:
             if not cls.finite(fields[name]):
